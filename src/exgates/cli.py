@@ -337,7 +337,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ValueError as exc:
+        # invalid arguments or schedule contents, reported like other usage errors
+        print(f"exgates: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Mapping
 
 import numpy as np
@@ -70,11 +70,11 @@ class SpinSector(Enum):
     SPIN0 = (3, 3)
     SPIN1 = (4, 2)
 
-    @property
+    @cached_property
     def partition(self) -> Partition:
         return Partition(self.value)
 
-    @property
+    @cached_property
     def dim(self) -> int:
         return len(standard_tableaux(self.partition))
 

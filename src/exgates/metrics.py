@@ -23,7 +23,6 @@ import numpy as np
 
 from .encoding import SpinSector, projector
 from .linalg import expi
-from .symrep import GroupAlgebraElement, rep_element
 from .trotter import (
     PulseSchedule,
     PulseStep,
@@ -32,6 +31,7 @@ from .trotter import (
     cnot_spin_independent,
     consolidate,
     normalized_time,
+    step_generator,
 )
 
 __all__ = [
@@ -60,12 +60,7 @@ FONG_WANDZURA_TIME = 12.3
 
 
 def _step_unitary(step: PulseStep, sector: SpinSector) -> np.ndarray:
-    g = np.zeros((sector.dim, sector.dim))
-    for pair, c in zip(step.pairs, step.coeffs):
-        g = g + c * rep_element(
-            sector.partition, GroupAlgebraElement.transposition(6, *pair)
-        ).matrix.real
-    u = expi(g)
+    u = expi(step_generator(step, sector))
     if step.phase:
         u = np.exp(1j * step.phase) * u
     return u

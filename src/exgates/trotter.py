@@ -35,7 +35,7 @@ from .encoding import (
     SpinSector,
     hamiltonian_from_pauli,
 )
-from .symrep import GroupAlgebraElement, rep_element
+from .symrep import GroupAlgebraElement, rep_transposition
 
 __all__ = [
     "PulseStep",
@@ -49,6 +49,8 @@ __all__ = [
     "cnot_spin1",
     "single_qubit_schedule",
     "canonical_two_qubit_schedule",
+    "pair_stack",
+    "step_generator",
     "consolidate",
     "cancel_negatives",
     "normalized_time",
@@ -412,25 +414,32 @@ def canonical_two_qubit_schedule(
     )
 
 
+_PAIR_INDEX = {pair: k for k, pair in enumerate(ALL_PAIRS)}
+
+
 @lru_cache(maxsize=None)
-def _pair_rep(sector: SpinSector, pair: tuple[int, int]) -> np.ndarray:
-    return rep_element(
-        sector.partition, GroupAlgebraElement.transposition(6, *pair)
-    ).matrix.real
+def pair_stack(sector: SpinSector) -> np.ndarray:
+    """The 15 transposition matrices of a sector's irrep, (15, dim, dim) in ALL_PAIRS order."""
+    stack = np.stack(
+        [rep_transposition(sector.partition, *pair).matrix for pair in ALL_PAIRS]
+    )
+    stack.setflags(write=False)
+    return stack
 
 
-def _step_matrix_generator(step: PulseStep, sector: SpinSector) -> np.ndarray:
-    g = np.zeros((sector.dim, sector.dim))
+def step_generator(step: PulseStep, sector: SpinSector) -> np.ndarray:
+    """Real generator sum_c c_ij rep((i j)) of a step; the identity phase is left out."""
+    coeffs = np.zeros(len(ALL_PAIRS))
     for pair, c in zip(step.pairs, step.coeffs):
-        g = g + c * _pair_rep(sector, pair)
-    return g
+        coeffs[_PAIR_INDEX[pair]] += c
+    return np.tensordot(coeffs, pair_stack(sector), axes=1)
 
 
-def _steps_commute(a: PulseStep, b: PulseStep, tol: float = 1e-12) -> bool:
-    """Commutation of the step generators, tested in both irreps."""
-    for sector in SpinSector:
-        ga = _step_matrix_generator(a, sector)
-        gb = _step_matrix_generator(b, sector)
+def _generators_commute(
+    a: tuple[np.ndarray, ...], b: tuple[np.ndarray, ...], tol: float = 1e-12
+) -> bool:
+    """Commutation of two steps from their generators in every sector."""
+    for ga, gb in zip(a, b):
         scale = max(1.0, float(np.max(np.abs(ga))) * float(np.max(np.abs(gb))))
         if np.max(np.abs(ga @ gb - gb @ ga)) > tol * scale:
             return False
@@ -443,13 +452,34 @@ def consolidate(schedule: PulseSchedule) -> PulseSchedule:
     The merged step sums coefficient maps and identity phases; the
     simulated unitary is unchanged.  The resulting step count is the
     clock-cycle count of the schedule.
+
+    Commutation is tested in both irreps and decided once per distinct
+    adjacent pair (last merged step, next step) in a call, from generators
+    built once per distinct step.  Both tables live only for the call, so
+    schedules of fresh steps do not grow memory across calls.
     """
+    generators: dict[PulseStep, tuple[np.ndarray, ...]] = {}
+    commutes: dict[tuple[PulseStep, PulseStep], bool] = {}
+
+    def sector_generators(step: PulseStep) -> tuple[np.ndarray, ...]:
+        gens = generators.get(step)
+        if gens is None:
+            gens = generators[step] = tuple(step_generator(step, s) for s in SpinSector)
+        return gens
+
     merged: list[PulseStep] = []
     for step in schedule.steps:
-        if merged and _steps_commute(merged[-1], step):
-            merged[-1] = _merge_steps(merged[-1], step)
-        else:
-            merged.append(step)
+        if merged:
+            key = (merged[-1], step)
+            ok = commutes.get(key)
+            if ok is None:
+                ok = commutes[key] = _generators_commute(
+                    sector_generators(key[0]), sector_generators(step)
+                )
+            if ok:
+                merged[-1] = _merge_steps(merged[-1], step)
+                continue
+        merged.append(step)
     return replace(schedule, steps=tuple(merged))
 
 
@@ -544,26 +574,36 @@ def schedule_to_json(schedule: PulseSchedule) -> dict:
     }
 
 
+def _json_number(value, what: str) -> float:
+    """A finite JSON number; strings, booleans, NaN and infinities are rejected."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{what} must be a number, got {value!r}")
+    if not math.isfinite(value):
+        raise ValueError(f"{what} must be finite, got {value!r}")
+    return float(value)
+
+
 def schedule_from_json(data: dict) -> PulseSchedule:
+    if not isinstance(data, dict):
+        raise ValueError(f"schedule JSON must be an object, got {type(data).__name__}")
     try:
         if data.get("version") != 1:
             raise ValueError(f"unsupported schedule version: {data.get('version')!r}")
         steps = []
         for k, s in enumerate(data["steps"]):
             pairs = [tuple(p) for p in s["pairs"]]
-            coeffs = [float(c) for c in s["coeffs"]]
+            coeffs = [_json_number(c, f"step {k} coefficient") for c in s["coeffs"]]
             if len(pairs) != len(coeffs):
                 raise ValueError(f"step {k}: pairs and coeffs differ in length")
-            steps.append(
-                PulseStep.make(dict(zip(pairs, coeffs)), float(s.get("phase", 0.0)))
-            )
+            phase = _json_number(s.get("phase", 0.0), f"step {k} phase")
+            steps.append(PulseStep.make(dict(zip(pairs, coeffs)), phase))
         return PulseSchedule(
             tuple(steps),
             name=str(data.get("name", "schedule")),
             order=int(data.get("order", 1)),
             n=int(data.get("n", 1)),
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"malformed schedule JSON: {exc}") from exc
 
 

@@ -136,6 +136,37 @@ class TestSynthesizeSimulate:
         code, _, err = run(capsys, "simulate", str(tmp_path / "nope.json"))
         assert code == 2
 
+    def test_top_level_list_exit_2(self, capsys, tmp_path):
+        bad = tmp_path / "list.json"
+        bad.write_text("[1, 2]")
+        code, _, err = run(capsys, "simulate", str(bad))
+        assert code == 2
+        assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "step",
+        [
+            {"pairs": [[1, 4]], "coeffs": [float("nan")]},
+            {"pairs": [[1, 4]], "coeffs": [float("inf")]},
+            {"pairs": [[1, 4]], "coeffs": [0.5], "phase": float("nan")},
+            {"pairs": [[1, 4]], "coeffs": ["0.5"]},
+        ],
+    )
+    def test_non_finite_or_non_numeric_value_exit_2(self, capsys, tmp_path, step):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"version": 1, "steps": [step]}))
+        code, out, err = run(capsys, "simulate", str(bad))
+        assert code == 2
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1
+
+    def test_synthesize_zero_iterations_exit_2(self, capsys, tmp_path):
+        out_path = tmp_path / "c.json"
+        code, _, err = run(capsys, "synthesize", "cnot", "--n", "0", "--out", str(out_path))
+        assert code == 2
+        assert len(err.strip().splitlines()) == 1
+        assert not out_path.exists()
+
 
 class TestVerify:
     @pytest.mark.parametrize("suite", ["symrep", "encoding"])

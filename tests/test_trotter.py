@@ -2,9 +2,12 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from exgates import trotter
 from exgates.decouple import decouple_map
-from exgates.encoding import SpinSector, pauli_word, projected_rep, projector
+from exgates.encoding import ALL_PAIRS, SpinSector, pauli_word, projected_rep, projector
 from exgates.linalg import expi
 from exgates.metrics import CNOT, report, simulate
 from exgates.symrep import GroupAlgebraElement, rep_element
@@ -23,12 +26,35 @@ from exgates.trotter import (
     schedule_from_json,
     schedule_to_json,
     single_qubit_schedule,
+    step_generator,
     trotter_product,
 )
 
 SQ3 = np.sqrt(3.0)
 
 N_ELEMENT = GroupAlgebraElement.from_transpositions(6, SWAP_GENERATOR_N)
+
+_COEFF_MAPS = st.dictionaries(
+    st.sampled_from(ALL_PAIRS), st.floats(-4.0, 4.0, allow_nan=False), max_size=15
+)
+
+
+@st.composite
+def _schedules(draw):
+    """Schedules over a small pool of few-pair steps, so that many adjacent steps commute.
+
+    Coefficients lie on a 0.01 grid: a step pair then either commutes or has
+    a commutator far above consolidate's tolerance.
+    """
+    grid = st.integers(-200, 200).map(lambda k: k / 100)
+    step = st.builds(
+        PulseStep.make,
+        st.dictionaries(st.sampled_from(ALL_PAIRS), grid, max_size=2),
+        grid.map(lambda c: c / 2),
+    )
+    pool = draw(st.lists(step, min_size=1, max_size=4))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), max_size=30))
+    return PulseSchedule(tuple(pool[k] for k in picks))
 
 
 def computational_block(schedule, sector):
@@ -52,6 +78,15 @@ class TestPulseStep:
     def test_invalid_pair(self):
         with pytest.raises(ValueError):
             PulseStep.make({(0, 2): 1.0})
+
+
+class TestStepGenerator:
+    @settings(max_examples=60, deadline=None)
+    @given(coeffs=_COEFF_MAPS, sector=st.sampled_from(list(SpinSector)))
+    def test_matches_group_algebra_generator(self, coeffs, sector):
+        step = PulseStep.make(coeffs)
+        want = rep_element(sector.partition, step.generator()).matrix.real
+        assert np.max(np.abs(step_generator(step, sector) - want)) <= 1e-13
 
 
 class TestTrotterProduct:
@@ -149,7 +184,7 @@ class TestCnotConstructions:
         assert len(consolidate(sch).steps) == cycles
         assert abs(normalized_time(sch) - time) <= 0.05
 
-    @pytest.mark.parametrize("n", range(1, 11))
+    @pytest.mark.parametrize("n", range(1, 13))
     def test_cycle_count_laws(self, n):
         assert len(consolidate(cnot_spin_independent(n)).steps) == 12 * n + 3
         assert len(consolidate(cnot_spin1(n)).steps) == 10 * n + 1
@@ -323,7 +358,31 @@ class TestConsolidate:
         merged = consolidate(sch)
         for sector in SpinSector:
             d = np.max(np.abs(simulate(sch, sector) - simulate(merged, sector)))
-            assert d <= 1e-10
+            assert d <= 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(sch=_schedules())
+    def test_preserves_unitary_on_random_schedules(self, sch):
+        merged = consolidate(sch)
+        assert len(merged.steps) <= len(sch.steps)
+        for sector in SpinSector:
+            d = np.max(np.abs(simulate(sch, sector) - simulate(merged, sector)))
+            assert d <= 1e-12
+
+    def test_generators_built_once_per_distinct_step(self, monkeypatch):
+        built = []
+        original = trotter.step_generator
+
+        def counting(step, sector):
+            built.append(step)
+            return original(step, sector)
+
+        monkeypatch.setattr(trotter, "step_generator", counting)
+        sch = cnot_spin1(200)
+        merged = consolidate(sch)
+        # the steps consolidation sees: the input's and the merged ones
+        distinct = set(sch.steps) | set(merged.steps)
+        assert len(built) <= 2 * len(distinct)
 
     def test_disjoint_blocks_merge(self):
         sch = PulseSchedule(
