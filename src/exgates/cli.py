@@ -153,7 +153,7 @@ def _suite_oracle() -> list[CheckResult]:
                 ),
             )
         checks.append(_check(f"{sector.name} oracle vs irrep, all 15 transpositions", worst, 1e-10))
-        phi = oracle.logical_frame(sector).matrix
+        phi = oracle.logical_frame(sector)
         checks.append(_check(f"{sector.name} frame orthonormal", max_abs(phi @ phi.T - np.eye(4))))
         for name, sig in (("sigma_a", sigma_a), ("sigma_b", sigma_b)):
             checks.append(
@@ -225,6 +225,8 @@ def _cmd_synthesize(args) -> int:
         raise SystemExit(2)
     if args.mode == "independent":
         schedule = trotter.cnot_spin_independent(args.n, order=args.order)
+    elif args.order != 1:
+        raise ValueError("--mode spin1 builds a first-order schedule only; use --order 1")
     else:
         schedule = trotter.cnot_spin1(args.n)
     if args.cancel_negatives:

@@ -13,7 +13,7 @@ logical ordering |00>, |01>, |10>, |11> with qubit one carried by block one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
 from typing import Mapping
@@ -24,7 +24,6 @@ from .symrep import GroupAlgebraElement, Partition, rep_element, standard_tablea
 
 __all__ = [
     "SpinSector",
-    "ComputationalBasis",
     "BLOCK_A_PAIRS",
     "BLOCK_B_PAIRS",
     "LOCAL_PAIRS",
@@ -33,14 +32,12 @@ __all__ = [
     "PAULI",
     "PAULI_ORDER",
     "pauli_word",
-    "pauli_combo",
     "computational_basis",
     "projector",
     "projected_rep",
     "verify_local_pauli_table",
     "verify_cross_pauli_table",
     "hamiltonian_from_pauli",
-    "cross_table_json",
     "CheckResult",
     "CheckReport",
 ]
@@ -96,13 +93,6 @@ def pauli_word(word: str) -> np.ndarray:
     return np.kron(PAULI[word[0]], PAULI[word[1]])
 
 
-def pauli_combo(coeffs: Mapping[str, float]) -> np.ndarray:
-    m = np.zeros((4, 4), dtype=complex)
-    for word, c in coeffs.items():
-        m = m + c * pauli_word(word)
-    return m
-
-
 _SQ3 = np.sqrt(3.0)
 _SQ2 = np.sqrt(2.0)
 
@@ -156,24 +146,9 @@ LOCAL_TO_PAULI = (
 )
 
 
-@dataclass(frozen=True, eq=False)
-class ComputationalBasis:
-    """The four logical vectors of a sector over its tableau basis.
-
-    ``matrix`` has shape (4, dim); row k is the embedded vector of the
-    k-th logical state in the order |00>, |01>, |10>, |11>.
-    """
-
-    sector: SpinSector
-    matrix: np.ndarray = field(repr=False)
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[1]
-
-
 @lru_cache(maxsize=None)
-def computational_basis(sector: SpinSector) -> ComputationalBasis:
+def computational_basis(sector: SpinSector) -> np.ndarray:
+    """4 x dim read-only matrix; row k embeds the k-th of |00>, |01>, |10>, |11>."""
     basis = standard_tableaux(sector.partition)
     index = {t.rows: k for k, t in enumerate(basis)}
     m = np.zeros((4, len(basis)))
@@ -181,12 +156,12 @@ def computational_basis(sector: SpinSector) -> ComputationalBasis:
         for coeff, rows in terms:
             m[row, index[rows]] = coeff
     m.setflags(write=False)
-    return ComputationalBasis(sector, m)
+    return m
 
 
 def projector(sector: SpinSector) -> np.ndarray:
     """4 x dim matrix whose rows are the computational basis."""
-    return computational_basis(sector).matrix
+    return computational_basis(sector)
 
 
 def projected_rep(x: GroupAlgebraElement, sector: SpinSector) -> np.ndarray:
@@ -281,15 +256,3 @@ def hamiltonian_from_pauli(
     v = SWAP_TO_PAULI.T @ tau / sector.cross_scale
     coeffs = {pair: v[k] for k, pair in enumerate(CROSS_PAIRS) if v[k] != 0}
     return GroupAlgebraElement.from_transpositions(6, coeffs)
-
-
-def cross_table_json(sector: SpinSector) -> dict:
-    """Projected matrices of the nine cross transpositions, for inspection."""
-    return {
-        "sector": sector.name,
-        "pairs": [list(p) for p in CROSS_PAIRS],
-        "projected": [
-            [[float(v) for v in row] for row in _projected_transposition(p, sector).real]
-            for p in CROSS_PAIRS
-        ],
-    }

@@ -1,17 +1,24 @@
 """Schedule scoring: simulation, entanglement fidelity, leakage, tables.
 
-Fidelity is the squared modulus of the normalized computational-subspace
-trace overlap,
+Simulation and scoring work on plain arrays, so the 5-, 9- and 64-dim
+spaces share one code path: a schedule is evolved on a (15, d, d) stack of
+transposition matrices (``evolve``), and a gate is scored through a 4 x d
+frame Pi whose rows are the computational states (``frame_scores``).  With
+the frame compression
 
-    F(G, C) = | tr(Pi G^dag C) / 4 |^2,
+    v = G Pi^T,    g = Pi v    (a 4 x 4 matrix),
 
-with the target C extended by identity on the complement; it is invariant
-under a global phase of G.  Leakage is the trace formula
+fidelity and leakage are
 
-    L(G, C) = tr(Pi G^dag C Pi_perp C^dag G) / 4,
+    F(G, C) = | tr(C^dag g) / 4 |^2,
+    L(G)    = || v - Pi^T g ||_F^2 / 4.
 
-the portion of 1 - F due to population leaving the computational
-subspace.
+F is the normalized computational-subspace trace overlap with the target C
+extended by identity on the complement, and is invariant under a global
+phase of G.  L is the population leaving the computational subspace, the
+part of 1 - F due to leakage; it does not depend on the target, because
+the extended target acts as identity on the complement (C_ext Pi_perp =
+Pi_perp).
 """
 
 from __future__ import annotations
@@ -31,6 +38,7 @@ from .trotter import (
     cnot_spin_independent,
     consolidate,
     normalized_time,
+    pair_stack,
     step_generator,
 )
 
@@ -39,7 +47,9 @@ __all__ = [
     "FONG_WANDZURA_CYCLES",
     "FONG_WANDZURA_TIME",
     "SynthesisReport",
+    "evolve",
     "simulate",
+    "frame_scores",
     "entanglement_fidelity",
     "leakage",
     "report",
@@ -59,46 +69,45 @@ FONG_WANDZURA_CYCLES = 13
 FONG_WANDZURA_TIME = 12.3
 
 
-def _step_unitary(step: PulseStep, sector: SpinSector) -> np.ndarray:
-    u = expi(step_generator(step, sector))
-    if step.phase:
-        u = np.exp(1j * step.phase) * u
-    return u
-
-
-def simulate(schedule: PulseSchedule, sector: SpinSector) -> np.ndarray:
-    """Unitary of a schedule in one sector's irrep (rightmost step first)."""
-    total = np.eye(sector.dim, dtype=complex)
+def evolve(schedule: PulseSchedule, stack: np.ndarray) -> np.ndarray:
+    """Unitary of a schedule on a (15, d, d) transposition stack (rightmost step first)."""
+    total = np.eye(stack.shape[1], dtype=complex)
     cache: dict[PulseStep, np.ndarray] = {}
     for step in schedule.steps:
         u = cache.get(step)
         if u is None:
-            u = cache[step] = _step_unitary(step, sector)
+            u = expi(step_generator(step, stack))
+            if step.phase:
+                u = np.exp(1j * step.phase) * u
+            cache[step] = u
         total = total @ u
     return total
 
 
-def _extended_target(target: np.ndarray, sector: SpinSector) -> np.ndarray:
-    pi = projector(sector)
-    return pi.T @ np.asarray(target, dtype=complex) @ pi + (
-        np.eye(sector.dim) - pi.T @ pi
-    )
+def simulate(schedule: PulseSchedule, sector: SpinSector) -> np.ndarray:
+    """Unitary of a schedule in one sector's irrep (rightmost step first)."""
+    return evolve(schedule, pair_stack(sector))
+
+
+def frame_scores(
+    gate: np.ndarray, target: np.ndarray, frame: np.ndarray
+) -> tuple[float, float]:
+    """(F, L) of a d x d gate against a 4 x 4 target through a 4 x d frame."""
+    v = gate @ frame.conj().T
+    g = frame @ v
+    overlap = np.trace(np.asarray(target).conj().T @ g)
+    leaked = np.linalg.norm(v - frame.conj().T @ g)
+    return float(abs(overlap / 4.0) ** 2), float(leaked**2 / 4.0)
 
 
 def entanglement_fidelity(
     gate: np.ndarray, target: np.ndarray, sector: SpinSector
 ) -> float:
-    pi = projector(sector)
-    overlap = np.trace(pi @ gate.conj().T @ _extended_target(target, sector) @ pi.T)
-    return float(abs(overlap / 4.0) ** 2)
+    return frame_scores(gate, target, projector(sector))[0]
 
 
 def leakage(gate: np.ndarray, target: np.ndarray, sector: SpinSector) -> float:
-    pi = projector(sector)
-    pi_perp = np.eye(sector.dim) - pi.T @ pi
-    c = _extended_target(target, sector)
-    value = np.trace(pi @ gate.conj().T @ c @ pi_perp @ c.conj().T @ gate @ pi.T)
-    return float(value.real / 4.0)
+    return frame_scores(gate, target, projector(sector))[1]
 
 
 @dataclass(frozen=True)

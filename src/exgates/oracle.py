@@ -13,26 +13,26 @@ with bit 0 meaning spin up.  The spin-1 frame tensors the two |up> gauge
 states (total S_z = +1 forces total spin 1); the spin-0 frame is the
 singlet combination of the gauge doublets.  No representation matrices or
 embedding tables from the other modules are used, so agreement with them
-is a genuine cross-check.
+is a genuine cross-check.  Only the array-level evolve loop and F/L
+formula of ``metrics`` are shared; they receive the physical swap stack
+and the frame built here.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
-from .encoding import SpinSector
-from .linalg import expi
+from .encoding import ALL_PAIRS, SpinSector
+from .metrics import evolve, frame_scores
 from .symrep import GroupAlgebraElement, Permutation
-from .trotter import PulseSchedule, PulseStep
+from .trotter import PulseSchedule
 
 __all__ = [
     "DIM",
     "physical_swap",
     "physical_permutation",
-    "LogicalFrame",
     "logical_frame",
     "oracle_projected_rep",
     "oracle_simulate",
@@ -93,16 +93,9 @@ _GAUGE_DOWN = (
 )
 
 
-@dataclass(frozen=True, eq=False)
-class LogicalFrame:
-    """Four orthonormal 64-dim vectors carrying |00>, |01>, |10>, |11>."""
-
-    sector: SpinSector
-    matrix: np.ndarray = field(repr=False)
-
-
 @lru_cache(maxsize=None)
-def logical_frame(sector: SpinSector) -> LogicalFrame:
+def logical_frame(sector: SpinSector) -> np.ndarray:
+    """4 x 64 read-only matrix whose rows carry |00>, |01>, |10>, |11>."""
     rows = []
     for x in (0, 1):
         for y in (0, 1):
@@ -118,40 +111,31 @@ def logical_frame(sector: SpinSector) -> LogicalFrame:
                 )
     m = np.array(rows)
     m.setflags(write=False)
-    return LogicalFrame(sector, m)
+    return m
 
 
 def oracle_projected_rep(x: GroupAlgebraElement, sector: SpinSector) -> np.ndarray:
     """Frame compression of the physical representation of x."""
     if x.degree != N_SPINS:
         raise ValueError("expected a degree-6 group algebra element")
-    phi = logical_frame(sector).matrix
+    phi = logical_frame(sector)
     m = np.zeros((DIM, DIM), dtype=complex)
     for perm, coeff in x.terms.items():
         m += coeff * physical_permutation(perm)
     return phi @ m @ phi.conj().T
 
 
-def _step_unitary(step: PulseStep) -> np.ndarray:
-    g = np.zeros((DIM, DIM))
-    for pair, c in zip(step.pairs, step.coeffs):
-        g = g + c * physical_swap(*pair)
-    u = expi(g)
-    if step.phase:
-        u = np.exp(1j * step.phase) * u
-    return u
+@lru_cache(maxsize=None)
+def _swap_stack() -> np.ndarray:
+    """The 15 physical swaps stacked as (15, 64, 64) in ALL_PAIRS order."""
+    stack = np.stack([physical_swap(*pair) for pair in ALL_PAIRS])
+    stack.setflags(write=False)
+    return stack
 
 
 def oracle_simulate(schedule: PulseSchedule) -> np.ndarray:
     """64-dim unitary of a schedule (rightmost step acts first)."""
-    total = np.eye(DIM, dtype=complex)
-    cache: dict[PulseStep, np.ndarray] = {}
-    for step in schedule.steps:
-        u = cache.get(step)
-        if u is None:
-            u = cache[step] = _step_unitary(step)
-        total = total @ u
-    return total
+    return evolve(schedule, _swap_stack())
 
 
 def oracle_fidelity(
@@ -159,21 +143,11 @@ def oracle_fidelity(
 ) -> tuple[float, float]:
     """End-to-end (fidelity, leakage) of a schedule in the physical space.
 
-    The leakage projector is the complement of the frame; schedule
-    unitaries never leave the frame's permutation-invariant closure, so
-    this agrees with the complement taken inside that closure.
+    The leakage complement is that of the frame in all 64 dimensions;
+    schedule unitaries never leave the frame's permutation-invariant
+    closure, so this agrees with the complement taken inside that closure.
     """
-    phi = logical_frame(sector).matrix
-    g = oracle_simulate(schedule)
-    target = np.asarray(target, dtype=complex)
-    c_ext = phi.conj().T @ target @ phi + (np.eye(DIM) - phi.T @ phi)
-    overlap = np.trace(phi @ g.conj().T @ c_ext @ phi.conj().T)
-    fidelity = float(abs(overlap / 4.0) ** 2)
-    pi_perp = np.eye(DIM) - phi.T @ phi
-    value = np.trace(
-        phi @ g.conj().T @ c_ext @ pi_perp @ c_ext.conj().T @ g @ phi.conj().T
-    )
-    return fidelity, float(value.real / 4.0)
+    return frame_scores(oracle_simulate(schedule), target, logical_frame(sector))
 
 
 def frame_closure(sector: SpinSector, tol: float = 1e-10) -> np.ndarray:
@@ -182,14 +156,11 @@ def frame_closure(sector: SpinSector, tol: float = 1e-10) -> np.ndarray:
     Repeatedly applies all fifteen swaps and orthonormalizes until the
     dimension stabilizes (9 for spin 1, 5 for spin 0).
     """
-    swaps = [
-        physical_swap(i, j) for i in range(1, 7) for j in range(i + 1, 7)
-    ]
-    basis = [v.copy() for v in logical_frame(sector).matrix]
+    basis = [v.copy() for v in logical_frame(sector)]
     changed = True
     while changed:
         changed = False
-        for m in swaps:
+        for m in _swap_stack():
             for v in list(basis):
                 w = m @ v
                 for b in basis:

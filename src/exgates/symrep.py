@@ -318,12 +318,6 @@ class GroupAlgebraElement:
 
     __rmul__ = __mul__
 
-    def adjoint(self) -> "GroupAlgebraElement":
-        """Conjugate coefficients on inverse permutations."""
-        return GroupAlgebraElement(
-            self.degree, {p.inverse(): np.conj(c) for p, c in self._terms.items()}
-        )
-
     def _check(self, other: "GroupAlgebraElement") -> None:
         if self.degree != other.degree:
             raise ValueError(f"degree mismatch: {self.degree} != {other.degree}")
@@ -348,15 +342,6 @@ class IrrepMatrix:
     @property
     def dim(self) -> int:
         return len(self.basis)
-
-    def to_json(self) -> dict:
-        """Row-major dump with complex entries as [re, im] pairs."""
-        m = np.asarray(self.matrix, dtype=complex)
-        return {
-            "irrep": list(self.irrep.parts),
-            "basis": [str(t) for t in self.basis],
-            "entries": [[[v.real, v.imag] for v in row] for row in m],
-        }
 
 
 @lru_cache(maxsize=None)

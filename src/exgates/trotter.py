@@ -43,6 +43,7 @@ __all__ = [
     "CanonicalGateSpec",
     "SWAP_GENERATOR_N",
     "SWAP_GENERATOR_N1",
+    "MAX_COEFFICIENT",
     "trotter_product",
     "decoupled_evolution",
     "cnot_spin_independent",
@@ -427,12 +428,15 @@ def pair_stack(sector: SpinSector) -> np.ndarray:
     return stack
 
 
-def step_generator(step: PulseStep, sector: SpinSector) -> np.ndarray:
-    """Real generator sum_c c_ij rep((i j)) of a step; the identity phase is left out."""
+def step_generator(step: PulseStep, stack: np.ndarray) -> np.ndarray:
+    """Generator sum_c c_ij P_ij of a step on a (15, d, d) stack in ALL_PAIRS order.
+
+    The identity phase is left out.
+    """
     coeffs = np.zeros(len(ALL_PAIRS))
     for pair, c in zip(step.pairs, step.coeffs):
         coeffs[_PAIR_INDEX[pair]] += c
-    return np.tensordot(coeffs, pair_stack(sector), axes=1)
+    return np.tensordot(coeffs, stack, axes=1)
 
 
 def _generators_commute(
@@ -458,13 +462,14 @@ def consolidate(schedule: PulseSchedule) -> PulseSchedule:
     built once per distinct step.  Both tables live only for the call, so
     schedules of fresh steps do not grow memory across calls.
     """
+    stacks = [pair_stack(s) for s in SpinSector]
     generators: dict[PulseStep, tuple[np.ndarray, ...]] = {}
     commutes: dict[tuple[PulseStep, PulseStep], bool] = {}
 
     def sector_generators(step: PulseStep) -> tuple[np.ndarray, ...]:
         gens = generators.get(step)
         if gens is None:
-            gens = generators[step] = tuple(step_generator(step, s) for s in SpinSector)
+            gens = generators[step] = tuple(step_generator(step, m) for m in stacks)
         return gens
 
     merged: list[PulseStep] = []
@@ -574,6 +579,14 @@ def schedule_to_json(schedule: PulseSchedule) -> dict:
     }
 
 
+# Largest coefficient magnitude (radians) a schedule file may carry.  The
+# rounding error of exp(i h) grows with |h|: on 100-step random schedules
+# with coefficients near 1e4 the irrep and oracle F/L agree to about 2e-11,
+# near 1e6 only to about 3e-9, within a factor of three of the 1e-8
+# cross-check tolerance.  Physical pulses stay within a few pi.
+MAX_COEFFICIENT = 1e4
+
+
 def _json_number(value, what: str) -> float:
     """A finite JSON number; strings, booleans, NaN and infinities are rejected."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -596,7 +609,10 @@ def schedule_from_json(data: dict) -> PulseSchedule:
             if len(pairs) != len(coeffs):
                 raise ValueError(f"step {k}: pairs and coeffs differ in length")
             phase = _json_number(s.get("phase", 0.0), f"step {k} phase")
-            steps.append(PulseStep.make(dict(zip(pairs, coeffs)), phase))
+            step = PulseStep.make(dict(zip(pairs, coeffs)), phase)
+            if step.max_coefficient() > MAX_COEFFICIENT:
+                raise ValueError(f"step {k}: coefficient magnitude above {MAX_COEFFICIENT:g}")
+            steps.append(step)
         return PulseSchedule(
             tuple(steps),
             name=str(data.get("name", "schedule")),

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from exgates.cli import main
+from exgates.trotter import MAX_COEFFICIENT
 
 
 def run(capsys, *argv):
@@ -159,6 +160,37 @@ class TestSynthesizeSimulate:
         assert code == 2
         assert out == ""
         assert len(err.strip().splitlines()) == 1
+
+    def test_huge_coefficient_exit_2(self, capsys, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"version": 1, "steps": [{"pairs": [[1, 4]], "coeffs": [1e308]}]}))
+        code, out, err = run(capsys, "simulate", str(bad), "--oracle")
+        assert code == 2
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1
+
+    def test_coefficient_at_bound_accepted(self, capsys, tmp_path):
+        path = tmp_path / "edge.json"
+        step = {"pairs": [[1, 4], [2, 5]], "coeffs": [MAX_COEFFICIENT, -MAX_COEFFICIENT]}
+        path.write_text(json.dumps({"version": 1, "steps": [step]}))
+        code, out, _ = run(capsys, "simulate", str(path), "--oracle")
+        assert code == 0
+        oracle_lines = [line for line in out.splitlines() if "oracle" in line]
+        assert len(oracle_lines) == 2
+        for line in oracle_lines:
+            deltas = [float(tok) for tok in line.replace(",", "").split() if "e" in tok and tok[0].isdigit()]
+            assert len(deltas) == 2 and all(d <= 1e-8 for d in deltas)
+
+    def test_synthesize_spin1_order_0_exit_2(self, capsys, tmp_path):
+        out_path = tmp_path / "c.json"
+        code, out, err = run(
+            capsys, "synthesize", "cnot", "--mode", "spin1", "--order", "0", "--n", "2",
+            "--out", str(out_path),
+        )
+        assert code == 2
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1
+        assert not out_path.exists()
 
     def test_synthesize_zero_iterations_exit_2(self, capsys, tmp_path):
         out_path = tmp_path / "c.json"

@@ -6,9 +6,7 @@ from exgates.encoding import (
     CROSS_PAIRS,
     SpinSector,
     computational_basis,
-    cross_table_json,
     hamiltonian_from_pauli,
-    pauli_combo,
     pauli_word,
     projected_rep,
     projector,
@@ -24,7 +22,7 @@ SQ2 = np.sqrt(2.0)
 def tableau_coeff(sector, row, content):
     basis = standard_tableaux(sector.partition)
     col = [t.rows for t in basis].index(content)
-    return computational_basis(sector).matrix[row, col]
+    return computational_basis(sector)[row, col]
 
 
 class TestEmbeddings:
@@ -167,14 +165,3 @@ class TestHamiltonianFromPauli:
             hamiltonian_from_pauli({"YY": 1.0}, SpinSector.SPIN1)
         with pytest.raises(ValueError):
             hamiltonian_from_pauli({"XY": 0.5}, SpinSector.SPIN0)
-
-    def test_pauli_combo(self):
-        m = pauli_combo({"IX": 0.5, "ZX": -0.5})
-        assert np.allclose(m, 0.5 * (pauli_word("IX") - pauli_word("ZX")))
-
-
-def test_cross_table_json_shape():
-    data = cross_table_json(SpinSector.SPIN0)
-    assert len(data["pairs"]) == 9
-    assert len(data["projected"]) == 9
-    assert all(len(row) == 4 for row in data["projected"][0])

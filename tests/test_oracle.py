@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from exgates import encoding, oracle, symrep, trotter
 from exgates.decouple import local_sums
 from exgates.encoding import ALL_PAIRS, SpinSector, projected_rep
 from exgates.metrics import CNOT, report
@@ -55,11 +56,11 @@ class TestPhysicalSwap:
 class TestLogicalFrame:
     @pytest.mark.parametrize("sector", list(SpinSector))
     def test_gram_identity(self, sector):
-        phi = logical_frame(sector).matrix
+        phi = logical_frame(sector)
         assert np.max(np.abs(phi @ phi.T - np.eye(4))) <= 1e-12
 
     def test_swap12_expectation_on_00(self):
-        phi = logical_frame(SpinSector.SPIN1).matrix
+        phi = logical_frame(SpinSector.SPIN1)
         val = phi[0] @ physical_swap(1, 2) @ phi[0]
         assert val == pytest.approx(-1.0)
 
@@ -70,13 +71,13 @@ class TestLogicalFrame:
 
     def test_spin1_frame_has_sz_plus_one(self):
         # each frame vector is supported on strings with exactly two down spins
-        phi = logical_frame(SpinSector.SPIN1).matrix
+        phi = logical_frame(SpinSector.SPIN1)
         for row in phi:
             for idx in np.nonzero(np.abs(row) > 1e-14)[0]:
                 assert bin(idx).count("1") == 2
 
     def test_spin0_frame_has_sz_zero(self):
-        phi = logical_frame(SpinSector.SPIN0).matrix
+        phi = logical_frame(SpinSector.SPIN0)
         for row in phi:
             for idx in np.nonzero(np.abs(row) > 1e-14)[0]:
                 assert bin(idx).count("1") == 3
@@ -125,7 +126,7 @@ class TestClosure:
         sector = SpinSector.SPIN1
         closure = frame_closure(sector)
         proj = closure.T @ closure
-        phi = logical_frame(sector).matrix
+        phi = logical_frame(sector)
         g = oracle_simulate(cnot_spin_independent(2))
         leaked = (np.eye(DIM) - proj) @ g @ phi.T
         assert np.max(np.abs(leaked)) <= 1e-10
@@ -148,3 +149,20 @@ class TestOracleFidelity:
             f, leak = oracle_fidelity(schedule, sector, CNOT)
             assert abs(f - r.fidelity[sector.name]) <= 1e-8
             assert abs(leak - r.leakage[sector.name]) <= 1e-8
+
+
+def test_oracle_binds_no_irrep_machinery():
+    # the cross-check is worth having only while its matrices and frame
+    # come from the physical picture, never from symrep or encoding
+    forbidden = {
+        "rep_element": symrep.rep_element,
+        "rep_transposition": symrep.rep_transposition,
+        "rep_permutation": symrep.rep_permutation,
+        "pair_stack": trotter.pair_stack,
+        "projector": encoding.projector,
+        "projected_rep": encoding.projected_rep,
+        "computational_basis": encoding.computational_basis,
+    }
+    bound = vars(oracle)
+    assert not forbidden.keys() & bound.keys()
+    assert not any(v is f for v in bound.values() for f in forbidden.values())

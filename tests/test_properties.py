@@ -1,0 +1,69 @@
+"""Invariants of simulation and scoring on random schedules.
+
+Schedules draw random pairs, coefficients and phases, up to 20 steps; the
+example counts are small because every oracle example simulates in 64
+dimensions.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from exgates.encoding import ALL_PAIRS, SpinSector
+from exgates.metrics import CNOT, entanglement_fidelity, leakage, report, simulate
+from exgates.oracle import oracle_fidelity
+from exgates.trotter import PulseSchedule, PulseStep
+
+IDENTITY = np.eye(4, dtype=complex)
+
+_ANGLES = st.floats(-np.pi, np.pi, allow_nan=False)
+_STEPS = st.builds(
+    PulseStep.make,
+    st.dictionaries(st.sampled_from(ALL_PAIRS), _ANGLES, max_size=15),
+    _ANGLES,
+)
+_SCHEDULES = st.lists(_STEPS, max_size=20).map(lambda steps: PulseSchedule(tuple(steps)))
+_SECTORS = st.sampled_from(list(SpinSector))
+
+
+@settings(max_examples=10, deadline=None)
+@given(sch=_SCHEDULES)
+def test_oracle_agrees_with_irrep_path(sch):
+    rep = report(sch)
+    for sector in SpinSector:
+        f, leak = oracle_fidelity(sch, sector, CNOT)
+        assert abs(f - rep.fidelity[sector.name]) < 1e-8
+        assert abs(leak - rep.leakage[sector.name]) < 1e-8
+
+
+@settings(max_examples=25, deadline=None)
+@given(sch=_SCHEDULES, sector=_SECTORS)
+def test_simulate_is_unitary(sch, sector):
+    g = simulate(sch, sector)
+    assert np.max(np.abs(g @ g.conj().T - np.eye(sector.dim))) <= 1e-12
+
+
+@settings(max_examples=25, deadline=None)
+@given(sch=_SCHEDULES, sector=_SECTORS)
+def test_leakage_within_infidelity(sch, sector):
+    g = simulate(sch, sector)
+    for target in (CNOT, IDENTITY):
+        f = entanglement_fidelity(g, target, sector)
+        leak = leakage(g, target, sector)
+        assert 0.0 <= leak <= 1.0 - f + 1e-12
+
+
+@settings(max_examples=25, deadline=None)
+@given(sch=_SCHEDULES, sector=_SECTORS, theta=_ANGLES)
+def test_scores_ignore_global_phase(sch, sector, theta):
+    shifted = PulseSchedule(sch.steps + (PulseStep((), (), theta),))
+    g0, g1 = simulate(sch, sector), simulate(shifted, sector)
+    assert abs(entanglement_fidelity(g0, CNOT, sector) - entanglement_fidelity(g1, CNOT, sector)) <= 1e-12
+    assert abs(leakage(g0, CNOT, sector) - leakage(g1, CNOT, sector)) <= 1e-12
+
+
+@settings(max_examples=25, deadline=None)
+@given(sch=_SCHEDULES, sector=_SECTORS)
+def test_leakage_does_not_depend_on_target(sch, sector):
+    g = simulate(sch, sector)
+    assert abs(leakage(g, CNOT, sector) - leakage(g, IDENTITY, sector)) <= 1e-12

@@ -233,24 +233,7 @@ class TestGroupAlgebra:
             rhs = rep_element(P42, x).matrix @ rep_element(P42, y).matrix
             assert np.allclose(lhs, rhs, atol=1e-12)
 
-    def test_adjoint_is_hermitian_conjugate(self):
-        rng = np.random.default_rng(6)
-        x = GroupAlgebraElement(6)
-        for _ in range(4):
-            p = Permutation(tuple(int(v) for v in rng.permutation(6) + 1))
-            x = x + GroupAlgebraElement(6, {p: complex(rng.normal(), rng.normal())})
-        m = rep_element(P42, x).matrix
-        madj = rep_element(P42, x.adjoint()).matrix
-        assert np.allclose(madj, m.conj().T, atol=1e-12)
-
     def test_degree_mismatch(self):
         with pytest.raises(ValueError):
             GroupAlgebraElement.identity(3) + GroupAlgebraElement.identity(6)
 
-
-def test_irrep_matrix_json_round_trip():
-    m = rep_adjacent(P21, 2)
-    data = m.to_json()
-    assert data["irrep"] == [2, 1]
-    entries = np.array([[complex(re, im) for re, im in row] for row in data["entries"]])
-    assert np.allclose(entries, m.matrix)

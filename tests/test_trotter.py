@@ -23,6 +23,7 @@ from exgates.trotter import (
     consolidate,
     decoupled_evolution,
     normalized_time,
+    pair_stack,
     schedule_from_json,
     schedule_to_json,
     single_qubit_schedule,
@@ -86,7 +87,7 @@ class TestStepGenerator:
     def test_matches_group_algebra_generator(self, coeffs, sector):
         step = PulseStep.make(coeffs)
         want = rep_element(sector.partition, step.generator()).matrix.real
-        assert np.max(np.abs(step_generator(step, sector) - want)) <= 1e-13
+        assert np.max(np.abs(step_generator(step, pair_stack(sector)) - want)) <= 1e-13
 
 
 class TestTrotterProduct:
@@ -373,9 +374,9 @@ class TestConsolidate:
         built = []
         original = trotter.step_generator
 
-        def counting(step, sector):
+        def counting(step, stack):
             built.append(step)
-            return original(step, sector)
+            return original(step, stack)
 
         monkeypatch.setattr(trotter, "step_generator", counting)
         sch = cnot_spin1(200)
