@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 import numpy as np
@@ -239,34 +238,31 @@ def _cmd_synthesize(args) -> int:
         return 1
     rep = metrics.report(schedule)
     print(f"wrote {out}")
-    _print_report(rep)
+    _print_report(rep, SpinSector)
     return 0
 
 
-def _print_report(rep: metrics.SynthesisReport) -> None:
+def _print_report(rep: metrics.SynthesisReport, sectors) -> None:
     print(
         f"{rep.name} n={rep.n}: cycles {rep.cycles}, time {rep.normalized_time:.1f} "
         f"(benchmark {metrics.FONG_WANDZURA_CYCLES} cycles, {metrics.FONG_WANDZURA_TIME})"
     )
-    for sector in ("SPIN0", "SPIN1"):
-        if sector in rep.fidelity:
-            print(
-                f"  {sector}: fidelity {rep.fidelity[sector]:.5f}, "
-                f"leakage {rep.leakage[sector]:.5f}"
-            )
+    for sector in sectors:
+        print(
+            f"  {sector.name}: fidelity {rep.fidelity[sector.name]:.5f}, "
+            f"leakage {rep.leakage[sector.name]:.5f}"
+        )
     if rep.negative_local_steps:
         print(f"  note: {rep.negative_local_steps} local step(s) carry negative coefficients")
 
 
 def _cmd_simulate(args) -> int:
     try:
-        with open(args.schedule) as fh:
-            data = json.load(fh)
-        schedule = trotter.schedule_from_json(data)
+        schedule = trotter.load_schedule(args.schedule)
     except OSError as exc:
         print(f"cannot read schedule: {exc}", file=sys.stderr)
         return 2
-    except (json.JSONDecodeError, ValueError) as exc:
+    except ValueError as exc:  # invalid JSON (JSONDecodeError) or schedule contents
         print(f"malformed schedule JSON ({args.schedule}): {exc}", file=sys.stderr)
         return 2
     target = metrics.CNOT if args.target == "cnot" else np.eye(4, dtype=complex)
@@ -276,16 +272,7 @@ def _cmd_simulate(args) -> int:
         "both": list(SpinSector),
     }[args.sector]
     rep = metrics.report(schedule, target)
-    rep = metrics.SynthesisReport(
-        name=rep.name,
-        n=rep.n,
-        cycles=rep.cycles,
-        normalized_time=rep.normalized_time,
-        fidelity={s.name: rep.fidelity[s.name] for s in sectors},
-        leakage={s.name: rep.leakage[s.name] for s in sectors},
-        negative_local_steps=rep.negative_local_steps,
-    )
-    _print_report(rep)
+    _print_report(rep, sectors)
     if args.oracle:
         for sector in sectors:
             f, leak = oracle.oracle_fidelity(schedule, sector, target)
@@ -323,8 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=5)
     p.add_argument("--order", type=int, choices=[0, 1], default=1)
     p.add_argument("--cancel-negatives", action="store_true")
-    p.add_argument("--cancel-mode", choices=["full-sum", "cross-sum", "local-sum"],
-                   default="full-sum")
+    p.add_argument("--cancel-mode", choices=["full-sum", "cross-sum"], default="full-sum")
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_synthesize)
 

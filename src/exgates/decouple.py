@@ -64,8 +64,9 @@ def _sum_reps(sector: SpinSector) -> tuple[np.ndarray, np.ndarray]:
     return ra, rb
 
 
+@lru_cache(maxsize=None)
 def decoupler(sector: SpinSector, variant: str = "pair") -> DecouplerSet:
-    """Decoupler unitaries for a sector.
+    """Decoupler unitaries for a sector, built once and read-only.
 
     variant "pair": {1, Ua, Ub, Ub Ua} with Ua = exp(i pi rep(sigma_a)),
     Ub likewise.  variant "power": {1, U, U^dag, U^2} with
@@ -81,6 +82,8 @@ def decoupler(sector: SpinSector, variant: str = "pair") -> DecouplerSet:
         us = (np.eye(sector.dim, dtype=complex), u, u.conj().T, u @ u)
     else:
         raise ValueError(f"unknown decoupler variant: {variant!r}")
+    for u in us:
+        u.setflags(write=False)
     return DecouplerSet(variant, sector, us)
 
 

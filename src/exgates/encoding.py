@@ -32,7 +32,6 @@ __all__ = [
     "PAULI",
     "PAULI_ORDER",
     "pauli_word",
-    "computational_basis",
     "projector",
     "projected_rep",
     "verify_local_pauli_table",
@@ -147,7 +146,7 @@ LOCAL_TO_PAULI = (
 
 
 @lru_cache(maxsize=None)
-def computational_basis(sector: SpinSector) -> np.ndarray:
+def projector(sector: SpinSector) -> np.ndarray:
     """4 x dim read-only matrix; row k embeds the k-th of |00>, |01>, |10>, |11>."""
     basis = standard_tableaux(sector.partition)
     index = {t.rows: k for k, t in enumerate(basis)}
@@ -157,11 +156,6 @@ def computational_basis(sector: SpinSector) -> np.ndarray:
             m[row, index[rows]] = coeff
     m.setflags(write=False)
     return m
-
-
-def projector(sector: SpinSector) -> np.ndarray:
-    """4 x dim matrix whose rows are the computational basis."""
-    return computational_basis(sector)
 
 
 def projected_rep(x: GroupAlgebraElement, sector: SpinSector) -> np.ndarray:

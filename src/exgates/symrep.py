@@ -12,10 +12,8 @@ Conventions, fixed once and relied on by every other module:
 * The tableau basis of each irrep is ordered by *descending* row-reading
   word.  For the shapes used here this puts the tableaux that host the
   computational embeddings first and the fully row-filled tableau last.
-* A non-adjacent transposition (i j) with i < j expands as the palindrome
-  chain (j-1 j)(j-2 j-1)...(i i+1)...(j-2 j-1)(j-1 j).  General
-  permutations are factored into adjacent transpositions by bubble-sorting
-  their one-line word.
+* Every permutation, transpositions included, is factored into adjacent
+  transpositions by bubble-sorting its one-line word.
 
 Matrix entries such as sqrt(3)/2 are kept in double precision; all
 matrices involved are at most 9 x 9 and conditioning is benign.
@@ -26,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 from numbers import Number
-from typing import Iterator, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -66,9 +64,6 @@ class Partition:
     def __len__(self) -> int:
         return len(self.parts)
 
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.parts)
-
     def __str__(self) -> str:
         return "(" + ",".join(str(p) for p in self.parts) + ")"
 
@@ -97,10 +92,6 @@ class StandardTableau:
             for c in range(len(self.rows[r])):
                 if self.rows[r - 1][c] >= self.rows[r][c]:
                     raise ValueError(f"columns must increase: {self.rows}")
-
-    @property
-    def shape(self) -> Partition:
-        return Partition(tuple(len(r) for r in self.rows))
 
     @property
     def size(self) -> int:
@@ -335,13 +326,7 @@ class GroupAlgebraElement:
 class IrrepMatrix:
     """A group-algebra element realized as a matrix on the tableau basis."""
 
-    irrep: Partition
-    basis: tuple[StandardTableau, ...] = field(repr=False)
     matrix: np.ndarray = field(repr=False)
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
 
 
 @lru_cache(maxsize=None)
@@ -371,19 +356,7 @@ def rep_adjacent(shape: Partition, i: int) -> IrrepMatrix:
     n = shape.size
     if not (1 <= i <= n - 1):
         raise ValueError(f"adjacent index must lie in 1..{n - 1}: got {i}")
-    return IrrepMatrix(shape, standard_tableaux(shape), _adjacent_matrix(shape, i))
-
-
-@lru_cache(maxsize=None)
-def _transposition_matrix(shape: Partition, i: int, j: int) -> np.ndarray:
-    if j == i + 1:
-        return _adjacent_matrix(shape, i)
-    # palindrome chain (i j) = (j-1 j)(j-2 j-1)...(i i+1)...(j-2 j-1)(j-1 j)
-    m = _adjacent_matrix(shape, j - 1)
-    inner = _transposition_matrix(shape, i, j - 1)
-    out = m @ inner @ m
-    out.setflags(write=False)
-    return out
+    return IrrepMatrix(_adjacent_matrix(shape, i))
 
 
 def rep_transposition(shape: Partition, i: int, j: int) -> IrrepMatrix:
@@ -393,7 +366,7 @@ def rep_transposition(shape: Partition, i: int, j: int) -> IrrepMatrix:
     n = shape.size
     if not (1 <= i < j <= n):
         raise ValueError(f"invalid transposition ({i} {j}) for n = {n}")
-    return IrrepMatrix(shape, standard_tableaux(shape), _transposition_matrix(shape, i, j))
+    return IrrepMatrix(_permutation_matrix(shape, Permutation.transposition(n, i, j).images))
 
 
 @lru_cache(maxsize=None)
@@ -410,7 +383,7 @@ def _permutation_matrix(shape: Partition, images: tuple[int, ...]) -> np.ndarray
 def rep_permutation(shape: Partition, perm: Permutation) -> IrrepMatrix:
     if perm.degree != shape.size:
         raise ValueError(f"degree {perm.degree} does not match |shape| = {shape.size}")
-    return IrrepMatrix(shape, standard_tableaux(shape), _permutation_matrix(shape, perm.images))
+    return IrrepMatrix(_permutation_matrix(shape, perm.images))
 
 
 def rep_element(shape: Partition, x: GroupAlgebraElement) -> IrrepMatrix:
@@ -421,4 +394,4 @@ def rep_element(shape: Partition, x: GroupAlgebraElement) -> IrrepMatrix:
     m = np.zeros((dim, dim), dtype=complex)
     for perm, coeff in x.terms.items():
         m += coeff * _permutation_matrix(shape, perm.images)
-    return IrrepMatrix(shape, standard_tableaux(shape), m)
+    return IrrepMatrix(m)

@@ -32,6 +32,7 @@ from .encoding import (
     BLOCK_A_PAIRS,
     BLOCK_B_PAIRS,
     CROSS_PAIRS,
+    LOCAL_TO_PAULI,
     SpinSector,
     hamiltonian_from_pauli,
 )
@@ -125,18 +126,12 @@ class PulseStep:
 
 @dataclass(frozen=True)
 class PulseSchedule:
-    """An ordered pulse sequence with construction metadata.
-
-    ``sector_independent`` records whether the construction acts the same
-    on the computational subspace of both sectors; it is in-memory
-    metadata and not part of the wire format.
-    """
+    """An ordered pulse sequence with construction metadata."""
 
     steps: tuple[PulseStep, ...]
     name: str = "schedule"
     order: int = 1
     n: int = 1
-    sector_independent: bool | None = None
 
     def __len__(self) -> int:
         return len(self.steps)
@@ -248,16 +243,12 @@ def cnot_spin_independent(n: int, order: int = 1) -> PulseSchedule:
     exp(-i pi/4 (1 + (12))) turns the decoupled evolution into CNOT on the
     computational subspace of both sectors.
     """
-    if n < 1:
-        raise ValueError("iteration count must be >= 1")
     h = GroupAlgebraElement.from_transpositions(6, SWAP_GENERATOR_N)
     core = decoupled_evolution(
         h, np.pi / 2, n, order=order, drop_from_decoupler=[(1, 2)]
     )
     steps = (_cnot_prefactor(),) + core.steps
-    return PulseSchedule(
-        steps, name="cnot-independent", order=order, n=n, sector_independent=True
-    )
+    return PulseSchedule(steps, name="cnot-independent", order=order, n=n)
 
 
 def cnot_spin1(n: int) -> PulseSchedule:
@@ -284,20 +275,27 @@ def cnot_spin1(n: int) -> PulseSchedule:
         t_half, ub_dag, t_half,
     ]
     steps = (_cnot_prefactor(),) + tuple(cycle * n)
-    return PulseSchedule(steps, name="cnot-spin1", order=1, n=n, sector_independent=False)
+    return PulseSchedule(steps, name="cnot-spin1", order=1, n=n)
 
 
-def _local_x_step(block: int, angle: float, phase: float = 0.0) -> PulseStep:
-    base = (1, 2), (1, 3)
-    pairs = base if block == 1 else tuple((i + 3, j + 3) for i, j in base)
+def _local_step(axis: str, block: int, angle: float) -> PulseStep:
+    """exp(i angle X) or exp(i angle Z) on one block's qubit.
+
+    Uses the (12),(13) entry of the within-block dictionary
+    ``LOCAL_TO_PAULI``, shifted to (45),(46) for block two.
+    """
+    if axis not in ("x", "z"):
+        raise ValueError(f"local factors must be over x/z, got {axis!r}")
+    pairs, coeff = LOCAL_TO_PAULI[0]
+    offset = 0 if block == 1 else 3
+    row = coeff["xz".index(axis)]
     return PulseStep.make(
-        {pairs[0]: -angle / _SQ3, pairs[1]: -2 * angle / _SQ3}, phase=phase
+        {(i + offset, j + offset): angle * c for (i, j), c in zip(pairs, row)}
     )
 
 
-def _local_z_step(block: int, angle: float, phase: float = 0.0) -> PulseStep:
-    pair = (1, 2) if block == 1 else (4, 5)
-    return PulseStep.make({pair: -angle}, phase=phase)
+def _local_factor_steps(factors: Sequence[tuple[str, int, float]]) -> list[PulseStep]:
+    return [_local_step(axis, block, angle) for axis, block, angle in factors if angle != 0.0]
 
 
 def single_qubit_schedule(
@@ -311,21 +309,15 @@ def single_qubit_schedule(
     """
     if block not in (1, 2):
         raise ValueError("block must be 1 or 2")
-    steps: list[PulseStep] = []
-    if alpha != 0.0:
-        steps.append(_local_x_step(block, alpha))
-    if beta != 0.0:
-        steps.append(_local_z_step(block, beta))
-    if gamma != 0.0:
-        steps.append(_local_x_step(block, gamma))
+    steps = _local_factor_steps(
+        (("x", block, alpha), ("z", block, beta), ("x", block, gamma))
+    )
     if delta != 0.0:
         if steps:
             steps[0] = replace(steps[0], phase=steps[0].phase + delta)
         else:
             steps.append(PulseStep((), (), delta))
-    return PulseSchedule(
-        tuple(steps), name=f"local-block{block}", order=1, n=1, sector_independent=True
-    )
+    return PulseSchedule(tuple(steps), name=f"local-block{block}", order=1, n=1)
 
 
 @dataclass(frozen=True)
@@ -346,23 +338,9 @@ class CanonicalGateSpec:
 _INDEPENDENT_ANGLES = (-np.pi / 2, 0.0, np.pi / 2)
 
 
-def _local_factor_steps(factors: Sequence[tuple[str, int, float]]) -> list[PulseStep]:
-    steps = []
-    for axis, block, angle in factors:
-        if angle == 0.0:
-            continue
-        if axis == "x":
-            steps.append(_local_x_step(block, angle))
-        elif axis == "z":
-            steps.append(_local_z_step(block, angle))
-        else:
-            raise ValueError(f"local factors must be over x/z, got {axis!r}")
-    return steps
-
-
 def _xx_conjugator(sign: float) -> PulseStep:
     theta = sign * np.pi / 4
-    return _merge_steps(_local_x_step(1, theta), _local_x_step(2, theta))
+    return _merge_steps(_local_step("x", 1, theta), _local_step("x", 2, theta))
 
 
 def canonical_two_qubit_schedule(
@@ -406,13 +384,7 @@ def canonical_two_qubit_schedule(
         zz = hamiltonian_from_pauli({"ZZ": 1.0}, basis_sector)
         steps.extend(decoupled_evolution(zz, gate.gamma, n).steps)
     steps.extend(_local_factor_steps(gate.k2))
-    return PulseSchedule(
-        tuple(steps),
-        name="canonical-gate",
-        order=1,
-        n=n,
-        sector_independent=independent,
-    )
+    return PulseSchedule(tuple(steps), name="canonical-gate", order=1, n=n)
 
 
 _PAIR_INDEX = {pair: k for k, pair in enumerate(ALL_PAIRS)}
@@ -513,7 +485,7 @@ def _cancel_step(step: PulseStep, mode: str) -> PulseStep:
         m = max(-c for c in negatives.values())
         for p in ALL_PAIRS:
             coeffs[p] = coeffs.get(p, 0.0) + m
-    elif mode == "cross-sum":
+    else:  # cross-sum
         cross_neg = [-c for p, c in negatives.items() if p in CROSS_PAIRS]
         if cross_neg:
             m = max(cross_neg)
@@ -525,19 +497,6 @@ def _cancel_step(step: PulseStep, mode: str) -> PulseStep:
                 m = max(block_neg)
                 for p in block:
                     coeffs[p] = coeffs.get(p, 0.0) + m
-    elif mode == "local-sum":
-        if any(p in CROSS_PAIRS for p in negatives):
-            raise ValueError(
-                "local-sum mode cannot cancel negative cross-block coefficients"
-            )
-        for block in (BLOCK_A_PAIRS, BLOCK_B_PAIRS):
-            block_neg = [-coeffs[p] for p in block if coeffs.get(p, 0.0) < 0.0]
-            if block_neg:
-                m = max(block_neg)
-                for p in block:
-                    coeffs[p] = coeffs.get(p, 0.0) + m
-    else:
-        raise ValueError(f"unknown cancellation mode: {mode!r}")
     out = PulseStep.make(coeffs, step.phase)
     if any(c < 0.0 for c in out.coeffs):
         raise AssertionError("cancellation left a negative coefficient")
@@ -556,6 +515,8 @@ def cancel_negatives(schedule: PulseSchedule, mode: str = "cross-sum") -> PulseS
     Purely local steps (decouplers, prefactors, one-qubit factors) are
     left alone; their negatives are reported rather than rewritten.
     """
+    if mode not in ("full-sum", "cross-sum"):
+        raise ValueError(f"unknown cancellation mode: {mode!r}")
     steps = tuple(
         _cancel_step(s, mode) if s.is_cross_block() else s for s in schedule.steps
     )
@@ -596,6 +557,13 @@ def _json_number(value, what: str) -> float:
     return float(value)
 
 
+def _json_int(value, what: str) -> int:
+    """A JSON integer; floats, strings and booleans are rejected."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def schedule_from_json(data: dict) -> PulseSchedule:
     if not isinstance(data, dict):
         raise ValueError(f"schedule JSON must be an object, got {type(data).__name__}")
@@ -604,20 +572,26 @@ def schedule_from_json(data: dict) -> PulseSchedule:
             raise ValueError(f"unsupported schedule version: {data.get('version')!r}")
         steps = []
         for k, s in enumerate(data["steps"]):
-            pairs = [tuple(p) for p in s["pairs"]]
+            pairs = [
+                _normalize_pair(_json_int(v, f"step {k} pair entry") for v in p)
+                for p in s["pairs"]
+            ]
             coeffs = [_json_number(c, f"step {k} coefficient") for c in s["coeffs"]]
             if len(pairs) != len(coeffs):
                 raise ValueError(f"step {k}: pairs and coeffs differ in length")
+            if len(set(pairs)) != len(pairs):
+                raise ValueError(f"step {k}: a pair is listed twice")
             phase = _json_number(s.get("phase", 0.0), f"step {k} phase")
             step = PulseStep.make(dict(zip(pairs, coeffs)), phase)
             if step.max_coefficient() > MAX_COEFFICIENT:
                 raise ValueError(f"step {k}: coefficient magnitude above {MAX_COEFFICIENT:g}")
             steps.append(step)
+        order = _json_int(data.get("order", 1), "order")
+        n = _json_int(data.get("n", 1), "n")
+        if order not in (0, 1) or n < 1:
+            raise ValueError(f"need order 0 or 1 and n >= 1, got order {order}, n {n}")
         return PulseSchedule(
-            tuple(steps),
-            name=str(data.get("name", "schedule")),
-            order=int(data.get("order", 1)),
-            n=int(data.get("n", 1)),
+            tuple(steps), name=str(data.get("name", "schedule")), order=order, n=n
         )
     except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"malformed schedule JSON: {exc}") from exc

@@ -151,11 +151,29 @@ class TestSynthesizeSimulate:
             {"pairs": [[1, 4]], "coeffs": [float("inf")]},
             {"pairs": [[1, 4]], "coeffs": [0.5], "phase": float("nan")},
             {"pairs": [[1, 4]], "coeffs": ["0.5"]},
+            {"pairs": [["1", "4"]], "coeffs": [0.5]},
+            {"pairs": [[1.9, 4]], "coeffs": [0.5]},
+            {"pairs": [[True, 4]], "coeffs": [0.5]},
+            {"pairs": [[1, 4], [1, 4]], "coeffs": [0.5, 0.5]},
+            {"pairs": [[1, 4], [4, 1]], "coeffs": [0.5, 0.5]},
         ],
     )
     def test_non_finite_or_non_numeric_value_exit_2(self, capsys, tmp_path, step):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"version": 1, "steps": [step]}))
+        code, out, err = run(capsys, "simulate", str(bad))
+        assert code == 2
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "fields",
+        [{"n": 2.5}, {"n": "3"}, {"n": -4}, {"n": 0}, {"n": True}, {"order": 2}, {"order": 1.0}],
+    )
+    def test_bad_n_or_order_exit_2(self, capsys, tmp_path, fields):
+        bad = tmp_path / "bad.json"
+        step = {"pairs": [[1, 4]], "coeffs": [0.5]}
+        bad.write_text(json.dumps({"version": 1, "steps": [step], **fields}))
         code, out, err = run(capsys, "simulate", str(bad))
         assert code == 2
         assert out == ""
@@ -201,7 +219,7 @@ class TestSynthesizeSimulate:
 
 
 class TestVerify:
-    @pytest.mark.parametrize("suite", ["symrep", "encoding"])
+    @pytest.mark.parametrize("suite", ["symrep", "encoding", "decouple", "oracle"])
     def test_single_suite_passes(self, capsys, suite):
         code, out, _ = run(capsys, "verify", "--suite", suite)
         assert code == 0

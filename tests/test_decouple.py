@@ -96,6 +96,13 @@ class TestDecoupler:
         with pytest.raises(ValueError):
             decoupler(SpinSector.SPIN0, "other")
 
+    @pytest.mark.parametrize("sector", list(SpinSector))
+    @pytest.mark.parametrize("variant", ["pair", "power"])
+    def test_built_once_and_read_only(self, sector, variant):
+        d = decoupler(sector, variant)
+        assert decoupler(sector, variant) is d
+        assert not any(u.flags.writeable for u in d.unitaries)
+
 
 class TestDecoupleMap:
     @pytest.mark.parametrize("sector", list(SpinSector))

@@ -5,7 +5,6 @@ from exgates.encoding import (
     ALL_PAIRS,
     CROSS_PAIRS,
     SpinSector,
-    computational_basis,
     hamiltonian_from_pauli,
     pauli_word,
     projected_rep,
@@ -22,7 +21,7 @@ SQ2 = np.sqrt(2.0)
 def tableau_coeff(sector, row, content):
     basis = standard_tableaux(sector.partition)
     col = [t.rows for t in basis].index(content)
-    return computational_basis(sector)[row, col]
+    return projector(sector)[row, col]
 
 
 class TestEmbeddings:

@@ -161,7 +161,6 @@ def test_oracle_binds_no_irrep_machinery():
         "pair_stack": trotter.pair_stack,
         "projector": encoding.projector,
         "projected_rep": encoding.projected_rep,
-        "computational_basis": encoding.computational_basis,
     }
     bound = vars(oracle)
     assert not forbidden.keys() & bound.keys()

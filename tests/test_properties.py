@@ -5,6 +5,8 @@ example counts are small because every oracle example simulates in 64
 dimensions.
 """
 
+import json
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,7 +14,13 @@ from hypothesis import strategies as st
 from exgates.encoding import ALL_PAIRS, SpinSector
 from exgates.metrics import CNOT, entanglement_fidelity, leakage, report, simulate
 from exgates.oracle import oracle_fidelity
-from exgates.trotter import PulseSchedule, PulseStep
+from exgates.trotter import (
+    PulseSchedule,
+    PulseStep,
+    cancel_negatives,
+    schedule_from_json,
+    schedule_to_json,
+)
 
 IDENTITY = np.eye(4, dtype=complex)
 
@@ -67,3 +75,29 @@ def test_scores_ignore_global_phase(sch, sector, theta):
 def test_leakage_does_not_depend_on_target(sch, sector):
     g = simulate(sch, sector)
     assert abs(leakage(g, CNOT, sector) - leakage(g, IDENTITY, sector)) <= 1e-12
+
+
+@settings(max_examples=25, deadline=None)
+@given(sch=_SCHEDULES, sector=_SECTORS)
+def test_full_sum_cancellation_is_a_phase_per_sector(sch, sector):
+    g0 = simulate(sch, sector)
+    g1 = simulate(cancel_negatives(sch, "full-sum"), sector)
+    ratio = g1 @ g0.conj().T
+    phase = ratio[0, 0]
+    assert abs(abs(phase) - 1.0) <= 1e-12
+    assert np.max(np.abs(ratio - phase * np.eye(sector.dim))) <= 1e-12
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    steps=st.lists(_STEPS, max_size=20),
+    name=st.text(max_size=12),
+    order=st.sampled_from([0, 1]),
+    n=st.integers(1, 1000),
+)
+def test_json_round_trip(steps, name, order, n):
+    sch = PulseSchedule(tuple(steps), name=name, order=order, n=n)
+    back = schedule_from_json(json.loads(json.dumps(schedule_to_json(sch))))
+    assert back == sch
+    for sector in SpinSector:
+        assert np.array_equal(simulate(back, sector), simulate(sch, sector))
