@@ -12,7 +12,6 @@ from .encoding import CheckResult, SpinSector
 from .linalg import max_abs
 from .symrep import (
     GroupAlgebraElement,
-    Partition,
     Permutation,
     rep_adjacent,
     rep_element,
@@ -20,8 +19,8 @@ from .symrep import (
     standard_tableaux,
 )
 
-_SHAPES = (Partition((3, 3)), Partition((4, 2)))
-_CENTRAL = {Partition((3, 3)): 3.0, Partition((4, 2)): 5.0}
+# Irrep dimension, and the constant the all-transposition sum acts as, per sector.
+_SECTOR_FACTS = {SpinSector.SPIN0: (5, 3.0), SpinSector.SPIN1: (9, 5.0)}
 
 
 def _check(name: str, deviation: float, tol: float = 1e-12) -> CheckResult:
@@ -31,9 +30,10 @@ def _check(name: str, deviation: float, tol: float = 1e-12) -> CheckResult:
 def _suite_symrep() -> list[CheckResult]:
     checks = []
     rng = np.random.default_rng(2024)
-    for shape in _SHAPES:
+    for sector in SpinSector:
+        shape = sector.partition
+        want, central = _SECTOR_FACTS[sector]
         dim = len(standard_tableaux(shape))
-        want = {Partition((3, 3)): 5, Partition((4, 2)): 9}[shape]
         checks.append(_check(f"dim {shape} = {want}", abs(dim - want), 0))
         worst = 0.0
         for _ in range(50):
@@ -58,8 +58,8 @@ def _suite_symrep() -> list[CheckResult]:
         m = rep_element(shape, total).matrix
         checks.append(
             _check(
-                f"all-transposition sum on {shape} = {_CENTRAL[shape]:g} I",
-                max_abs(m - _CENTRAL[shape] * np.eye(dim)),
+                f"all-transposition sum on {shape} = {central:g} I",
+                max_abs(m - central * np.eye(dim)),
             )
         )
     return checks
@@ -162,7 +162,7 @@ def _suite_oracle() -> list[CheckResult]:
                 )
             )
         total = GroupAlgebraElement.from_transpositions(6, {p: 1.0 for p in encoding.ALL_PAIRS})
-        c = 3.0 if sector is SpinSector.SPIN0 else 5.0
+        c = _SECTOR_FACTS[sector][1]
         checks.append(
             _check(
                 f"{sector.name} frame central constant {c:g}",
@@ -220,8 +220,6 @@ def _cmd_tables(args) -> int:
 
 
 def _cmd_synthesize(args) -> int:
-    if args.gate != "cnot":
-        raise SystemExit(2)
     if args.mode == "independent":
         schedule = trotter.cnot_spin_independent(args.n, order=args.order)
     elif args.order != 1:

@@ -49,8 +49,6 @@ def local_sums() -> tuple[GroupAlgebraElement, GroupAlgebraElement]:
 class DecouplerSet:
     """Four unitaries whose conjugation average decouples a sector."""
 
-    variant: str
-    sector: SpinSector
     unitaries: tuple[np.ndarray, ...] = field(repr=False)
 
 
@@ -84,7 +82,7 @@ def decoupler(sector: SpinSector, variant: str = "pair") -> DecouplerSet:
         raise ValueError(f"unknown decoupler variant: {variant!r}")
     for u in us:
         u.setflags(write=False)
-    return DecouplerSet(variant, sector, us)
+    return DecouplerSet(us)
 
 
 def decouple_map(h: np.ndarray, sector: SpinSector, variant: str = "pair") -> np.ndarray:

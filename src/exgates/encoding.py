@@ -26,7 +26,6 @@ __all__ = [
     "SpinSector",
     "BLOCK_A_PAIRS",
     "BLOCK_B_PAIRS",
-    "LOCAL_PAIRS",
     "CROSS_PAIRS",
     "ALL_PAIRS",
     "PAULI",
@@ -43,7 +42,6 @@ __all__ = [
 
 BLOCK_A_PAIRS = ((1, 2), (1, 3), (2, 3))
 BLOCK_B_PAIRS = ((4, 5), (4, 6), (5, 6))
-LOCAL_PAIRS = BLOCK_A_PAIRS + BLOCK_B_PAIRS
 CROSS_PAIRS = tuple((i, j) for i in (1, 2, 3) for j in (4, 5, 6))
 ALL_PAIRS = tuple(
     (i, j) for i in range(1, 7) for j in range(i + 1, 7)
@@ -194,7 +192,7 @@ def _projected_transposition(pair: tuple[int, int], sector: SpinSector) -> np.nd
     )
 
 
-def verify_local_pauli_table(sector: SpinSector, tol: float = 1e-12) -> CheckReport:
+def verify_local_pauli_table(sector: SpinSector) -> CheckReport:
     """Check the within-block exchange -> Pauli identities for both blocks."""
     checks = []
     for block, offset, targets in (
@@ -211,11 +209,11 @@ def verify_local_pauli_table(sector: SpinSector, tol: float = 1e-12) -> CheckRep
                     f"{sector.name} block{block} "
                     f"{shifted[0]}/{shifted[1]} -> {target}"
                 )
-                checks.append(CheckResult(name, dev, tol))
+                checks.append(CheckResult(name, dev, 1e-12))
     return CheckReport(tuple(checks))
 
 
-def verify_cross_pauli_table(sector: SpinSector, tol: float = 1e-12) -> CheckReport:
+def verify_cross_pauli_table(sector: SpinSector) -> CheckReport:
     """Check the nine cross-block dictionary rows in a sector."""
     ps = [_projected_transposition(p, sector) for p in CROSS_PAIRS]
     a, b = sector.cross_scale, sector.identity_scale
@@ -224,7 +222,7 @@ def verify_cross_pauli_table(sector: SpinSector, tol: float = 1e-12) -> CheckRep
         combo = sum(SWAP_TO_PAULI[row, k] * ps[k] for k in range(9))
         target = a * (b if word == "II" else 1.0) * pauli_word(word)
         dev = float(np.max(np.abs(combo - target)))
-        checks.append(CheckResult(f"{sector.name} row {row + 1} -> {word}", dev, tol))
+        checks.append(CheckResult(f"{sector.name} row {row + 1} -> {word}", dev, 1e-12))
     return CheckReport(tuple(checks))
 
 

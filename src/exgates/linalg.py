@@ -13,8 +13,8 @@ def expi(h: np.ndarray) -> np.ndarray:
     return (v * np.exp(1j * w)) @ v.conj().T
 
 
-def is_hermitian(m: np.ndarray, tol: float = 1e-12) -> bool:
-    return bool(np.max(np.abs(m - m.conj().T)) <= tol * max(1.0, float(np.max(np.abs(m)))))
+def is_hermitian(m: np.ndarray) -> bool:
+    return bool(np.max(np.abs(m - m.conj().T)) <= 1e-12 * max(1.0, float(np.max(np.abs(m)))))
 
 
 def max_abs(m: np.ndarray) -> float:

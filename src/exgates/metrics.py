@@ -23,6 +23,7 @@ Pi_perp).
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -155,11 +156,7 @@ def report(schedule: PulseSchedule, target: np.ndarray | None = None) -> Synthes
     )
 
 
-def table_rows(
-    which: int,
-    ns: Sequence[int] | None = None,
-    cancel: bool = False,
-) -> list[SynthesisReport]:
+def table_rows(which: int, cancel: bool = False) -> list[SynthesisReport]:
     """Reports behind the two CNOT benchmark tables.
 
     Table 1 is the spin-independent construction at n = 3, 5, 9; table 2
@@ -170,11 +167,9 @@ def table_rows(
     by the canceled magnitude, fidelity and leakage stay put.
     """
     if which == 1:
-        ns = tuple(ns) if ns is not None else (3, 5, 9)
-        builder = cnot_spin_independent
+        ns, builder = (3, 5, 9), cnot_spin_independent
     elif which == 2:
-        ns = tuple(ns) if ns is not None else (2, 3, 4)
-        builder = cnot_spin1
+        ns, builder = (2, 3, 4), cnot_spin1
     else:
         raise ValueError("table must be 1 or 2")
     rows = []
@@ -223,18 +218,10 @@ def render_csv(rows: Sequence[SynthesisReport]) -> str:
 
 
 def render_json(rows: Sequence[SynthesisReport]) -> str:
-    import json
-
     payload = {
         "benchmark": {"cycles": FONG_WANDZURA_CYCLES, "time": FONG_WANDZURA_TIME},
         "rows": [
-            {
-                "n": r.n,
-                "cycles": r.cycles,
-                "time": float(f"{r.normalized_time:.1f}"),
-                "fidelity": float(f"{r.fidelity['SPIN1']:.5f}"),
-                "leakage": float(f"{r.leakage['SPIN1']:.5f}"),
-            }
+            {key: json.loads(cell) for key, cell in zip(_HEADER, _row_cells(r))}
             for r in rows
         ],
     }

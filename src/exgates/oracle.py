@@ -150,7 +150,7 @@ def oracle_fidelity(
     return frame_scores(oracle_simulate(schedule), target, logical_frame(sector))
 
 
-def frame_closure(sector: SpinSector, tol: float = 1e-10) -> np.ndarray:
+def frame_closure(sector: SpinSector) -> np.ndarray:
     """Orthonormal basis of the invariant subspace generated by the frame.
 
     Repeatedly applies all fifteen swaps and orthonormalizes until the
@@ -166,7 +166,7 @@ def frame_closure(sector: SpinSector, tol: float = 1e-10) -> np.ndarray:
                 for b in basis:
                     w = w - (b @ w) * b
                 norm = np.linalg.norm(w)
-                if norm > tol:
+                if norm > 1e-10:
                     basis.append(w / norm)
                     changed = True
     return np.array(basis)

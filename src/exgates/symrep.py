@@ -121,9 +121,6 @@ class StandardTableau:
         rows[ri][ci], rows[rj][cj] = i + 1, i
         return StandardTableau(tuple(tuple(r) for r in rows))
 
-    def __str__(self) -> str:
-        return "/".join(" ".join(str(v) for v in row) for row in self.rows)
-
 
 @lru_cache(maxsize=None)
 def standard_tableaux(shape: Partition) -> tuple[StandardTableau, ...]:
@@ -245,7 +242,7 @@ class GroupAlgebraElement:
 
     def __init__(self, degree: int, terms: Mapping[Permutation, complex] | None = None):
         self.degree = int(degree)
-        clean: dict[Permutation, complex] = {}
+        self._terms: dict[Permutation, complex] = {}
         for perm, coeff in (terms or {}).items():
             if perm.degree != self.degree:
                 raise ValueError(
@@ -253,8 +250,7 @@ class GroupAlgebraElement:
                 )
             c = complex(coeff)
             if c != 0:
-                clean[perm] = clean.get(perm, 0) + c
-        self._terms = {p: c for p, c in clean.items() if c != 0}
+                self._terms[perm] = c
 
     @classmethod
     def identity(cls, degree: int, coeff: complex = 1.0) -> "GroupAlgebraElement":
@@ -266,14 +262,12 @@ class GroupAlgebraElement:
 
     @classmethod
     def from_transpositions(
-        cls, degree: int, coeffs: Mapping[tuple[int, int], complex], identity: complex = 0.0
+        cls, degree: int, coeffs: Mapping[tuple[int, int], complex]
     ) -> "GroupAlgebraElement":
-        terms: dict[Permutation, complex] = {}
-        for (i, j), c in coeffs.items():
-            terms[Permutation.transposition(degree, i, j)] = c
-        if identity != 0:
-            terms[Permutation.identity(degree)] = identity
-        return cls(degree, terms)
+        return cls(
+            degree,
+            {Permutation.transposition(degree, i, j): c for (i, j), c in coeffs.items()},
+        )
 
     @property
     def terms(self) -> dict[Permutation, complex]:
@@ -361,12 +355,9 @@ def rep_adjacent(shape: Partition, i: int) -> IrrepMatrix:
 
 def rep_transposition(shape: Partition, i: int, j: int) -> IrrepMatrix:
     """Orthogonal-form matrix of an arbitrary transposition (i j)."""
-    if i > j:
-        i, j = j, i
-    n = shape.size
-    if not (1 <= i < j <= n):
-        raise ValueError(f"invalid transposition ({i} {j}) for n = {n}")
-    return IrrepMatrix(_permutation_matrix(shape, Permutation.transposition(n, i, j).images))
+    return IrrepMatrix(
+        _permutation_matrix(shape, Permutation.transposition(shape.size, i, j).images)
+    )
 
 
 @lru_cache(maxsize=None)

@@ -111,11 +111,6 @@ class PulseStep:
     def scaled(self, factor: float) -> "PulseStep":
         return PulseStep(self.pairs, tuple(c * factor for c in self.coeffs), self.phase * factor)
 
-    def generator(self) -> GroupAlgebraElement:
-        return GroupAlgebraElement.from_transpositions(
-            6, self.coefficients(), identity=self.phase
-        )
-
     def max_coefficient(self) -> float:
         """Largest coefficient magnitude, identity phase excluded."""
         return max((abs(c) for c in self.coeffs), default=0.0)
@@ -284,8 +279,6 @@ def _local_step(axis: str, block: int, angle: float) -> PulseStep:
     Uses the (12),(13) entry of the within-block dictionary
     ``LOCAL_TO_PAULI``, shifted to (45),(46) for block two.
     """
-    if axis not in ("x", "z"):
-        raise ValueError(f"local factors must be over x/z, got {axis!r}")
     pairs, coeff = LOCAL_TO_PAULI[0]
     offset = 0 if block == 1 else 3
     row = coeff["xz".index(axis)]
@@ -295,6 +288,10 @@ def _local_step(axis: str, block: int, angle: float) -> PulseStep:
 
 
 def _local_factor_steps(factors: Sequence[tuple[str, int, float]]) -> list[PulseStep]:
+    """Steps of ("x" | "z", block, angle) factors; zero angles give no step but are checked too."""
+    for axis, block, _ in factors:
+        if axis not in ("x", "z") or block not in (1, 2):
+            raise ValueError(f"local factors must be x or z on block 1 or 2: {axis!r}, {block!r}")
     return [_local_step(axis, block, angle) for axis, block, angle in factors if angle != 0.0]
 
 
@@ -307,8 +304,6 @@ def single_qubit_schedule(
     (12),(13) or (45),(46); Z from minus the first local transposition),
     so the action is identical in both sectors.
     """
-    if block not in (1, 2):
-        raise ValueError("block must be 1 or 2")
     steps = _local_factor_steps(
         (("x", block, alpha), ("z", block, beta), ("x", block, gamma))
     )
@@ -411,13 +406,11 @@ def step_generator(step: PulseStep, stack: np.ndarray) -> np.ndarray:
     return np.tensordot(coeffs, stack, axes=1)
 
 
-def _generators_commute(
-    a: tuple[np.ndarray, ...], b: tuple[np.ndarray, ...], tol: float = 1e-12
-) -> bool:
+def _generators_commute(a: tuple[np.ndarray, ...], b: tuple[np.ndarray, ...]) -> bool:
     """Commutation of two steps from their generators in every sector."""
     for ga, gb in zip(a, b):
         scale = max(1.0, float(np.max(np.abs(ga))) * float(np.max(np.abs(gb))))
-        if np.max(np.abs(ga @ gb - gb @ ga)) > tol * scale:
+        if np.max(np.abs(ga @ gb - gb @ ga)) > 1e-12 * scale:
             return False
     return True
 
@@ -503,7 +496,7 @@ def _cancel_step(step: PulseStep, mode: str) -> PulseStep:
     return out
 
 
-def cancel_negatives(schedule: PulseSchedule, mode: str = "cross-sum") -> PulseSchedule:
+def cancel_negatives(schedule: PulseSchedule, mode: str) -> PulseSchedule:
     """Remove negative coefficients from Hamiltonian-bearing steps.
 
     A step is Hamiltonian-bearing when it involves a cross-block
@@ -568,8 +561,9 @@ def schedule_from_json(data: dict) -> PulseSchedule:
     if not isinstance(data, dict):
         raise ValueError(f"schedule JSON must be an object, got {type(data).__name__}")
     try:
-        if data.get("version") != 1:
-            raise ValueError(f"unsupported schedule version: {data.get('version')!r}")
+        version = _json_int(data.get("version"), "version")
+        if version != 1:
+            raise ValueError(f"unsupported schedule version: {version!r}")
         steps = []
         for k, s in enumerate(data["steps"]):
             pairs = [

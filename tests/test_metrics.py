@@ -129,7 +129,7 @@ class TestReport:
 
 class TestRendering:
     def test_markdown(self):
-        text = render_markdown(table_rows(1, ns=(3,)))
+        text = render_markdown(table_rows(1))
         lines = text.splitlines()
         assert lines[0] == "| n | cycles | time | fidelity | leakage |"
         assert "| 3 | 39 | 8.5 |" in lines[2]
@@ -137,7 +137,7 @@ class TestRendering:
         assert str(FONG_WANDZURA_CYCLES) in text
 
     def test_csv_parse_back(self):
-        rows = table_rows(1, ns=(3, 5))
+        rows = table_rows(1)
         text = render_csv(rows)
         lines = text.splitlines()
         assert lines[0] == "n,cycles,time,fidelity,leakage"
@@ -152,7 +152,7 @@ class TestRendering:
     def test_json(self):
         import json
 
-        payload = json.loads(render_json(table_rows(2, ns=(2,))))
+        payload = json.loads(render_json(table_rows(2)))
         assert payload["benchmark"] == {"cycles": 13, "time": 12.3}
         row = payload["rows"][0]
         assert row["n"] == 2 and row["cycles"] == 21

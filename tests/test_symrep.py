@@ -152,6 +152,15 @@ class TestRepElement:
         m23 = rep_adjacent(P21, 2).matrix
         assert np.allclose(lhs, m23 @ m12 @ m23, atol=1e-14)
 
+    @pytest.mark.parametrize("i,j", [(1, 1), (0, 3), (3, 7)])
+    def test_transposition_rejects_bad_indices(self, i, j):
+        with pytest.raises(ValueError):
+            rep_transposition(P42, i, j)
+
+    def test_transposition_index_order_irrelevant(self):
+        a, b = rep_transposition(P42, 4, 2), rep_transposition(P42, 2, 4)
+        assert np.array_equal(a.matrix, b.matrix)
+
     @pytest.mark.parametrize("shape,c", [(P33, 3.0), (P42, 5.0)])
     def test_central_transposition_sum(self, shape, c):
         total = GroupAlgebraElement.from_transpositions(

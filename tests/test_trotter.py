@@ -86,7 +86,9 @@ class TestStepGenerator:
     @given(coeffs=_COEFF_MAPS, sector=st.sampled_from(list(SpinSector)))
     def test_matches_group_algebra_generator(self, coeffs, sector):
         step = PulseStep.make(coeffs)
-        want = rep_element(sector.partition, step.generator()).matrix.real
+        want = rep_element(
+            sector.partition, GroupAlgebraElement.from_transpositions(6, step.coefficients())
+        ).matrix.real
         assert np.max(np.abs(step_generator(step, pair_stack(sector)) - want)) <= 1e-13
 
 
@@ -338,6 +340,11 @@ class TestCanonicalGate:
         blk = computational_block(sch, SpinSector.SPIN1)
         assert np.linalg.norm(blk - want, 2) <= 1e-2
 
+    @pytest.mark.parametrize("factor", [("x", 3, 0.5), ("x", 0, 0.5), ("y", 1, 0.0)])
+    def test_bad_local_factor_rejected(self, factor):
+        with pytest.raises(ValueError):
+            canonical_two_qubit_schedule(CanonicalGateSpec(k1=(factor,)), n=1)
+
     def test_local_factors_applied(self):
         spec = CanonicalGateSpec(k1=(("z", 1, 0.4),), k2=(("x", 2, -0.2),))
         sch = canonical_two_qubit_schedule(spec, n=1)
@@ -403,12 +410,12 @@ class TestConsolidate:
 class TestCancelNegatives:
     def test_all_nonnegative_unchanged(self):
         sch = PulseSchedule((PulseStep.make({(1, 4): 0.7, (3, 5): 0.2}),))
-        assert cancel_negatives(sch).steps == sch.steps
+        assert cancel_negatives(sch, "cross-sum").steps == sch.steps
 
     def test_single_transposition_two_pi_shift(self):
         theta = 0.7
         sch = PulseSchedule((PulseStep.make({(1, 4): -theta}),))
-        out = cancel_negatives(sch)
+        out = cancel_negatives(sch, "cross-sum")
         assert out.steps[0].coefficients()[(1, 4)] == pytest.approx(-theta + 2 * np.pi)
         for sector in SpinSector:
             assert np.max(np.abs(simulate(sch, sector) - simulate(out, sector))) <= 1e-12
