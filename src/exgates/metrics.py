@@ -1,10 +1,10 @@
 """Schedule scoring: simulation, entanglement fidelity, leakage, tables.
 
-Simulation and scoring work on plain arrays, so the 5-, 9- and 64-dim
-spaces share one code path: a schedule is evolved on a (15, d, d) stack of
-transposition matrices (``evolve``), and a gate is scored through a 4 x d
-frame Pi whose rows are the computational states (``frame_scores``).  With
-the frame compression
+Simulation and scoring work on plain arrays, so the 5- and 9-dim irreps
+and the oracle's 15- and 20-dim blocks share one code path: a schedule is
+evolved on a (15, d, d) stack of transposition matrices (``evolve``), and
+a gate is scored through a 4 x d frame Pi whose rows are the computational
+states (``frame_scores``).  With the frame compression
 
     v = G Pi^T,    g = Pi v    (a 4 x 4 matrix),
 

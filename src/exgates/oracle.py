@@ -16,6 +16,9 @@ embedding tables from the other modules are used, so agreement with them
 is a genuine cross-check.  Only the array-level evolve loop and F/L
 formula of ``metrics`` are shared; they receive the physical swap stack
 and the frame built here.
+Both are cut to the frame's magnetization block (15 strings with two down
+spins for spin 1, 20 with three for spin 0); this is exact, as the swaps are
+0/1 permutations keeping the down-spin count, so G Pi^T is 0 off the block.
 """
 
 from __future__ import annotations
@@ -133,9 +136,23 @@ def _swap_stack() -> np.ndarray:
     return stack
 
 
-def oracle_simulate(schedule: PulseSchedule) -> np.ndarray:
-    """64-dim unitary of a schedule (rightmost step acts first)."""
-    return evolve(schedule, _swap_stack())
+@lru_cache(maxsize=None)
+def _magnetization_block(sector: SpinSector) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (15, d, d) swap stack and 4 x d frame on the frame's down-spin block."""
+    frame = logical_frame(sector)
+    counts = {bin(idx).count("1") for idx in np.flatnonzero(frame.any(axis=0))}
+    if len(counts) != 1:
+        raise ValueError(f"{sector.name} frame spans down-spin counts {sorted(counts)}")
+    block = [idx for idx in range(DIM) if bin(idx).count("1") in counts]
+    restricted = (_swap_stack()[:, block][:, :, block], frame[:, block])
+    for m in restricted:
+        m.setflags(write=False)
+    return restricted
+
+
+def oracle_simulate(schedule: PulseSchedule, sector: SpinSector) -> np.ndarray:
+    """Unitary of a schedule on the frame's magnetization block (rightmost step acts first)."""
+    return evolve(schedule, _magnetization_block(sector)[0])
 
 
 def oracle_fidelity(
@@ -143,11 +160,12 @@ def oracle_fidelity(
 ) -> tuple[float, float]:
     """End-to-end (fidelity, leakage) of a schedule in the physical space.
 
-    The leakage complement is that of the frame in all 64 dimensions;
-    schedule unitaries never leave the frame's permutation-invariant
-    closure, so this agrees with the complement taken inside that closure.
+    The leakage complement is that of the frame in its magnetization block.
+    The swaps map that block into itself, so this equals the complement in
+    all 64 dimensions, and, as schedule unitaries never leave the frame's
+    permutation-invariant closure, the complement inside that closure.
     """
-    return frame_scores(oracle_simulate(schedule), target, logical_frame(sector))
+    return frame_scores(oracle_simulate(schedule, sector), target, _magnetization_block(sector)[1])
 
 
 def frame_closure(sector: SpinSector) -> np.ndarray:

@@ -506,14 +506,13 @@ def cancel_negatives(schedule: PulseSchedule, mode: str) -> PulseSchedule:
     sector; a Hamiltonian step holding a single exchange interaction is
     instead shifted by a full period, which leaves its unitary untouched.
     Purely local steps (decouplers, prefactors, one-qubit factors) are
-    left alone; their negatives are reported rather than rewritten.
+    left alone; their negatives are reported rather than rewritten.  Each
+    distinct step is rewritten once per call.
     """
     if mode not in ("full-sum", "cross-sum"):
         raise ValueError(f"unknown cancellation mode: {mode!r}")
-    steps = tuple(
-        _cancel_step(s, mode) if s.is_cross_block() else s for s in schedule.steps
-    )
-    return replace(schedule, steps=steps)
+    rewritten = {s: _cancel_step(s, mode) for s in set(schedule.steps) if s.is_cross_block()}
+    return replace(schedule, steps=tuple(rewritten.get(s, s) for s in schedule.steps))
 
 
 def schedule_to_json(schedule: PulseSchedule) -> dict:
@@ -584,9 +583,10 @@ def schedule_from_json(data: dict) -> PulseSchedule:
         n = _json_int(data.get("n", 1), "n")
         if order not in (0, 1) or n < 1:
             raise ValueError(f"need order 0 or 1 and n >= 1, got order {order}, n {n}")
-        return PulseSchedule(
-            tuple(steps), name=str(data.get("name", "schedule")), order=order, n=n
-        )
+        name = data.get("name", "schedule")
+        if not isinstance(name, str):
+            raise ValueError(f"name must be a string, got {name!r}")
+        return PulseSchedule(tuple(steps), name=name, order=order, n=n)
     except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"malformed schedule JSON: {exc}") from exc
 

@@ -170,7 +170,7 @@ class TestSynthesizeSimulate:
         "fields",
         [
             {"n": 2.5}, {"n": "3"}, {"n": -4}, {"n": 0}, {"n": True}, {"order": 2}, {"order": 1.0},
-            {"version": True}, {"version": 1.0},
+            {"version": True}, {"version": 1.0}, {"name": {"a": 1}}, {"name": None}, {"name": 3},
         ],
     )
     def test_bad_n_or_order_exit_2(self, capsys, tmp_path, fields):

@@ -4,7 +4,7 @@ import pytest
 from exgates import encoding, oracle, symrep, trotter
 from exgates.decouple import local_sums
 from exgates.encoding import ALL_PAIRS, SpinSector, projected_rep
-from exgates.metrics import CNOT, report
+from exgates.metrics import CNOT, evolve, frame_scores, report
 from exgates.oracle import (
     DIM,
     frame_closure,
@@ -16,11 +16,33 @@ from exgates.oracle import (
     physical_swap,
 )
 from exgates.symrep import GroupAlgebraElement, Permutation
-from exgates.trotter import PulseSchedule, cnot_spin1, cnot_spin_independent
+from exgates.trotter import (
+    PulseSchedule,
+    PulseStep,
+    cancel_negatives,
+    cnot_spin1,
+    cnot_spin_independent,
+)
 
 
 def state_index(bits: str) -> int:
     return int(bits, 2)
+
+
+# number of down spins (1 bits) of each basis string
+down_spins = np.array([bin(idx).count("1") for idx in range(DIM)])
+# each frame's number of down spins and magnetization block dimension
+FRAME_BLOCKS = [(SpinSector.SPIN1, 2, 15), (SpinSector.SPIN0, 3, 20)]
+
+
+def random_schedule(rng, n_steps):
+    steps = []
+    for _ in range(n_steps):
+        k = int(rng.integers(1, 7))
+        pairs = rng.choice(len(ALL_PAIRS), size=k, replace=False)
+        coeffs = {ALL_PAIRS[p]: float(rng.uniform(-np.pi, np.pi)) for p in pairs}
+        steps.append(PulseStep.make(coeffs, float(rng.uniform(-np.pi, np.pi))))
+    return PulseSchedule(tuple(steps))
 
 
 class TestPhysicalSwap:
@@ -123,16 +145,21 @@ class TestClosure:
         assert frame_closure(sector).shape == (dim, DIM)
 
     def test_simulated_schedule_stays_in_closure(self):
-        sector = SpinSector.SPIN1
-        closure = frame_closure(sector)
-        proj = closure.T @ closure
-        phi = logical_frame(sector)
-        g = oracle_simulate(cnot_spin_independent(2))
-        leaked = (np.eye(DIM) - proj) @ g @ phi.T
-        assert np.max(np.abs(leaked)) <= 1e-10
-        # compressions of a unitary have singular values at most one
-        sv = np.linalg.svd(closure @ g @ closure.T, compute_uv=False)
-        assert sv.max() <= 1 + 1e-10
+        for sector, down, dim in FRAME_BLOCKS:
+            on_block = down_spins == down
+            closure = frame_closure(sector)
+            # the closure lies in the frame's magnetization block
+            assert not closure[:, ~on_block].any()
+            closure = closure[:, on_block]
+            proj = closure.T @ closure
+            phi = oracle._magnetization_block(sector)[1]
+            g = oracle_simulate(cnot_spin_independent(2), sector)
+            assert g.shape == (dim, dim)
+            leaked = (np.eye(dim) - proj) @ g @ phi.T
+            assert np.max(np.abs(leaked)) <= 1e-10
+            # compressions of a unitary have singular values at most one
+            sv = np.linalg.svd(closure @ g @ closure.T, compute_uv=False)
+            assert sv.max() <= 1 + 1e-10
 
 
 class TestOracleFidelity:
@@ -149,6 +176,42 @@ class TestOracleFidelity:
             f, leak = oracle_fidelity(schedule, sector, CNOT)
             assert abs(f - r.fidelity[sector.name]) <= 1e-8
             assert abs(leak - r.leakage[sector.name]) <= 1e-8
+
+
+class TestMagnetizationBlock:
+    def test_swaps_keep_the_down_spin_count(self):
+        # every off-block entry of every swap is exactly zero
+        stack = oracle._swap_stack()
+        assert not stack[:, down_spins[:, None] != down_spins[None, :]].any()
+
+    @pytest.mark.parametrize("sector,down,dim", FRAME_BLOCKS)
+    def test_block_is_the_frames_down_spin_count(self, sector, down, dim):
+        stack, phi = oracle._magnetization_block(sector)
+        on_block = down_spins == down
+        assert stack.shape == (15, dim, dim) and phi.shape == (4, dim)
+        assert np.array_equal(stack, oracle._swap_stack()[:, on_block][:, :, on_block])
+        assert np.array_equal(phi, logical_frame(sector)[:, on_block])
+        assert not (stack.flags.writeable or phi.flags.writeable)
+
+    def test_frame_spanning_two_counts_rejected(self, monkeypatch):
+        mixed = logical_frame(SpinSector.SPIN1) + logical_frame(SpinSector.SPIN0)
+        monkeypatch.setattr(oracle, "logical_frame", lambda sector: mixed)
+        with pytest.raises(ValueError, match="down-spin counts"):
+            oracle._magnetization_block.__wrapped__(SpinSector.SPIN1)
+
+    @pytest.mark.parametrize("sector", list(SpinSector))
+    def test_scores_equal_the_64_dim_oracle(self, sector):
+        rng = np.random.default_rng(2024)
+        schedules = [cnot_spin_independent(n) for n in (3, 5, 9)]
+        schedules += [cnot_spin1(n) for n in (2, 3, 4)]
+        schedules += [cancel_negatives(s, "full-sum") for s in schedules]
+        schedules += [random_schedule(rng, int(rng.integers(5, 60))) for _ in range(20)]
+        for schedule in schedules:
+            reference = frame_scores(
+                evolve(schedule, oracle._swap_stack()), CNOT, logical_frame(sector)
+            )
+            got = oracle_fidelity(schedule, sector, CNOT)
+            assert np.max(np.abs(np.subtract(got, reference))) <= 1e-12
 
 
 def test_oracle_binds_no_irrep_machinery():

@@ -461,6 +461,21 @@ class TestCancelNegatives:
         with pytest.raises(ValueError):
             cancel_negatives(cnot_spin1(1), "other")
 
+    @pytest.mark.parametrize("mode", ["cross-sum", "full-sum"])
+    def test_each_distinct_step_rewritten_once(self, monkeypatch, mode):
+        rewritten = []
+        original = trotter._cancel_step
+
+        def counting(step, mode):
+            rewritten.append(step)
+            return original(step, mode)
+
+        monkeypatch.setattr(trotter, "_cancel_step", counting)
+        sch = cnot_spin_independent(50)
+        cancel_negatives(sch, mode)
+        assert len(rewritten) == len(set(rewritten))
+        assert set(rewritten) == {s for s in sch.steps if s.is_cross_block()}
+
     def test_unknown_mode_rejected_without_negatives(self):
         with pytest.raises(ValueError):
             cancel_negatives(PulseSchedule(()), "local-sum")
@@ -483,6 +498,9 @@ class TestScheduleJson:
         step = data["steps"][1]
         assert set(step) == {"pairs", "coeffs", "phase"}
         assert all(i < j for i, j in step["pairs"])
+
+    def test_missing_name_defaults(self):
+        assert schedule_from_json({"version": 1, "steps": []}).name == "schedule"
 
     def test_malformed_rejected(self):
         with pytest.raises(ValueError):
