@@ -228,12 +228,13 @@ def verify_cross_pauli_table(sector: SpinSector) -> CheckReport:
 
 def hamiltonian_from_pauli(
     target: Mapping[str, float], sector: SpinSector
-) -> GroupAlgebraElement:
+) -> dict[tuple[int, int], float]:
     """Cross-block exchange combination projecting to a Pauli target.
 
     ``target`` maps two-letter words over {I, X, Z} to real coefficients;
-    the result is a real combination of the nine cross-block transpositions
-    whose projected representation in ``sector`` equals the target matrix.
+    the result is a pair map of the nine cross-block transpositions to
+    real coefficients whose projected representation in ``sector`` equals
+    the target matrix.
     Words containing Y are rejected: Y requires conjugation by local
     rotations, which is schedule-level machinery.
     """
@@ -246,5 +247,4 @@ def hamiltonian_from_pauli(
         tau[PAULI_ORDER.index(word)] += float(c)
     tau[0] /= sector.identity_scale
     v = SWAP_TO_PAULI.T @ tau / sector.cross_scale
-    coeffs = {pair: v[k] for k, pair in enumerate(CROSS_PAIRS) if v[k] != 0}
-    return GroupAlgebraElement.from_transpositions(6, coeffs)
+    return {pair: v[k] for k, pair in enumerate(CROSS_PAIRS) if v[k] != 0}

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from numbers import Number
 from typing import Mapping
 
 import numpy as np
@@ -60,9 +59,6 @@ class Partition:
     @property
     def size(self) -> int:
         return sum(self.parts)
-
-    def __len__(self) -> int:
-        return len(self.parts)
 
     def __str__(self) -> str:
         return "(" + ",".join(str(p) for p in self.parts) + ")"
@@ -233,9 +229,9 @@ class Permutation:
 class GroupAlgebraElement:
     """A finite complex linear combination of permutations of fixed degree.
 
-    Zero-coefficient terms are dropped on construction.  Supports addition,
-    subtraction, scalar multiplication, and the convolution product that
-    expands term by term.
+    Zero-coefficient terms are dropped on construction.  This is the input
+    type of ``rep_element`` and ``projected_rep``; pulse schedules take
+    pair maps instead.
     """
 
     __slots__ = ("degree", "_terms")
@@ -251,10 +247,6 @@ class GroupAlgebraElement:
             c = complex(coeff)
             if c != 0:
                 self._terms[perm] = c
-
-    @classmethod
-    def identity(cls, degree: int, coeff: complex = 1.0) -> "GroupAlgebraElement":
-        return cls(degree, {Permutation.identity(degree): coeff})
 
     @classmethod
     def transposition(cls, degree: int, i: int, j: int, coeff: complex = 1.0) -> "GroupAlgebraElement":
@@ -274,41 +266,12 @@ class GroupAlgebraElement:
         return dict(self._terms)
 
     def __add__(self, other: "GroupAlgebraElement") -> "GroupAlgebraElement":
-        self._check(other)
+        if self.degree != other.degree:
+            raise ValueError(f"degree mismatch: {self.degree} != {other.degree}")
         merged = dict(self._terms)
         for p, c in other._terms.items():
             merged[p] = merged.get(p, 0) + c
         return GroupAlgebraElement(self.degree, merged)
-
-    def __sub__(self, other: "GroupAlgebraElement") -> "GroupAlgebraElement":
-        return self + (-1.0) * other
-
-    def __neg__(self) -> "GroupAlgebraElement":
-        return (-1.0) * self
-
-    def __mul__(self, other):
-        if isinstance(other, GroupAlgebraElement):
-            self._check(other)
-            product: dict[Permutation, complex] = {}
-            for p, a in self._terms.items():
-                for q, b in other._terms.items():
-                    pq = p * q
-                    product[pq] = product.get(pq, 0) + a * b
-            return GroupAlgebraElement(self.degree, product)
-        if isinstance(other, Number):
-            return GroupAlgebraElement(
-                self.degree, {p: c * other for p, c in self._terms.items()}
-            )
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def _check(self, other: "GroupAlgebraElement") -> None:
-        if self.degree != other.degree:
-            raise ValueError(f"degree mismatch: {self.degree} != {other.degree}")
-
-    def __len__(self) -> int:
-        return len(self._terms)
 
     def __repr__(self) -> str:
         inner = " + ".join(f"({c:g})*{p}" for p, c in sorted(

@@ -109,7 +109,9 @@ class PulseStep:
         return dict(zip(self.pairs, self.coeffs))
 
     def scaled(self, factor: float) -> "PulseStep":
-        return PulseStep(self.pairs, tuple(c * factor for c in self.coeffs), self.phase * factor)
+        return PulseStep.make(
+            {p: c * factor for p, c in zip(self.pairs, self.coeffs)}, self.phase * factor
+        )
 
     def max_coefficient(self) -> float:
         """Largest coefficient magnitude, identity phase excluded."""
@@ -168,6 +170,8 @@ def trotter_product(
     Order 0 is the plain exponential product with error O(1/n); order 1 is
     the symmetrized split with error O(1/n^2).  A single term is exact.
     """
+    if not terms:
+        raise ValueError("need at least one term")
     if n < 1:
         raise ValueError("iteration count must be >= 1")
     if order not in (0, 1):
@@ -183,13 +187,13 @@ def trotter_product(
     return PulseSchedule(tuple(steps), name="trotter-product", order=order, n=n)
 
 
-def _decoupler_step(weight: float, drop: tuple[tuple[int, int], ...]) -> PulseStep:
-    pairs = [p for p in BLOCK_A_PAIRS + BLOCK_B_PAIRS if p not in drop]
+def _decoupler_step(weight: float, pairs: Iterable[tuple[int, int]]) -> PulseStep:
+    """Step exp(i weight/3 sum(pairs)): a block sum, or part of one."""
     return PulseStep.make({p: weight / 3.0 for p in pairs})
 
 
 def decoupled_evolution(
-    h: GroupAlgebraElement,
+    h: Mapping[tuple[int, int], float],
     alpha: float,
     n: int,
     *,
@@ -198,26 +202,28 @@ def decoupled_evolution(
 ) -> PulseSchedule:
     """Schedule approximating exp(i alpha D(rep(h))) by decoupled pulses.
 
+    ``h`` is a pair map, transposition (i, j) to its real coefficient.
     ``drop_from_decoupler`` removes local transpositions from the
     decoupler generator; this is exact whenever the dropped transpositions
     commute with h, since their phase factors then cancel in pairs.
     """
     if n < 1:
         raise ValueError("iteration count must be >= 1")
-    drop = tuple(_normalize_pair(p) for p in drop_from_decoupler)
+    drop = {_normalize_pair(p) for p in drop_from_decoupler}
+    pairs = [p for p in BLOCK_A_PAIRS + BLOCK_B_PAIRS if p not in drop]
     dt = alpha / (4 * n)
-    u = _decoupler_step(np.pi / 2, drop)
+    u = _decoupler_step(np.pi / 2, pairs)
     udag = u.scaled(-1.0)
+    h_step = PulseStep.make(h)
+    h_full = h_step.scaled(dt)
     if order == 1:
-        h_half = _element_step(h, dt / 2)
-        h_full = _element_step(h, dt)
+        h_half = h_step.scaled(dt / 2)
         cycle = (
             [h_half, u] * 3 + [h_full] + [udag, h_half] * 3
         )
         steps = [udag] + cycle * n + [u]
     elif order == 0:
-        u2 = _decoupler_step(np.pi, drop)
-        h_full = _element_step(h, dt)
+        u2 = _decoupler_step(np.pi, pairs)
         # conjugation order {U^2, U, 1, U^dag} written out per iteration
         cycle = [u2, h_full, u2.scaled(-1.0), u, h_full, udag, h_full, udag, h_full, u]
         steps = cycle * n
@@ -238,9 +244,8 @@ def cnot_spin_independent(n: int, order: int = 1) -> PulseSchedule:
     exp(-i pi/4 (1 + (12))) turns the decoupled evolution into CNOT on the
     computational subspace of both sectors.
     """
-    h = GroupAlgebraElement.from_transpositions(6, SWAP_GENERATOR_N)
     core = decoupled_evolution(
-        h, np.pi / 2, n, order=order, drop_from_decoupler=[(1, 2)]
+        SWAP_GENERATOR_N, np.pi / 2, n, order=order, drop_from_decoupler=[(1, 2)]
     )
     steps = (_cnot_prefactor(),) + core.steps
     return PulseSchedule(steps, name="cnot-independent", order=order, n=n)
@@ -258,12 +263,12 @@ def cnot_spin1(n: int) -> PulseSchedule:
     if n < 1:
         raise ValueError("iteration count must be >= 1")
     dt = np.pi / (8 * n)
-    h = GroupAlgebraElement.from_transpositions(6, SWAP_GENERATOR_N1)
-    t_half = _element_step(h, dt / 2)
-    t_full = _element_step(h, dt)
-    ua = PulseStep.make({p: np.pi / 3 for p in ((1, 3), (2, 3))})
+    h_step = PulseStep.make(SWAP_GENERATOR_N1)
+    t_half = h_step.scaled(dt / 2)
+    t_full = h_step.scaled(dt)
+    ua = _decoupler_step(np.pi, ((1, 3), (2, 3)))
     ua_dag = ua.scaled(-1.0)
-    ub = PulseStep.make({p: np.pi / 3 for p in BLOCK_B_PAIRS})
+    ub = _decoupler_step(np.pi, BLOCK_B_PAIRS)
     ub_dag = ub.scaled(-1.0)
     cycle = [
         t_half, ub, t_half, ub_dag, ua, t_full, ub, t_full, ua_dag,
@@ -599,4 +604,8 @@ def save_schedule(schedule: PulseSchedule, path) -> None:
 
 def load_schedule(path) -> PulseSchedule:
     with open(path) as fh:
-        return schedule_from_json(json.load(fh))
+        try:
+            data = json.load(fh)
+        except RecursionError as exc:
+            raise ValueError("schedule JSON is nested too deeply") from exc
+    return schedule_from_json(data)

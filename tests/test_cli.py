@@ -145,6 +145,22 @@ class TestSynthesizeSimulate:
         assert len(err.strip().splitlines()) == 1
 
     @pytest.mark.parametrize(
+        "text",
+        [
+            "[" * 100000 + "]" * 100000,
+            '{"version": 1, "steps": ' + "[" * 100000 + "]" * 100000 + "}",
+        ],
+        ids=["alone", "as-steps"],
+    )
+    def test_deeply_nested_json_exit_2(self, capsys, tmp_path, text):
+        bad = tmp_path / "deep.json"
+        bad.write_text(text)
+        code, out, err = run(capsys, "simulate", str(bad))
+        assert code == 2
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize(
         "step",
         [
             {"pairs": [[1, 4]], "coeffs": [float("nan")]},

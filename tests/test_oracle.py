@@ -136,7 +136,9 @@ class TestOracleProjectedRep:
 
     def test_degree_checked(self):
         with pytest.raises(ValueError):
-            oracle_projected_rep(GroupAlgebraElement.identity(3), SpinSector.SPIN1)
+            oracle_projected_rep(
+                GroupAlgebraElement(3, {Permutation.identity(3): 1.0}), SpinSector.SPIN1
+            )
 
 
 class TestClosure:

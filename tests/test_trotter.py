@@ -7,7 +7,14 @@ from hypothesis import strategies as st
 
 from exgates import trotter
 from exgates.decouple import decouple_map
-from exgates.encoding import ALL_PAIRS, SpinSector, pauli_word, projected_rep, projector
+from exgates.encoding import (
+    ALL_PAIRS,
+    SpinSector,
+    hamiltonian_from_pauli,
+    pauli_word,
+    projected_rep,
+    projector,
+)
 from exgates.linalg import expi
 from exgates.metrics import CNOT, report, simulate
 from exgates.symrep import GroupAlgebraElement, rep_element
@@ -67,6 +74,7 @@ class TestPulseStep:
     def test_zero_coefficients_dropped(self):
         s = PulseStep.make({(1, 2): 0.0, (1, 4): 0.5})
         assert s.pairs == ((1, 4),)
+        assert s.scaled(0.0) == PulseStep((), (), 0.0)
 
     def test_pairs_normalized_and_sorted(self):
         s = PulseStep.make({(5, 4): 1.0, (2, 1): 2.0})
@@ -128,6 +136,9 @@ class TestTrotterProduct:
             trotter_product([a], 1.0, 0, 1)
         with pytest.raises(ValueError):
             trotter_product([a], 1.0, 1, 2)
+        for order in (0, 1):
+            with pytest.raises(ValueError):
+                trotter_product([], 1.0, 1, order)
 
 
 class TestDecoupledEvolution:
@@ -137,7 +148,7 @@ class TestDecoupledEvolution:
         target = expi((np.pi / 2) * decouple_map(h, sector, "power"))
 
         def err(n):
-            sch = decoupled_evolution(N_ELEMENT, np.pi / 2, n)
+            sch = decoupled_evolution(SWAP_GENERATOR_N, np.pi / 2, n)
             return np.linalg.norm(simulate(sch, sector) - target, 2)
 
         assert err(16) <= err(8) / 3.5  # first-order formula: error ~ 1/n^2
@@ -148,28 +159,53 @@ class TestDecoupledEvolution:
         target = expi((np.pi / 2) * decouple_map(h, sector, "power"))
 
         def err(n):
-            sch = decoupled_evolution(N_ELEMENT, np.pi / 2, n, order=0)
+            sch = decoupled_evolution(SWAP_GENERATOR_N, np.pi / 2, n, order=0)
             return np.linalg.norm(simulate(sch, sector) - target, 2)
 
         assert err(16) <= err(8) / 1.7
         assert err(16) >= err(8) / 3.0
 
     def test_exact_for_commuting_hamiltonian(self):
-        h = GroupAlgebraElement.from_transpositions(6, {(1, 2): 0.4})
+        h = {(1, 2): 0.4}
         sch = decoupled_evolution(h, 1.3, 1)
         for sector in SpinSector:
-            m = rep_element(sector.partition, h).matrix.real
+            m = rep_element(sector.partition, GroupAlgebraElement.from_transpositions(6, h)).matrix.real
             target = expi(1.3 * decouple_map(m, sector, "power"))
             assert np.max(np.abs(simulate(sch, sector) - target)) <= 1e-12
 
     def test_dropping_commuting_transposition_is_exact(self):
-        kept = decoupled_evolution(N_ELEMENT, np.pi / 2, 3)
+        kept = decoupled_evolution(SWAP_GENERATOR_N, np.pi / 2, 3)
         dropped = decoupled_evolution(
-            N_ELEMENT, np.pi / 2, 3, drop_from_decoupler=[(1, 2)]
+            SWAP_GENERATOR_N, np.pi / 2, 3, drop_from_decoupler=[(1, 2)]
         )
         for sector in SpinSector:
             d = np.linalg.norm(simulate(kept, sector) - simulate(dropped, sector), 2)
             assert d <= 1e-12
+
+
+class TestBuildersUseNoGroupAlgebra:
+    """The schedule builders go from pair maps to pulses directly."""
+
+    def test_no_group_algebra_element_is_built(self, monkeypatch):
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("a schedule builder constructed a GroupAlgebraElement")
+
+        monkeypatch.setattr(GroupAlgebraElement, "__init__", refuse)
+        for order in (0, 1):
+            cnot_spin_independent(3, order)
+        cnot_spin1(2)
+        decoupled_evolution(SWAP_GENERATOR_N, np.pi / 2, 2, drop_from_decoupler=[(1, 2)])
+        for sector in SpinSector:
+            hamiltonian_from_pauli({"XX": 1.0, "ZI": -0.5, "II": 0.2}, sector)
+        local = (("x", 1, 0.3), ("z", 2, -0.4))
+        half = np.pi / 2
+        for sector, angles in (
+            (None, (half, -half, half)),
+            (SpinSector.SPIN0, (0.3, -0.5, 0.7)),
+            (SpinSector.SPIN1, (0.3, -0.5, 0.7)),
+        ):
+            gate = CanonicalGateSpec(*angles, k1=local, k2=local[::-1])
+            assert len(canonical_two_qubit_schedule(gate, 2, sector)) > 0
 
 
 class TestCnotConstructions:
@@ -262,7 +298,7 @@ class TestCnotConstructions:
         # of the generator (decoupler minus (12)) behind the local prefactor
         n = 4
         core = decoupled_evolution(
-            N_ELEMENT, np.pi / 2, n, drop_from_decoupler=[(1, 2)]
+            SWAP_GENERATOR_N, np.pi / 2, n, drop_from_decoupler=[(1, 2)]
         )
         sch = cnot_spin_independent(n)
         assert sch.steps[1:] == core.steps
