@@ -2,9 +2,11 @@
 
 Simulation and scoring work on plain arrays, so the 5- and 9-dim irreps
 and the oracle's 15- and 20-dim blocks share one code path: a schedule is
-evolved on a (15, d, d) stack of transposition matrices (``evolve``), and
-a gate is scored through a 4 x d frame Pi whose rows are the computational
-states (``frame_scores``).  With the frame compression
+evolved on a (15, d, d) stack of transposition matrices (``evolve``, a
+pairwise product that multiplies each distinct adjacent pair once per
+level, so repeated cycles cost O(log n) levels), and a gate is scored
+through a 4 x d frame Pi whose rows are the computational states
+(``frame_scores``).  With the frame compression
 
     v = G Pi^T,    g = Pi v    (a 4 x 4 matrix),
 
@@ -24,6 +26,7 @@ Pi_perp).
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -71,18 +74,38 @@ FONG_WANDZURA_TIME = 12.3
 
 
 def evolve(schedule: PulseSchedule, stack: np.ndarray) -> np.ndarray:
-    """Unitary of a schedule on a (15, d, d) transposition stack (rightmost step first)."""
-    total = np.eye(stack.shape[1], dtype=complex)
-    cache: dict[PulseStep, np.ndarray] = {}
-    for step in schedule.steps:
-        u = cache.get(step)
-        if u is None:
-            u = expi(step_generator(step, stack))
-            if step.phase:
-                u = np.exp(1j * step.phase) * u
-            cache[step] = u
-        total = total @ u
-    return total
+    """Unitary of a schedule on a (15, d, d) transposition stack (rightmost step first).
+
+    A pairwise product over interned steps.  Each distinct step gets an id
+    (first occurrence first) and its unitary is built once, from its
+    generator and identity phase alone, so the step unitaries do not
+    depend on the rest of the schedule.  Then, level by level, neighbouring
+    ids (0, 1), (2, 3), ... are paired, each distinct pair is multiplied
+    once and gets a new id, and an odd last id is carried up unchanged.  A
+    schedule of n repeats of a few distinct steps takes O(log n) levels of
+    a few products each, not one product per step.  The product is grouped
+    differently from a left-to-right one, which moves F and L by rounding
+    only: at most 5e-14 on the CNOT families at n = 200.
+    """
+    ids: dict[PulseStep, int] = {}
+    seq = [ids.setdefault(step, len(ids)) for step in schedule.steps]
+    if not seq:
+        return np.eye(stack.shape[1], dtype=complex)
+    mats = []
+    for step in ids:
+        u = expi(step_generator(step, stack))
+        if step.phase:
+            u = np.exp(1j * step.phase) * u
+        mats.append(u)
+    while len(seq) > 1:
+        pairs: dict[tuple[int, int], int] = {}
+        level = [pairs.setdefault(pair, len(pairs)) for pair in zip(seq[::2], seq[1::2])]
+        products = [mats[a] @ mats[b] for a, b in pairs]
+        if len(seq) % 2:
+            level.append(len(products))
+            products.append(mats[seq[-1]])
+        seq, mats = level, products
+    return mats[seq[0]]
 
 
 def simulate(schedule: PulseSchedule, sector: SpinSector) -> np.ndarray:
@@ -141,8 +164,8 @@ def report(schedule: PulseSchedule, target: np.ndarray | None = None) -> Synthes
         fid[sector.name] = entanglement_fidelity(g, target, sector)
         leak[sector.name] = leakage(g, target, sector)
     negative_local = sum(
-        1
-        for s in schedule.steps
+        k
+        for s, k in Counter(schedule.steps).items()
         if not s.is_cross_block() and any(c < 0 for c in s.coeffs)
     )
     return SynthesisReport(

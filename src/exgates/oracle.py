@@ -13,7 +13,7 @@ with bit 0 meaning spin up.  The spin-1 frame tensors the two |up> gauge
 states (total S_z = +1 forces total spin 1); the spin-0 frame is the
 singlet combination of the gauge doublets.  No representation matrices or
 embedding tables from the other modules are used, so agreement with them
-is a genuine cross-check.  Only the array-level evolve loop and F/L
+is a genuine cross-check.  Only the array-level evolve product and F/L
 formula of ``metrics`` are shared; they receive the physical swap stack
 and the frame built here.
 Both are cut to the frame's magnetization block (15 strings with two down

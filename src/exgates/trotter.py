@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -104,6 +104,14 @@ class PulseStep:
             merged[key] = merged.get(key, 0.0) + float(c)
         items = sorted((p, c) for p, c in merged.items() if c != 0.0)
         return cls(tuple(p for p, _ in items), tuple(c for _, c in items), float(phase))
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.pairs, self.coeffs, self.phase))
+
+    def __hash__(self) -> int:
+        # Computed once: steps are dict keys on every per-step lookup.
+        return self._hash
 
     def coefficients(self) -> dict[tuple[int, int], float]:
         return dict(zip(self.pairs, self.coeffs))
@@ -427,14 +435,17 @@ def consolidate(schedule: PulseSchedule) -> PulseSchedule:
     simulated unitary is unchanged.  The resulting step count is the
     clock-cycle count of the schedule.
 
-    Commutation is tested in both irreps and decided once per distinct
-    adjacent pair (last merged step, next step) in a call, from generators
-    built once per distinct step.  Both tables live only for the call, so
-    schedules of fresh steps do not grow memory across calls.
+    Commutation is tested in both irreps from generators built once per
+    distinct step.  Each distinct transition (last merged step, next step)
+    is decided once per call, merged step or no merge, so a schedule of
+    repeated cycles merges once per distinct pair, not once per step.  Both
+    tables live only for the call, so schedules of fresh steps do not grow
+    memory across calls.
     """
     stacks = [pair_stack(s) for s in SpinSector]
     generators: dict[PulseStep, tuple[np.ndarray, ...]] = {}
-    commutes: dict[tuple[PulseStep, PulseStep], bool] = {}
+    transitions: dict[tuple[PulseStep, PulseStep], PulseStep | None] = {}
+    undecided = object()
 
     def sector_generators(step: PulseStep) -> tuple[np.ndarray, ...]:
         gens = generators.get(step)
@@ -446,13 +457,12 @@ def consolidate(schedule: PulseSchedule) -> PulseSchedule:
     for step in schedule.steps:
         if merged:
             key = (merged[-1], step)
-            ok = commutes.get(key)
-            if ok is None:
-                ok = commutes[key] = _generators_commute(
-                    sector_generators(key[0]), sector_generators(step)
-                )
-            if ok:
-                merged[-1] = _merge_steps(merged[-1], step)
+            out = transitions.get(key, undecided)
+            if out is undecided:
+                commute = _generators_commute(sector_generators(key[0]), sector_generators(step))
+                out = transitions[key] = _merge_steps(*key) if commute else None
+            if out is not None:
+                merged[-1] = out
                 continue
         merged.append(step)
     return replace(schedule, steps=tuple(merged))
@@ -464,9 +474,12 @@ def normalized_time(schedule: PulseSchedule) -> float:
     One unit is the duration of a full swap (coefficient pi/2); the
     identity phase does not count toward a step's duration.  Computed on
     the schedule as constructed, before any consolidation: each printed
-    exponential factor is one parallel pulse.
+    exponential factor is one parallel pulse.  Each distinct step's
+    maximum is taken once; the per-step values are still added in schedule
+    order, so the sum's rounding is that of the plain per-step sum.
     """
-    return sum(step.max_coefficient() for step in schedule.steps) / (np.pi / 2)
+    widths = {step: step.max_coefficient() for step in set(schedule.steps)}
+    return sum(map(widths.__getitem__, schedule.steps)) / (np.pi / 2)
 
 
 def _cancel_step(step: PulseStep, mode: str) -> PulseStep:

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from exgates.encoding import SpinSector, projector
+from exgates.encoding import ALL_PAIRS, SpinSector, projector
 from exgates.linalg import expi
 from exgates.metrics import (
     CNOT,
@@ -19,7 +19,13 @@ from exgates.metrics import (
     table_rows,
 )
 from exgates.symrep import GroupAlgebraElement, rep_element
-from exgates.trotter import PulseSchedule, PulseStep, cnot_spin1, cnot_spin_independent
+from exgates.trotter import (
+    PulseSchedule,
+    PulseStep,
+    cnot_spin1,
+    cnot_spin_independent,
+    normalized_time,
+)
 
 
 def extended(target, sector):
@@ -125,6 +131,43 @@ class TestReport:
             assert abs(b.normalized_time - a.normalized_time - 1.299) <= 0.05
             assert abs(a.fidelity["SPIN1"] - b.fidelity["SPIN1"]) <= 1e-5
             assert abs(a.leakage["SPIN1"] - b.leakage["SPIN1"]) <= 1e-5
+
+
+class TestPerStepSums:
+    """``report`` evaluates each distinct step once; its sums stay the per-step ones."""
+
+    @staticmethod
+    def _check(sch):
+        rep = report(sch)
+        time = sum(s.max_coefficient() for s in sch.steps) / (np.pi / 2)
+        assert float.hex(rep.normalized_time) == float.hex(time)
+        assert float.hex(normalized_time(sch)) == float.hex(time)
+        negative = sum(
+            1 for s in sch.steps if not s.is_cross_block() and any(c < 0 for c in s.coeffs)
+        )
+        assert rep.negative_local_steps == negative
+
+    @pytest.mark.parametrize("builder", [cnot_spin_independent, cnot_spin1])
+    def test_families_at_n_200(self, builder):
+        self._check(builder(200))
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        pool=st.lists(
+            st.builds(
+                PulseStep.make,
+                st.dictionaries(
+                    st.sampled_from(ALL_PAIRS), st.floats(-4.0, 4.0, allow_nan=False), max_size=4
+                ),
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+        data=st.data(),
+    )
+    def test_random_schedule(self, pool, data):
+        picks = data.draw(st.lists(st.integers(0, len(pool) - 1), max_size=200))
+        self._check(PulseSchedule(tuple(pool[k] for k in picks)))
 
 
 class TestRendering:

@@ -2,24 +2,29 @@
 
 Schedules draw random pairs, coefficients and phases, up to 20 steps; the
 example counts are small because every oracle example simulates in 64
-dimensions.
+dimensions.  The pairwise product in ``evolve`` is checked against a
+left-to-right product on long schedules over a few distinct steps.
 """
 
 import json
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from exgates import oracle
 from exgates.encoding import ALL_PAIRS, SpinSector
-from exgates.metrics import CNOT, entanglement_fidelity, leakage, report, simulate
+from exgates.linalg import expi
+from exgates.metrics import CNOT, entanglement_fidelity, evolve, leakage, report, simulate
 from exgates.oracle import oracle_fidelity
 from exgates.trotter import (
     PulseSchedule,
     PulseStep,
     cancel_negatives,
+    pair_stack,
     schedule_from_json,
     schedule_to_json,
+    step_generator,
 )
 
 IDENTITY = np.eye(4, dtype=complex)
@@ -32,6 +37,59 @@ _STEPS = st.builds(
 )
 _SCHEDULES = st.lists(_STEPS, max_size=20).map(lambda steps: PulseSchedule(tuple(steps)))
 _SECTORS = st.sampled_from(list(SpinSector))
+# The 5- and 9-dim irreps and the oracle's 15- and 20-dim magnetization blocks.
+_STACKS = [pair_stack(s) for s in SpinSector] + [
+    oracle._magnetization_block(s)[0] for s in SpinSector
+]
+
+
+@st.composite
+def _repeating_schedules(draw):
+    """1-6 distinct steps (nonzero phases among them) in a 0-300 long index sequence."""
+    pool = draw(
+        st.lists(
+            st.builds(
+                PulseStep.make,
+                st.dictionaries(st.sampled_from(ALL_PAIRS), _ANGLES, min_size=1, max_size=4),
+                st.one_of(st.just(0.0), _ANGLES),
+            ),
+            min_size=1,
+            max_size=6,
+            unique=True,
+        )
+    )
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), max_size=300))
+    return PulseSchedule(tuple(pool[k] for k in picks))
+
+
+def _step_unitary(step, stack):
+    u = expi(step_generator(step, stack))
+    return np.exp(1j * step.phase) * u if step.phase else u
+
+
+def _cycled(length):
+    a = PulseStep.make({(1, 4): 0.3, (2, 5): -0.7}, phase=0.2)
+    b = PulseStep.make({(3, 6): 1.1})
+    return PulseSchedule(tuple((a, b, b)[k % 3] for k in range(length)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(sch=_repeating_schedules())
+@example(sch=_cycled(0))
+@example(sch=_cycled(1))
+@example(sch=_cycled(300))
+@example(sch=_cycled(301))
+def test_pairwise_product_matches_left_to_right(sch):
+    for stack in _STACKS:
+        g = evolve(sch, stack)
+        want = np.eye(stack.shape[1], dtype=complex)
+        for step in sch.steps:
+            want = want @ _step_unitary(step, stack)
+        assert np.max(np.abs(g - want)) <= 1e-12
+        if len(sch.steps) == 0:
+            assert np.array_equal(g, np.eye(stack.shape[1], dtype=complex))
+        if len(sch.steps) == 1:
+            assert np.array_equal(g, _step_unitary(sch.steps[0], stack))
 
 
 @settings(max_examples=10, deadline=None)

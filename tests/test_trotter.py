@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -87,6 +88,22 @@ class TestPulseStep:
     def test_invalid_pair(self):
         with pytest.raises(ValueError):
             PulseStep.make({(0, 2): 1.0})
+
+    def test_equal_steps_hash_equal(self):
+        a = PulseStep.make({(1, 2): 0.5, (3, 4): -0.25}, phase=0.1)
+        b = PulseStep.make({(4, 3): -0.25, (2, 1): 0.5}, phase=0.1)
+        assert a is not b and a == b
+        assert hash(a) == hash(b)
+        assert len({a, b}) == 1
+
+    def test_derived_steps_hash_like_fresh_ones(self):
+        s = PulseStep.make({(1, 2): 0.5}, phase=0.1)
+        hash(s)  # the cached hash must not leak into derived steps
+        fresh = PulseStep.make({(1, 2): 1.0}, phase=0.2)
+        assert s.scaled(2.0) == fresh and hash(s.scaled(2.0)) == hash(fresh)
+        moved = replace(s, phase=0.3)
+        fresh = PulseStep.make({(1, 2): 0.5}, phase=0.3)
+        assert moved == fresh and hash(moved) == hash(fresh)
 
 
 class TestStepGenerator:
@@ -427,6 +444,18 @@ class TestConsolidate:
         # the steps consolidation sees: the input's and the merged ones
         distinct = set(sch.steps) | set(merged.steps)
         assert len(built) <= 2 * len(distinct)
+
+    def test_each_distinct_transition_merged_once(self, monkeypatch):
+        seen = []
+        original = trotter._merge_steps
+
+        def counting(a, b):
+            seen.append((a, b))
+            return original(a, b)
+
+        monkeypatch.setattr(trotter, "_merge_steps", counting)
+        consolidate(cnot_spin1(200))
+        assert seen and len(seen) == len(set(seen))
 
     def test_disjoint_blocks_merge(self):
         sch = PulseSchedule(
