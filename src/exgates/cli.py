@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 import numpy as np
@@ -21,6 +22,11 @@ from .symrep import (
 
 # Irrep dimension, and the constant the all-transposition sum acts as, per sector.
 _SECTOR_FACTS = {SpinSector.SPIN0: (5, 3.0), SpinSector.SPIN1: (9, 5.0)}
+# Diagonals of the pair decouplers Ua and Ub in the joint eigenbasis, per sector.
+_DECOUPLER_DIAGONALS = {
+    SpinSector.SPIN0: ((1, 1, 1, 1, -1), (1, 1, 1, 1, -1)),
+    SpinSector.SPIN1: ((1, 1, 1, 1, -1, -1, 1, 1, -1), (1, 1, 1, 1, 1, 1, -1, -1, -1)),
+}
 
 
 def _check(name: str, deviation: float, tol: float = 1e-12) -> CheckResult:
@@ -98,18 +104,14 @@ def _suite_decouple() -> list[CheckResult]:
                 )
             )
         basis = decouple.joint_eigenbasis(sector)
-        pair = decouple.decoupler(sector, "pair")
-        ua = basis.T @ pair.unitaries[1] @ basis
-        ub = basis.T @ pair.unitaries[2] @ basis
-        if sector is SpinSector.SPIN0:
-            want = np.diag([1, 1, 1, 1, -1]).astype(complex)
-            checks.append(_check("SPIN0 Ua = diag(1,1,1,1,-1)", max_abs(ua - want)))
-            checks.append(_check("SPIN0 Ub = diag(1,1,1,1,-1)", max_abs(ub - want)))
-        else:
-            wa = np.diag([1, 1, 1, 1, -1, -1, 1, 1, -1]).astype(complex)
-            wb = np.diag([1, 1, 1, 1, 1, 1, -1, -1, -1]).astype(complex)
-            checks.append(_check("SPIN1 Ua = diag(1,1,1,1,-1,-1,1,1,-1)", max_abs(ua - wa)))
-            checks.append(_check("SPIN1 Ub = diag(1,1,1,1,1,1,-1,-1,-1)", max_abs(ub - wb)))
+        pair = decouple.decoupler(sector, "pair").unitaries[1:3]
+        for name, u, diag in zip(("Ua", "Ub"), pair, _DECOUPLER_DIAGONALS[sector]):
+            checks.append(
+                _check(
+                    f"{sector.name} {name} = diag({','.join(map(str, diag))})",
+                    max_abs(basis.T @ u @ basis - np.diag(diag)),
+                )
+            )
         power = decouple.decoupler(sector, "power")
         u = power.unitaries[1]
         checks.append(_check(f"{sector.name} U^4 = 1", max_abs(np.linalg.matrix_power(u, 4) - np.eye(sector.dim))))
@@ -324,11 +326,18 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except ValueError as exc:
         # invalid arguments or schedule contents, reported like other usage errors
         print(f"exgates: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader closed stdout (`exgates verify | head -1`).  Point stdout
+        # at devnull so the flush at interpreter exit cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

@@ -36,13 +36,10 @@ __all__ = [
 
 def local_sums() -> tuple[GroupAlgebraElement, GroupAlgebraElement]:
     """The two block sums, coefficient 1/3 on each local transposition."""
-    sigma_a = GroupAlgebraElement.from_transpositions(
-        6, {pair: 1.0 / 3.0 for pair in BLOCK_A_PAIRS}
+    return tuple(
+        GroupAlgebraElement.from_transpositions(6, {pair: 1.0 / 3.0 for pair in pairs})
+        for pairs in (BLOCK_A_PAIRS, BLOCK_B_PAIRS)
     )
-    sigma_b = GroupAlgebraElement.from_transpositions(
-        6, {pair: 1.0 / 3.0 for pair in BLOCK_B_PAIRS}
-    )
-    return sigma_a, sigma_b
 
 
 @dataclass(frozen=True, eq=False)
@@ -54,12 +51,10 @@ class DecouplerSet:
 
 @lru_cache(maxsize=None)
 def _sum_reps(sector: SpinSector) -> tuple[np.ndarray, np.ndarray]:
-    sigma_a, sigma_b = local_sums()
-    ra = rep_element(sector.partition, sigma_a).matrix.real
-    rb = rep_element(sector.partition, sigma_b).matrix.real
-    ra.setflags(write=False)
-    rb.setflags(write=False)
-    return ra, rb
+    reps = tuple(rep_element(sector.partition, sig).matrix.real for sig in local_sums())
+    for r in reps:
+        r.setflags(write=False)
+    return reps
 
 
 @lru_cache(maxsize=None)
@@ -107,30 +102,17 @@ def decouple_map(h: np.ndarray, sector: SpinSector, variant: str = "pair") -> np
 def joint_eigenbasis(sector: SpinSector) -> np.ndarray:
     """Orthonormal basis diagonalizing both block sums, computational first.
 
-    Columns 0..3 are the computational basis.  The complement is ordered by
-    joint (sigma_a, sigma_b) eigenvalue: the (1,0) block, the (0,1) block,
-    then (1,1); within each eigenspace the vectors come from a
-    Gram-Schmidt sweep seeded by coordinate order, so the basis is
-    deterministic.
+    Columns 0..3 are exactly the computational basis, ``projector(sector).T``.
+    The complement follows in joint (sigma_a, sigma_b) eigenvalue order: the
+    (1,0) block, the (0,1) block, then (1,1).  Which orthonormal vectors
+    span a two-dimensional eigenspace is left to the eigensolver.
     """
     ra, rb = _sum_reps(sector)
-    dim = sector.dim
-    pi = projector(sector)
-    columns = [pi[k] for k in range(4)]
-    for sa, sb in ((1, 0), (0, 1), (1, 1)):
-        # Projector onto the joint eigenspace; block sums have spectrum {0, 1}.
-        pa = ra if sa == 1 else np.eye(dim) - ra
-        pb = rb if sb == 1 else np.eye(dim) - rb
-        proj = pa @ pb
-        for seed in np.eye(dim):
-            v = proj @ seed
-            for c in columns:
-                v = v - (c @ v) * c
-            norm = np.linalg.norm(v)
-            if norm > 1e-8:
-                columns.append(v / norm)
-    if len(columns) != dim:
-        raise AssertionError(f"joint eigenbasis incomplete: {len(columns)} of {dim}")
-    basis = np.array(columns).T
+    # Commuting projectors: ra + 2 rb is sa + 2 sb on each joint eigenspace,
+    # so ascending eigenvalues 0, 1, 2, 3 give the order above.
+    vals, vecs = np.linalg.eigh(ra + 2 * rb)
+    if np.max(np.abs(vals[:4])) > 1e-8 or np.min(vals[4:]) < 0.5:
+        raise AssertionError(f"block sums not four-fold null in {sector.name}: {vals}")
+    basis = np.hstack([projector(sector).T, vecs[:, 4:]])
     basis.setflags(write=False)
     return basis

@@ -1,15 +1,39 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import exgates
 from exgates.cli import main
-from exgates.trotter import MAX_COEFFICIENT
+from exgates.trotter import MAX_COEFFICIENT, MAX_ITERATIONS
+
+HEADER = ["n", "cycles", "time", "fidelity", "leakage"]
+# Rows of `exgates tables --format csv`, plain and with negatives canceled.
+# The closest printed cell lies 6.2e-8 from its rounding boundary.
+PINNED_ROWS = {
+    1: (
+        ["3,39,8.5,0.99136,0.00552", "5,63,12.5,0.99888,0.00071", "9,111,20.5,0.99989,0.00007"],
+        ["3,39,9.8,0.99136,0.00552", "5,63,13.8,0.99888,0.00071", "9,111,21.8,0.99989,0.00007"],
+    ),
+    2: (
+        ["2,21,9.8,0.99849,0.00067", "3,31,13.8,0.99970,0.00014", "4,41,17.8,0.99990,0.00005"],
+        ["2,21,11.1,0.99849,0.00067", "3,31,15.1,0.99970,0.00014", "4,41,19.1,0.99990,0.00005"],
+    ),
+}
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def pinned_rows(which, cancel):
+    plain, canceled = PINNED_ROWS[which]
+    return plain + canceled if cancel else plain
 
 
 class TestTables:
@@ -52,6 +76,31 @@ class TestTables:
             # fidelity and leakage columns unchanged at displayed precision
             assert c[3] == p[3]
             assert c[4] == p[4]
+
+    @pytest.mark.parametrize("cancel", [False, True], ids=["plain", "canceled"])
+    @pytest.mark.parametrize("which", [1, 2])
+    def test_csv_pinned_byte_exact(self, capsys, which, cancel):
+        flags = ["--cancel-negatives"] if cancel else []
+        code, out, _ = run(capsys, "tables", "--which", str(which), "--format", "csv", *flags)
+        assert code == 0
+        assert out == "\n".join([",".join(HEADER), *pinned_rows(which, cancel)]) + "\n"
+
+    @pytest.mark.parametrize("cancel", [False, True], ids=["plain", "canceled"])
+    @pytest.mark.parametrize("which", [1, 2])
+    def test_md_and_json_cells_match_pin(self, capsys, which, cancel):
+        rows = [line.split(",") for line in pinned_rows(which, cancel)]
+        flags = ["--cancel-negatives"] if cancel else []
+        code, md, _ = run(capsys, "tables", "--which", str(which), *flags)
+        assert code == 0
+        md_lines = md.splitlines()
+        assert md_lines[0] == "| " + " | ".join(HEADER) + " |"
+        assert [line.strip("| ").split(" | ") for line in md_lines[2:2 + len(rows)]] == rows
+        assert md_lines[2 + len(rows)] == ""
+        code, js, _ = run(capsys, "tables", "--which", str(which), "--format", "json", *flags)
+        assert code == 0
+        assert json.loads(js)["rows"] == [
+            {key: json.loads(cell) for key, cell in zip(HEADER, row)} for row in rows
+        ]
 
     def test_json_format(self, capsys):
         code, out, _ = run(capsys, "tables", "--which", "2", "--format", "json")
@@ -231,10 +280,11 @@ class TestSynthesizeSimulate:
 
     def test_synthesize_zero_iterations_exit_2(self, capsys, tmp_path):
         out_path = tmp_path / "c.json"
-        code, _, err = run(capsys, "synthesize", "cnot", "--n", "0", "--out", str(out_path))
-        assert code == 2
-        assert len(err.strip().splitlines()) == 1
-        assert not out_path.exists()
+        for n in ("0", str(MAX_ITERATIONS + 1), "99999999999999999999"):
+            code, _, err = run(capsys, "synthesize", "cnot", "--n", n, "--out", str(out_path))
+            assert code == 2
+            assert len(err.strip().splitlines()) == 1
+            assert not out_path.exists()
 
 
 class TestVerify:
@@ -254,3 +304,24 @@ class TestVerify:
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--suite", "nope"])
         assert exc.value.code == 2
+
+
+class TestClosedStdout:
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    def test_closed_stdout_exit_1_without_traceback(self, unbuffered):
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        src = str(Path(exgates.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # closed before the child starts, so before it writes
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "exgates.cli", "tables", "--which", "1"],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 1
+        assert proc.stderr == b""

@@ -53,6 +53,21 @@ class TestLocalSums:
             assert np.max(np.abs(projected_rep(sig, sector))) <= 1e-12
 
 
+class TestJointEigenbasis:
+    @pytest.mark.parametrize("sector", list(SpinSector))
+    def test_orthonormal(self, sector):
+        basis = joint_eigenbasis(sector)
+        assert np.max(np.abs(basis.T @ basis - np.eye(sector.dim))) <= 1e-12
+
+    @pytest.mark.parametrize("sector", list(SpinSector))
+    def test_computational_columns_exact(self, sector):
+        assert np.array_equal(joint_eigenbasis(sector)[:, :4], projector(sector).T)
+
+    @pytest.mark.parametrize("sector", list(SpinSector))
+    def test_read_only(self, sector):
+        assert not joint_eigenbasis(sector).flags.writeable
+
+
 class TestDecoupler:
     def test_spin0_diag(self):
         basis = joint_eigenbasis(SpinSector.SPIN0)

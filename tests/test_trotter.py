@@ -20,6 +20,7 @@ from exgates.linalg import expi
 from exgates.metrics import CNOT, report, simulate
 from exgates.symrep import GroupAlgebraElement, rep_element
 from exgates.trotter import (
+    MAX_ITERATIONS,
     SWAP_GENERATOR_N,
     CanonicalGateSpec,
     PulseSchedule,
@@ -309,6 +310,8 @@ class TestCnotConstructions:
             cnot_spin_independent(0)
         with pytest.raises(ValueError):
             cnot_spin1(0)
+        with pytest.raises(ValueError):
+            cnot_spin1(MAX_ITERATIONS + 1)
 
     def test_is_prefactored_decoupled_evolution(self):
         # the construction is exactly the first-order decoupled evolution
