@@ -8,9 +8,14 @@ __all__ = ["expi", "is_hermitian", "max_abs"]
 
 
 def expi(h: np.ndarray) -> np.ndarray:
-    """Unitary exp(i*h) of a Hermitian matrix via spectral decomposition."""
+    """Unitary exp(i*h) of a Hermitian matrix via spectral decomposition.
+
+    ``h`` is one (d, d) matrix or a (k, d, d) stack, exponentiated matrix by
+    matrix in one batched ``eigh`` and one batched product.  Each matrix of
+    a stack comes out bit for bit as its own 2-d call would.
+    """
     w, v = np.linalg.eigh(h)
-    return (v * np.exp(1j * w)) @ v.conj().T
+    return (v * np.exp(1j * w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
 def is_hermitian(m: np.ndarray) -> bool:

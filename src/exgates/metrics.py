@@ -43,7 +43,7 @@ from .trotter import (
     consolidate,
     normalized_time,
     pair_stack,
-    step_generator,
+    step_generators,
 )
 
 __all__ = [
@@ -72,6 +72,12 @@ CNOT = np.array(
 FONG_WANDZURA_CYCLES = 13
 FONG_WANDZURA_TIME = 12.3
 
+# Distinct steps exponentiated per batched ``expi`` call in ``evolve``.  A
+# chunk of 8 on the oracle's 20-dim block is 51 KB of complex temporaries,
+# below glibc's 128 KiB mmap threshold; one stack of 100 steps (640 KB a
+# temporary) raised the benchmark's peak RSS by 5%.
+_EXPI_CHUNK = 8
+
 
 def evolve(schedule: PulseSchedule, stack: np.ndarray) -> np.ndarray:
     """Unitary of a schedule on a (15, d, d) transposition stack (rightmost step first).
@@ -79,7 +85,12 @@ def evolve(schedule: PulseSchedule, stack: np.ndarray) -> np.ndarray:
     A pairwise product over interned steps.  Each distinct step gets an id
     (first occurrence first) and its unitary is built once, from its
     generator and identity phase alone, so the step unitaries do not
-    depend on the rest of the schedule.  Then, level by level, neighbouring
+    depend on the rest of the schedule.  The distinct steps are
+    exponentiated in chunks of at most ``_EXPI_CHUNK``, one (k, d, d)
+    generator stack and one batched ``expi`` call a chunk, each unitary bit
+    for bit the one a per-step call gives; a nonzero phase then multiplies
+    its unitary as a scalar, as a broadcast multiply over the chunk would
+    not round the same.  Then, level by level, neighbouring
     ids (0, 1), (2, 3), ... are paired, each distinct pair is multiplied
     once and gets a new id, and an odd last id is carried up unchanged.  A
     schedule of n repeats of a few distinct steps takes O(log n) levels of
@@ -91,12 +102,12 @@ def evolve(schedule: PulseSchedule, stack: np.ndarray) -> np.ndarray:
     seq = [ids.setdefault(step, len(ids)) for step in schedule.steps]
     if not seq:
         return np.eye(stack.shape[1], dtype=complex)
+    distinct = list(ids)
     mats = []
-    for step in ids:
-        u = expi(step_generator(step, stack))
-        if step.phase:
-            u = np.exp(1j * step.phase) * u
-        mats.append(u)
+    for start in range(0, len(distinct), _EXPI_CHUNK):
+        chunk = distinct[start : start + _EXPI_CHUNK]
+        for step, u in zip(chunk, expi(step_generators(chunk, stack))):
+            mats.append(np.exp(1j * step.phase) * u if step.phase else u)
     while len(seq) > 1:
         pairs: dict[tuple[int, int], int] = {}
         level = [pairs.setdefault(pair, len(pairs)) for pair in zip(seq[::2], seq[1::2])]

@@ -54,6 +54,7 @@ __all__ = [
     "canonical_two_qubit_schedule",
     "pair_stack",
     "step_generator",
+    "step_generators",
     "consolidate",
     "cancel_negatives",
     "normalized_time",
@@ -413,24 +414,44 @@ def pair_stack(sector: SpinSector) -> np.ndarray:
     return stack
 
 
-def step_generator(step: PulseStep, stack: np.ndarray) -> np.ndarray:
-    """Generator sum_c c_ij P_ij of a step on a (15, d, d) stack in ALL_PAIRS order.
+def step_generators(steps: Sequence[PulseStep], stack: np.ndarray) -> np.ndarray:
+    """Generators sum_c c_ij P_ij of k steps as a (k, d, d) stack.
 
-    The identity phase is left out.
+    ``stack`` is (15, d, d) in ALL_PAIRS order.  This is the one
+    coefficient-to-matrix path; the identity phase is left out.  Each row
+    is its own matrix-vector product ``coeffs @ stack.reshape(15, d*d)``,
+    the one ``tensordot`` makes; a single (k, 15) @ (15, d*d) matrix
+    product would round some entries differently in the last place and
+    move F and L by up to 3e-12 at n = 200.
     """
-    coeffs = np.zeros(len(ALL_PAIRS))
-    for pair, c in zip(step.pairs, step.coeffs):
-        coeffs[_PAIR_INDEX[pair]] += c
-    return np.tensordot(coeffs, stack, axes=1)
+    coeffs = np.zeros((len(steps), len(ALL_PAIRS)))
+    for row, step in zip(coeffs, steps):
+        for pair, c in zip(step.pairs, step.coeffs):
+            row[_PAIR_INDEX[pair]] += c
+    flat = stack.reshape(len(ALL_PAIRS), -1)
+    out = np.empty((len(steps), flat.shape[1]))
+    for row, into in zip(coeffs, out):
+        np.matmul(row, flat, out=into)
+    return out.reshape(len(steps), *stack.shape[1:])
 
 
-def _generators_commute(a: tuple[np.ndarray, ...], b: tuple[np.ndarray, ...]) -> bool:
-    """Commutation of two steps from their generators in every sector."""
+def step_generator(step: PulseStep, stack: np.ndarray) -> np.ndarray:
+    """Generator of one step on a (15, d, d) stack: the one-row ``step_generators``."""
+    return step_generators((step,), stack)[0]
+
+
+def _generators_commute(a: Sequence[np.ndarray], b: Sequence[np.ndarray]) -> np.ndarray:
+    """Per row, whether steps a[k] and b[k] commute in every sector.
+
+    ``a`` and ``b`` hold one (k, d, d) generator stack per sector.  A pair
+    commutes unless a commutator entry exceeds 1e-12 * max(1, |ga| |gb|),
+    |g| the largest entry magnitude.
+    """
+    commute = np.ones(len(a[0]), dtype=bool)
     for ga, gb in zip(a, b):
-        scale = max(1.0, float(np.max(np.abs(ga))) * float(np.max(np.abs(gb))))
-        if np.max(np.abs(ga @ gb - gb @ ga)) > 1e-12 * scale:
-            return False
-    return True
+        scale = np.maximum(1.0, np.abs(ga).max(axis=(1, 2)) * np.abs(gb).max(axis=(1, 2)))
+        commute &= ~(np.abs(ga @ gb - gb @ ga).max(axis=(1, 2)) > 1e-12 * scale)
+    return commute
 
 
 def consolidate(schedule: PulseSchedule) -> PulseSchedule:
@@ -440,37 +461,55 @@ def consolidate(schedule: PulseSchedule) -> PulseSchedule:
     simulated unitary is unchanged.  The resulting step count is the
     clock-cycle count of the schedule.
 
-    Commutation is tested in both irreps from generators built once per
-    distinct step.  Each distinct transition (last merged step, next step)
-    is decided once per call, merged step or no merge, so a schedule of
-    repeated cycles merges once per distinct pair, not once per step.  Both
-    tables live only for the call, so schedules of fresh steps do not grow
-    memory across calls.
+    The schedule is interned to int ids once (first occurrence first), and
+    the walk runs on ids, so no step is hashed in it.  Every distinct
+    adjacent pair of input steps is decided up front by one stacked
+    commutator check per irrep, on generators built once per distinct
+    step.  Each distinct transition (last merged id, next id) is then
+    resolved once per call, to the merged step and its id (interned
+    through the same dict, its generators built once) or to no merge; a
+    transition from a merged step falls back to the same check.  A
+    schedule of repeated cycles thus merges once per distinct pair, not
+    once per step.  Unmerged steps are passed through as given.  All
+    tables live only for the call, so schedules of fresh steps do not
+    grow memory across calls.
     """
     stacks = [pair_stack(s) for s in SpinSector]
-    generators: dict[PulseStep, tuple[np.ndarray, ...]] = {}
-    transitions: dict[tuple[PulseStep, PulseStep], PulseStep | None] = {}
+    ids: dict[PulseStep, int] = {}
+    seq = [ids.setdefault(step, len(ids)) for step in schedule.steps]
+    generators = [step_generators(list(ids), m) for m in stacks]
+    pairs = list(dict.fromkeys(zip(seq, seq[1:])))
+    left, right = [a for a, _ in pairs], [b for _, b in pairs]
+    commuting = dict(zip(pairs, _generators_commute(
+        [g[left] for g in generators], [g[right] for g in generators]
+    )))
+    # per id, its (1, d, d) generator in each irrep; new merged steps append theirs
+    rows = [[g[i : i + 1] for g in generators] for i in range(len(ids))]
+    transitions: dict[tuple[int, int], tuple[int, PulseStep] | None] = {}
     undecided = object()
-
-    def sector_generators(step: PulseStep) -> tuple[np.ndarray, ...]:
-        gens = generators.get(step)
-        if gens is None:
-            gens = generators[step] = tuple(step_generator(step, m) for m in stacks)
-        return gens
-
-    merged: list[PulseStep] = []
-    for step in schedule.steps:
-        if merged:
-            key = (merged[-1], step)
-            out = transitions.get(key, undecided)
-            if out is undecided:
-                commute = _generators_commute(sector_generators(key[0]), sector_generators(step))
-                out = transitions[key] = _merge_steps(*key) if commute else None
-            if out is not None:
-                merged[-1] = out
+    out_ids: list[int] = []
+    out: list[PulseStep] = []
+    for b, step in zip(seq, schedule.steps):
+        if out:
+            key = (out_ids[-1], b)
+            to = transitions.get(key, undecided)
+            if to is undecided:
+                commute = commuting.get(key)
+                if commute is None:
+                    commute = _generators_commute(rows[key[0]], rows[b])[0]
+                to = None
+                if commute:
+                    merged = _merge_steps(out[-1], step)
+                    to = (ids.setdefault(merged, len(ids)), merged)
+                    if to[0] == len(rows):
+                        rows.append([step_generators((merged,), m) for m in stacks])
+                transitions[key] = to
+            if to is not None:
+                out_ids[-1], out[-1] = to
                 continue
-        merged.append(step)
-    return replace(schedule, steps=tuple(merged))
+        out_ids.append(b)
+        out.append(step)
+    return replace(schedule, steps=tuple(out))
 
 
 def normalized_time(schedule: PulseSchedule) -> float:

@@ -49,6 +49,23 @@ class TestSimulate:
         vals = np.linalg.eigvals(g)
         assert np.allclose(np.abs(vals.real), 0, atol=1e-12)
 
+    @pytest.mark.parametrize("k", [7, 8, 9, 17])
+    def test_distinct_steps_across_chunks(self, k):
+        # more distinct steps than one batched exponential takes
+        rng = np.random.default_rng(k)
+        steps = tuple(
+            PulseStep.make(
+                {ALL_PAIRS[p]: rng.uniform(-1, 1) for p in rng.choice(15, 3, replace=False)},
+                rng.uniform(-1, 1) if j % 2 else 0.0,
+            )
+            for j in range(k)
+        )
+        for sector in SpinSector:
+            want = np.eye(sector.dim, dtype=complex)
+            for step in steps:
+                want = want @ simulate(PulseSchedule((step,)), sector)
+            assert np.max(np.abs(simulate(PulseSchedule(steps), sector) - want)) <= 1e-12
+
     def test_rightmost_step_acts_first(self):
         a = PulseStep.make({(1, 2): 0.7})
         b = PulseStep.make({(2, 3): -0.4})

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -214,6 +216,21 @@ class TestMagnetizationBlock:
             )
             got = oracle_fidelity(schedule, sector, CNOT)
             assert np.max(np.abs(np.subtract(got, reference))) <= 1e-12
+
+    def test_peak_memory_stays_chunk_bounded(self):
+        # evolve exponentiates distinct steps in small chunks; one stack of
+        # 100 steps on the 20-dim block would peak near 2.5 MiB
+        rng = np.random.default_rng(7)
+        schedule = random_schedule(rng, 100)
+        assert len(set(schedule.steps)) == 100
+        oracle_simulate(schedule, SpinSector.SPIN0)  # build the cached block first
+        tracemalloc.start()
+        try:
+            oracle_simulate(schedule, SpinSector.SPIN0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * 2**20
 
 
 def test_oracle_binds_no_irrep_machinery():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from exgates import trotter
+from exgates import oracle, trotter
 from exgates.decouple import decouple_map
 from exgates.encoding import (
     ALL_PAIRS,
@@ -37,6 +37,7 @@ from exgates.trotter import (
     schedule_to_json,
     single_qubit_schedule,
     step_generator,
+    step_generators,
     trotter_product,
 )
 
@@ -65,6 +66,47 @@ def _schedules(draw):
     pool = draw(st.lists(step, min_size=1, max_size=4))
     picks = draw(st.lists(st.integers(0, len(pool) - 1), max_size=30))
     return PulseSchedule(tuple(pool[k] for k in picks))
+
+
+@st.composite
+def _merging_schedules(draw):
+    """Schedules over small pools holding single-pair steps on disjoint blocks.
+
+    Steps such as {(1, 2): a} and {(4, 5): b} commute with each other and
+    with themselves, so merges and chains of merges occur; the few-pair
+    steps mostly do not commute with them.  Coefficients lie on a 0.01
+    grid and phases are never -0.0.
+    """
+    grid = st.integers(-200, 200).map(lambda k: k / 100)
+    single = st.builds(
+        lambda pair, c: PulseStep.make({pair: c}),
+        st.sampled_from([(1, 2), (1, 3), (2, 3), (4, 5), (4, 6), (5, 6)]),
+        grid,
+    )
+    few = st.builds(
+        PulseStep.make,
+        st.dictionaries(st.sampled_from(ALL_PAIRS), grid, min_size=1, max_size=3),
+        grid.map(abs),
+    )
+    pool = draw(st.lists(st.one_of(single, single, few), min_size=1, max_size=6))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), max_size=60))
+    return PulseSchedule(tuple(pool[k] for k in picks))
+
+
+def _reference_consolidate(schedule):
+    """Left to right, one commutation check per adjacent pair, no tables."""
+    stacks = [pair_stack(s) for s in SpinSector]
+
+    def generators(step):
+        return [step_generator(step, m)[None] for m in stacks]
+
+    out = []
+    for step in schedule.steps:
+        if out and trotter._generators_commute(generators(out[-1]), generators(step))[0]:
+            out[-1] = trotter._merge_steps(out[-1], step)
+        else:
+            out.append(step)
+    return replace(schedule, steps=tuple(out))
 
 
 def computational_block(schedule, sector):
@@ -116,6 +158,26 @@ class TestStepGenerator:
             sector.partition, GroupAlgebraElement.from_transpositions(6, step.coefficients())
         ).matrix.real
         assert np.max(np.abs(step_generator(step, pair_stack(sector)) - want)) <= 1e-13
+
+    @pytest.mark.parametrize("k", [0, 1, 7, 8, 9, 17])
+    def test_stack_rows_are_per_step_products(self, k):
+        # each row is the matrix-vector product tensordot makes, bit for bit
+        rng = np.random.default_rng(k)
+        steps = [
+            PulseStep.make({p: rng.uniform(-np.pi, np.pi) for p in ALL_PAIRS if rng.random() < 0.5})
+            for _ in range(k)
+        ]
+        stacks = [pair_stack(s) for s in SpinSector]
+        stacks += [oracle._magnetization_block(s)[0] for s in SpinSector]
+        for stack in stacks:
+            got = step_generators(steps, stack)
+            assert got.shape == (k, *stack.shape[1:])
+            for step, row in zip(steps, got):
+                coeffs = np.zeros(15)
+                for pair, c in zip(step.pairs, step.coeffs):
+                    coeffs[ALL_PAIRS.index(pair)] += c
+                assert np.array_equal(row, np.tensordot(coeffs, stack, axes=1))
+                assert np.array_equal(row, step_generator(step, stack))
 
 
 class TestTrotterProduct:
@@ -433,15 +495,22 @@ class TestConsolidate:
             d = np.max(np.abs(simulate(sch, sector) - simulate(merged, sector)))
             assert d <= 1e-12
 
+    @settings(max_examples=200, deadline=None)
+    @given(sch=_merging_schedules())
+    def test_matches_pairwise_reference(self, sch):
+        got = schedule_to_json(consolidate(sch))
+        assert got == schedule_to_json(_reference_consolidate(sch))
+
     def test_generators_built_once_per_distinct_step(self, monkeypatch):
+        # counts generator rows on the one coefficient-to-matrix path
         built = []
-        original = trotter.step_generator
+        original = trotter.step_generators
 
-        def counting(step, stack):
-            built.append(step)
-            return original(step, stack)
+        def counting(steps, stack):
+            built.extend(steps)
+            return original(steps, stack)
 
-        monkeypatch.setattr(trotter, "step_generator", counting)
+        monkeypatch.setattr(trotter, "step_generators", counting)
         sch = cnot_spin1(200)
         merged = consolidate(sch)
         # the steps consolidation sees: the input's and the merged ones
