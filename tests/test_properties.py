@@ -24,7 +24,7 @@ from exgates.trotter import (
     pair_stack,
     schedule_from_json,
     schedule_to_json,
-    step_generator,
+    step_generators,
 )
 
 IDENTITY = np.eye(4, dtype=complex)
@@ -63,7 +63,7 @@ def _repeating_schedules(draw):
 
 
 def _step_unitary(step, stack):
-    u = expi(step_generator(step, stack))
+    u = expi(step_generators((step,), stack)[0])
     return np.exp(1j * step.phase) * u if step.phase else u
 
 

@@ -36,7 +36,6 @@ from exgates.trotter import (
     schedule_from_json,
     schedule_to_json,
     single_qubit_schedule,
-    step_generator,
     step_generators,
     trotter_product,
 )
@@ -98,7 +97,7 @@ def _reference_consolidate(schedule):
     stacks = [pair_stack(s) for s in SpinSector]
 
     def generators(step):
-        return [step_generator(step, m)[None] for m in stacks]
+        return [step_generators((step,), m) for m in stacks]
 
     out = []
     for step in schedule.steps:
@@ -157,7 +156,8 @@ class TestStepGenerator:
         want = rep_element(
             sector.partition, GroupAlgebraElement.from_transpositions(6, step.coefficients())
         ).matrix.real
-        assert np.max(np.abs(step_generator(step, pair_stack(sector)) - want)) <= 1e-13
+        got = step_generators((step,), pair_stack(sector))[0]
+        assert np.max(np.abs(got - want)) <= 1e-13
 
     @pytest.mark.parametrize("k", [0, 1, 7, 8, 9, 17])
     def test_stack_rows_are_per_step_products(self, k):
@@ -177,7 +177,7 @@ class TestStepGenerator:
                 for pair, c in zip(step.pairs, step.coeffs):
                     coeffs[ALL_PAIRS.index(pair)] += c
                 assert np.array_equal(row, np.tensordot(coeffs, stack, axes=1))
-                assert np.array_equal(row, step_generator(step, stack))
+                assert np.array_equal(row, step_generators((step,), stack)[0])
 
 
 class TestTrotterProduct:
@@ -303,10 +303,28 @@ class TestCnotConstructions:
         assert len(consolidate(sch).steps) == cycles
         assert abs(normalized_time(sch) - time) <= 0.05
 
-    @pytest.mark.parametrize("n", range(1, 13))
+    @pytest.mark.parametrize("n", [*range(1, 13), 50])
     def test_cycle_count_laws(self, n):
-        assert len(consolidate(cnot_spin_independent(n)).steps) == 12 * n + 3
-        assert len(consolidate(cnot_spin1(n)).steps) == 10 * n + 1
+        # n = 1 and 2 give the cycles per repeated body and at its boundary
+        for build, law in (
+            (cnot_spin_independent, (12, 3)),
+            (cnot_spin1, (10, 1)),
+            (lambda k: cnot_spin_independent(k, order=0), (8, 1)),
+        ):
+            one, two = (len(consolidate(build(k))) for k in (1, 2))
+            assert (two - one, 2 * one - two) == law
+            assert len(consolidate(build(n))) == law[0] * n + law[1]
+
+    def test_equal_steps_are_one_object(self):
+        # interning a schedule of shared step objects never calls the dataclass __eq__
+        for sch in (
+            cnot_spin_independent(3, order=0),
+            cnot_spin_independent(3, order=1),
+            cnot_spin1(3),
+            decoupled_evolution(SWAP_GENERATOR_N, np.pi / 2, 3, order=0),
+            decoupled_evolution(SWAP_GENERATOR_N, np.pi / 2, 3, order=1),
+        ):
+            assert len({id(s) for s in sch.steps}) == len(set(sch.steps))
 
     def test_prefactor_dt_and_decoupler(self):
         n = 2
@@ -397,6 +415,12 @@ class TestCnotConstructions:
 class TestSingleQubit:
     def test_identity_is_empty(self):
         assert len(single_qubit_schedule(1, 0, 0, 0, 0).steps) == 0
+        # a phase alone is one step built like any other, so its phase is a float
+        for delta in (1, np.int64(1), 0.5):
+            sch = single_qubit_schedule(2, 0, 0, 0, delta)
+            assert sch.steps == (PulseStep.make({}, float(delta)),)
+            assert type(sch.steps[0].phase) is float
+            assert json.loads(json.dumps(schedule_to_json(sch)))["steps"][0]["phase"] == delta
 
     def test_z_rotation_via_swap12(self):
         sch = single_qubit_schedule(1, 0, np.pi / 4, 0)
