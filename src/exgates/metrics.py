@@ -26,7 +26,6 @@ Pi_perp).
 from __future__ import annotations
 
 import json
-from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -36,7 +35,6 @@ from .encoding import SpinSector, projector
 from .linalg import expi
 from .trotter import (
     PulseSchedule,
-    PulseStep,
     cancel_negatives,
     cnot_spin1,
     cnot_spin_independent,
@@ -82,41 +80,37 @@ _EXPI_CHUNK = 8
 def evolve(schedule: PulseSchedule, stack: np.ndarray) -> np.ndarray:
     """Unitary of a schedule on a (15, d, d) transposition stack (rightmost step first).
 
-    A pairwise product over interned steps.  Each distinct step gets an id
-    (first occurrence first) and its unitary is built once, from its
-    generator and identity phase alone, so the step unitaries do not
-    depend on the rest of the schedule.  The distinct steps are
-    exponentiated in chunks of at most ``_EXPI_CHUNK``, one (k, d, d)
-    generator stack and one batched ``expi`` call a chunk, each unitary bit
-    for bit the one a per-step call gives; a nonzero phase then multiplies
-    its unitary as a scalar, as a broadcast multiply over the chunk would
-    not round the same.  Then, level by level, neighbouring
-    ids (0, 1), (2, 3), ... are paired, each distinct pair is multiplied
-    once and gets a new id, and an odd last id is carried up unchanged.  A
+    A pairwise product over the schedule's interned form and product plan
+    (``PulseSchedule._interned`` and ``_product_levels``), both computed
+    once per schedule, so a call hashes no step and pairs no id: for each
+    sector or oracle block it only builds and multiplies matrices.  Each
+    distinct step's unitary is built once, from its generator and identity
+    phase alone, so the step unitaries do not depend on the rest of the
+    schedule.  The distinct steps are exponentiated in chunks of at most
+    ``_EXPI_CHUNK``, one (k, d, d) generator stack and one batched ``expi``
+    call a chunk, each unitary bit for bit the one a per-step call gives; a
+    nonzero phase then multiplies its unitary as a scalar, as a broadcast
+    multiply over the chunk would not round the same.  Each level of the
+    plan multiplies each distinct pair of neighbouring ids once, so a
     schedule of n repeats of a few distinct steps takes O(log n) levels of
     a few products each, not one product per step.  The product is grouped
     differently from a left-to-right one, which moves F and L by rounding
     only: at most 5e-14 on the CNOT families at n = 200.
     """
-    ids: dict[PulseStep, int] = {}
-    seq = [ids.setdefault(step, len(ids)) for step in schedule.steps]
+    distinct, seq = schedule._interned
     if not seq:
         return np.eye(stack.shape[1], dtype=complex)
-    distinct = list(ids)
     mats = []
     for start in range(0, len(distinct), _EXPI_CHUNK):
         chunk = distinct[start : start + _EXPI_CHUNK]
         for step, u in zip(chunk, expi(step_generators(chunk, stack))):
             mats.append(np.exp(1j * step.phase) * u if step.phase else u)
-    while len(seq) > 1:
-        pairs: dict[tuple[int, int], int] = {}
-        level = [pairs.setdefault(pair, len(pairs)) for pair in zip(seq[::2], seq[1::2])]
+    for pairs, carry in schedule._product_levels:
         products = [mats[a] @ mats[b] for a, b in pairs]
-        if len(seq) % 2:
-            level.append(len(products))
-            products.append(mats[seq[-1]])
-        seq, mats = level, products
-    return mats[seq[0]]
+        if carry is not None:
+            products.append(mats[carry])
+        mats = products
+    return mats[0]
 
 
 def simulate(schedule: PulseSchedule, sector: SpinSector) -> np.ndarray:
@@ -174,11 +168,8 @@ def report(schedule: PulseSchedule, target: np.ndarray | None = None) -> Synthes
         g = simulate(schedule, sector)
         fid[sector.name] = entanglement_fidelity(g, target, sector)
         leak[sector.name] = leakage(g, target, sector)
-    negative_local = sum(
-        k
-        for s, k in Counter(schedule.steps).items()
-        if not s.is_cross_block() and any(c < 0 for c in s.coeffs)
-    )
+    distinct, seq = schedule._interned
+    flagged = [not s.is_cross_block() and any(c < 0 for c in s.coeffs) for s in distinct]
     return SynthesisReport(
         name=schedule.name,
         n=schedule.n,
@@ -186,7 +177,7 @@ def report(schedule: PulseSchedule, target: np.ndarray | None = None) -> Synthes
         normalized_time=normalized_time(schedule),
         fidelity=fid,
         leakage=leak,
-        negative_local_steps=negative_local,
+        negative_local_steps=sum(map(flagged.__getitem__, seq)),
     )
 
 

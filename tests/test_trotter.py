@@ -92,6 +92,15 @@ def _merging_schedules(draw):
     return PulseSchedule(tuple(pool[k] for k in picks))
 
 
+@st.composite
+def _repeating_schedules(draw):
+    """Schedules repeating a pool of pairwise unequal step objects."""
+    step = st.builds(PulseStep.make, _COEFF_MAPS, st.floats(-1.0, 1.0, allow_nan=False))
+    pool = draw(st.lists(step, min_size=1, max_size=8, unique=True))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), max_size=80))
+    return PulseSchedule(tuple(pool[k] for k in picks), name="repeats", order=0, n=3)
+
+
 def _reference_consolidate(schedule):
     """Left to right, one commutation check per adjacent pair, no tables."""
     stacks = [pair_stack(s) for s in SpinSector]
@@ -146,6 +155,68 @@ class TestPulseStep:
         moved = replace(s, phase=0.3)
         fresh = PulseStep.make({(1, 2): 0.5}, phase=0.3)
         assert moved == fresh and hash(moved) == hash(fresh)
+
+
+class TestInternedForm:
+    """``PulseSchedule._interned``: each step hashed once, one form per schedule."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(sch=_repeating_schedules())
+    def test_ids_index_first_occurrences(self, sch):
+        distinct, seq = sch._interned
+        assert isinstance(distinct, tuple) and isinstance(seq, tuple)
+        assert len(seq) == len(sch.steps)
+        assert all(distinct[k] is step for k, step in zip(seq, sch.steps))
+        firsts = [seq.index(k) for k in range(len(distinct))]
+        assert firsts == sorted(firsts)
+        assert distinct == tuple(dict.fromkeys(sch.steps))
+
+    def test_equal_copies_share_the_first_object(self):
+        a, b = PulseStep.make({(1, 4): 0.5}), PulseStep.make({(1, 4): 0.5})
+        c = PulseStep.make({(2, 5): 0.5})
+        distinct, seq = PulseSchedule((a, c, b, a))._interned
+        assert distinct[0] is a and distinct[1] is c and len(distinct) == 2
+        assert seq == (0, 1, 0, 0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(sch=_repeating_schedules())
+    def test_filled_cache_is_invisible(self, sch):
+        fresh = PulseSchedule(sch.steps, name=sch.name, order=sch.order, n=sch.n)
+        sch._interned, sch._product_levels
+        assert "_interned" in vars(sch) and "_interned" not in vars(fresh)
+        assert sch == fresh and hash(sch) == hash(fresh)
+        assert schedule_to_json(sch) == schedule_to_json(fresh)
+        assert repr(sch) == repr(fresh)
+
+    @settings(max_examples=100, deadline=None)
+    @given(sch=_repeating_schedules())
+    def test_derived_schedules_intern_their_own_steps(self, sch):
+        sch._interned, sch._product_levels
+        derived = [
+            replace(sch, steps=sch.steps[::-1] + sch.steps[:1]),
+            consolidate(sch),
+            cancel_negatives(sch, "full-sum"),
+            cancel_negatives(sch, "cross-sum"),
+        ]
+        for out in derived:
+            fresh = PulseSchedule(out.steps)
+            assert out._interned == fresh._interned
+            assert out._product_levels == fresh._product_levels
+            distinct, seq = out._interned
+            assert tuple(distinct[k] for k in seq) == out.steps
+
+    @settings(max_examples=100, deadline=None)
+    @given(sch=_repeating_schedules())
+    def test_product_levels_multiply_in_schedule_order(self, sch):
+        """With concatenation as the product, the plan spells out the id sequence."""
+        distinct, seq = sch._interned
+        words = [(k,) for k in range(len(distinct))]
+        for pairs, carry in sch._product_levels:
+            assert len(set(pairs)) == len(pairs)
+            carried = [] if carry is None else [words[carry]]
+            words = [words[a] + words[b] for a, b in pairs] + carried
+        assert (words[0] if seq else ()) == seq
+        assert len(sch._product_levels) == max(len(seq) - 1, 0).bit_length()
 
 
 class TestStepGenerator:
@@ -668,6 +739,13 @@ class TestScheduleJson:
             schedule_from_json({"version": 2, "steps": []})
         with pytest.raises(ValueError):
             schedule_from_json({"version": 1, "steps": [{"pairs": [[1, 2]], "coeffs": []}]})
+
+    def test_iteration_bound(self):
+        step = {"pairs": [[1, 4]], "coeffs": [0.5]}
+        top = schedule_from_json({"version": 1, "steps": [step], "n": MAX_ITERATIONS})
+        assert top.n == MAX_ITERATIONS
+        with pytest.raises(ValueError, match="iteration count"):
+            schedule_from_json({"version": 1, "steps": [step], "n": MAX_ITERATIONS + 1})
 
     def test_file_round_trip(self, tmp_path):
         from exgates.trotter import load_schedule, save_schedule
