@@ -1,8 +1,14 @@
 """Exchange-only entangling gates for three-spin DFS logical qubits.
 
+A real combination of exchange interactions is a pair map: a dict from
+transposition (i, j), 1 <= i, j <= 6, to its real coefficient.  The
+schedule builders, ``trotter_product`` and the ``*projected_rep`` and
+``rep_element`` functions take one; representation matrices come back as
+plain arrays, read-only where they are cached.
+
 Submodules:
 
-* ``symrep``   - partitions, tableaux, Young's orthogonal form
+* ``symrep``   - partitions, tableaux, Young's orthogonal form, pair-map sums
 * ``encoding`` - computational-basis embeddings and Pauli dictionaries
 * ``decouple`` - block sums, decoupler unitaries, decoupling average
 * ``trotter``  - pulse schedules: product formulas and CNOT constructions
@@ -13,7 +19,7 @@ Submodules:
 
 from .encoding import SpinSector
 from .metrics import CNOT, SynthesisReport, entanglement_fidelity, leakage, report, simulate
-from .symrep import GroupAlgebraElement, Partition, Permutation, StandardTableau
+from .symrep import Partition, Permutation, StandardTableau
 from .trotter import (
     CanonicalGateSpec,
     PulseSchedule,
@@ -39,7 +45,6 @@ __all__ = [
     "leakage",
     "report",
     "simulate",
-    "GroupAlgebraElement",
     "Partition",
     "Permutation",
     "StandardTableau",

@@ -16,50 +16,38 @@ not distinguish them).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
 from .encoding import BLOCK_A_PAIRS, BLOCK_B_PAIRS, SpinSector, projector
 from .linalg import expi, is_hermitian
-from .symrep import GroupAlgebraElement, rep_element
+from .symrep import rep_element
 
 __all__ = [
     "local_sums",
-    "DecouplerSet",
     "decoupler",
     "decouple_map",
     "joint_eigenbasis",
 ]
 
 
-def local_sums() -> tuple[GroupAlgebraElement, GroupAlgebraElement]:
-    """The two block sums, coefficient 1/3 on each local transposition."""
-    return tuple(
-        GroupAlgebraElement.from_transpositions(6, {pair: 1.0 / 3.0 for pair in pairs})
-        for pairs in (BLOCK_A_PAIRS, BLOCK_B_PAIRS)
-    )
-
-
-@dataclass(frozen=True, eq=False)
-class DecouplerSet:
-    """Four unitaries whose conjugation average decouples a sector."""
-
-    unitaries: tuple[np.ndarray, ...] = field(repr=False)
+def local_sums() -> tuple[dict[tuple[int, int], float], dict[tuple[int, int], float]]:
+    """The two block sums as pair maps, coefficient 1/3 on each local transposition."""
+    return tuple({pair: 1.0 / 3.0 for pair in pairs} for pairs in (BLOCK_A_PAIRS, BLOCK_B_PAIRS))
 
 
 @lru_cache(maxsize=None)
 def _sum_reps(sector: SpinSector) -> tuple[np.ndarray, np.ndarray]:
-    reps = tuple(rep_element(sector.partition, sig).matrix.real for sig in local_sums())
+    reps = tuple(rep_element(sector.partition, sig) for sig in local_sums())
     for r in reps:
         r.setflags(write=False)
     return reps
 
 
 @lru_cache(maxsize=None)
-def decoupler(sector: SpinSector, variant: str = "pair") -> DecouplerSet:
-    """Decoupler unitaries for a sector, built once and read-only.
+def decoupler(sector: SpinSector, variant: str = "pair") -> tuple[np.ndarray, ...]:
+    """The four read-only decoupler unitaries of a sector, built once.
 
     variant "pair": {1, Ua, Ub, Ub Ua} with Ua = exp(i pi rep(sigma_a)),
     Ub likewise.  variant "power": {1, U, U^dag, U^2} with
@@ -77,7 +65,7 @@ def decoupler(sector: SpinSector, variant: str = "pair") -> DecouplerSet:
         raise ValueError(f"unknown decoupler variant: {variant!r}")
     for u in us:
         u.setflags(write=False)
-    return DecouplerSet(us)
+    return us
 
 
 def decouple_map(h: np.ndarray, sector: SpinSector, variant: str = "pair") -> np.ndarray:
@@ -91,9 +79,8 @@ def decouple_map(h: np.ndarray, sector: SpinSector, variant: str = "pair") -> np
         raise ValueError(f"expected a {sector.dim} x {sector.dim} matrix, got {h.shape}")
     if not is_hermitian(h):
         raise ValueError("decouple_map requires a Hermitian matrix")
-    us = decoupler(sector, variant).unitaries
     out = np.zeros_like(h)
-    for u in us:
+    for u in decoupler(sector, variant):
         out += u @ h @ u.conj().T
     return out / 4.0
 

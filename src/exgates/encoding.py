@@ -20,7 +20,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .symrep import GroupAlgebraElement, Partition, rep_element, standard_tableaux
+from .symrep import Partition, rep_element, standard_tableaux
 
 __all__ = [
     "SpinSector",
@@ -156,11 +156,10 @@ def projector(sector: SpinSector) -> np.ndarray:
     return m
 
 
-def projected_rep(x: GroupAlgebraElement, sector: SpinSector) -> np.ndarray:
-    """Computational submatrix of the representation of x."""
+def projected_rep(pairs: Mapping[tuple[int, int], float], sector: SpinSector) -> np.ndarray:
+    """Computational submatrix of the representation of a pair map {(i, j): c}."""
     pi = projector(sector)
-    full = rep_element(sector.partition, x).matrix
-    return pi @ full @ pi.T
+    return pi @ rep_element(sector.partition, pairs) @ pi.T
 
 
 @dataclass(frozen=True)
@@ -186,12 +185,6 @@ class CheckReport:
         return tuple(c for c in self.checks if not c.ok)
 
 
-def _projected_transposition(pair: tuple[int, int], sector: SpinSector) -> np.ndarray:
-    return projected_rep(
-        GroupAlgebraElement.transposition(6, *pair), sector
-    )
-
-
 def verify_local_pauli_table(sector: SpinSector) -> CheckReport:
     """Check the within-block exchange -> Pauli identities for both blocks."""
     checks = []
@@ -201,7 +194,7 @@ def verify_local_pauli_table(sector: SpinSector) -> CheckReport:
     ):
         for pairs, coeff in LOCAL_TO_PAULI:
             shifted = tuple((i + offset, j + offset) for i, j in pairs)
-            ps = [_projected_transposition(p, sector) for p in shifted]
+            ps = [projected_rep({p: 1.0}, sector) for p in shifted]
             for row, target in enumerate(targets):
                 combo = coeff[row, 0] * ps[0] + coeff[row, 1] * ps[1]
                 dev = float(np.max(np.abs(combo - pauli_word(target))))
@@ -215,7 +208,7 @@ def verify_local_pauli_table(sector: SpinSector) -> CheckReport:
 
 def verify_cross_pauli_table(sector: SpinSector) -> CheckReport:
     """Check the nine cross-block dictionary rows in a sector."""
-    ps = [_projected_transposition(p, sector) for p in CROSS_PAIRS]
+    ps = [projected_rep({p: 1.0}, sector) for p in CROSS_PAIRS]
     a, b = sector.cross_scale, sector.identity_scale
     checks = []
     for row, word in enumerate(PAULI_ORDER):

@@ -24,12 +24,13 @@ spins for spin 1, 20 with three for spin 0); this is exact, as the swaps are
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import Mapping
 
 import numpy as np
 
 from .encoding import ALL_PAIRS, SpinSector
 from .metrics import evolve, frame_scores
-from .symrep import GroupAlgebraElement, Permutation
+from .symrep import Permutation
 from .trotter import PulseSchedule
 
 __all__ = [
@@ -117,15 +118,13 @@ def logical_frame(sector: SpinSector) -> np.ndarray:
     return m
 
 
-def oracle_projected_rep(x: GroupAlgebraElement, sector: SpinSector) -> np.ndarray:
-    """Frame compression of the physical representation of x."""
-    if x.degree != N_SPINS:
-        raise ValueError("expected a degree-6 group algebra element")
+def oracle_projected_rep(pairs: Mapping[tuple[int, int], float], sector: SpinSector) -> np.ndarray:
+    """Frame compression of the physical swap sum of a pair map {(i, j): c}."""
     phi = logical_frame(sector)
-    m = np.zeros((DIM, DIM), dtype=complex)
-    for perm, coeff in x.terms.items():
-        m += coeff * physical_permutation(perm)
-    return phi @ m @ phi.conj().T
+    m = np.zeros((DIM, DIM))
+    for pair, c in pairs.items():
+        m += float(c) * physical_swap(*sorted(pair))
+    return phi @ m @ phi.T
 
 
 @lru_cache(maxsize=None)

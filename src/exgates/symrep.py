@@ -2,7 +2,8 @@
 
 This module carries the combinatorial core: irreps of the symmetric group
 S_n (n = 3 and 6 in practice) realized as real orthogonal matrices on the
-standard-tableau basis, extended linearly to the group algebra.
+standard-tableau basis, and real combinations of transpositions, given as
+pair maps {(i, j): c}, realized as the matching sums of those matrices.
 
 Conventions, fixed once and relied on by every other module:
 
@@ -21,7 +22,7 @@ matrices involved are at most 9 x 9 and conditioning is benign.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Mapping
 
@@ -31,8 +32,6 @@ __all__ = [
     "Partition",
     "StandardTableau",
     "Permutation",
-    "GroupAlgebraElement",
-    "IrrepMatrix",
     "standard_tableaux",
     "axial_distance",
     "rep_adjacent",
@@ -226,72 +225,21 @@ class Permutation:
         return "[" + " ".join(str(v) for v in self.images) + "]"
 
 
-class GroupAlgebraElement:
-    """A finite complex linear combination of permutations of fixed degree.
-
-    Zero-coefficient terms are dropped on construction.  This is the input
-    type of ``rep_element`` and ``projected_rep``; pulse schedules take
-    pair maps instead.
-    """
-
-    __slots__ = ("degree", "_terms")
-
-    def __init__(self, degree: int, terms: Mapping[Permutation, complex] | None = None):
-        self.degree = int(degree)
-        self._terms: dict[Permutation, complex] = {}
-        for perm, coeff in (terms or {}).items():
-            if perm.degree != self.degree:
-                raise ValueError(
-                    f"term degree {perm.degree} does not match element degree {self.degree}"
-                )
-            c = complex(coeff)
-            if c != 0:
-                self._terms[perm] = c
-
-    @classmethod
-    def transposition(cls, degree: int, i: int, j: int, coeff: complex = 1.0) -> "GroupAlgebraElement":
-        return cls(degree, {Permutation.transposition(degree, i, j): coeff})
-
-    @classmethod
-    def from_transpositions(
-        cls, degree: int, coeffs: Mapping[tuple[int, int], complex]
-    ) -> "GroupAlgebraElement":
-        return cls(
-            degree,
-            {Permutation.transposition(degree, i, j): c for (i, j), c in coeffs.items()},
-        )
-
-    @property
-    def terms(self) -> dict[Permutation, complex]:
-        return dict(self._terms)
-
-    def __add__(self, other: "GroupAlgebraElement") -> "GroupAlgebraElement":
-        if self.degree != other.degree:
-            raise ValueError(f"degree mismatch: {self.degree} != {other.degree}")
-        merged = dict(self._terms)
-        for p, c in other._terms.items():
-            merged[p] = merged.get(p, 0) + c
-        return GroupAlgebraElement(self.degree, merged)
-
-    def __repr__(self) -> str:
-        inner = " + ".join(f"({c:g})*{p}" for p, c in sorted(
-            self._terms.items(), key=lambda kv: kv[0].images))
-        return inner or "0"
-
-
-@dataclass(frozen=True, eq=False)
-class IrrepMatrix:
-    """A group-algebra element realized as a matrix on the tableau basis."""
-
-    matrix: np.ndarray = field(repr=False)
-
-
 @lru_cache(maxsize=None)
-def _adjacent_matrix(shape: Partition, i: int) -> np.ndarray:
+def rep_adjacent(shape: Partition, i: int) -> np.ndarray:
+    """Read-only orthogonal-form matrix of the adjacent transposition (i i+1).
+
+    Basis tableau T maps to (1/d) T + sqrt(1 - 1/d^2) (i i+1)T with d the
+    axial distance from i to i+1 in T; the swapped term is dropped when
+    the exchange leaves the tableau non-standard (its coefficient
+    vanishes, since then d = +-1).
+    """
+    n = shape.size
+    if not (1 <= i <= n - 1):
+        raise ValueError(f"adjacent index must lie in 1..{n - 1}: got {i}")
     basis = standard_tableaux(shape)
     index = {t.rows: k for k, t in enumerate(basis)}
-    dim = len(basis)
-    m = np.zeros((dim, dim))
+    m = np.zeros((len(basis), len(basis)))
     for col, tab in enumerate(basis):
         d = axial_distance(tab, i, i + 1)
         m[col, col] = 1.0 / d
@@ -302,50 +250,26 @@ def _adjacent_matrix(shape: Partition, i: int) -> np.ndarray:
     return m
 
 
-def rep_adjacent(shape: Partition, i: int) -> IrrepMatrix:
-    """Orthogonal-form matrix of the adjacent transposition (i i+1).
-
-    Basis tableau T maps to (1/d) T + sqrt(1 - 1/d^2) (i i+1)T with d the
-    axial distance from i to i+1 in T; the swapped term is dropped when
-    the exchange leaves the tableau non-standard (its coefficient
-    vanishes, since then d = +-1).
-    """
-    n = shape.size
-    if not (1 <= i <= n - 1):
-        raise ValueError(f"adjacent index must lie in 1..{n - 1}: got {i}")
-    return IrrepMatrix(_adjacent_matrix(shape, i))
-
-
-def rep_transposition(shape: Partition, i: int, j: int) -> IrrepMatrix:
-    """Orthogonal-form matrix of an arbitrary transposition (i j)."""
-    return IrrepMatrix(
-        _permutation_matrix(shape, Permutation.transposition(shape.size, i, j).images)
-    )
-
-
 @lru_cache(maxsize=None)
-def _permutation_matrix(shape: Partition, images: tuple[int, ...]) -> np.ndarray:
-    perm = Permutation(images)
-    dim = len(standard_tableaux(shape))
-    m = np.eye(dim)
+def rep_permutation(shape: Partition, perm: Permutation) -> np.ndarray:
+    """Read-only orthogonal-form matrix of a permutation, a product of adjacent ones."""
+    if perm.degree != shape.size:
+        raise ValueError(f"degree {perm.degree} does not match |shape| = {shape.size}")
+    m = np.eye(len(standard_tableaux(shape)))
     for a in perm.adjacent_word():
-        m = m @ _adjacent_matrix(shape, a)
+        m = m @ rep_adjacent(shape, a)
     m.setflags(write=False)
     return m
 
 
-def rep_permutation(shape: Partition, perm: Permutation) -> IrrepMatrix:
-    if perm.degree != shape.size:
-        raise ValueError(f"degree {perm.degree} does not match |shape| = {shape.size}")
-    return IrrepMatrix(_permutation_matrix(shape, perm.images))
+def rep_transposition(shape: Partition, i: int, j: int) -> np.ndarray:
+    """Read-only orthogonal-form matrix of an arbitrary transposition (i j)."""
+    return rep_permutation(shape, Permutation.transposition(shape.size, i, j))
 
 
-def rep_element(shape: Partition, x: GroupAlgebraElement) -> IrrepMatrix:
-    """Linear extension of the orthogonal form to the group algebra."""
-    if x.degree != shape.size:
-        raise ValueError(f"degree {x.degree} does not match |shape| = {shape.size}")
-    dim = len(standard_tableaux(shape))
-    m = np.zeros((dim, dim), dtype=complex)
-    for perm, coeff in x.terms.items():
-        m += coeff * _permutation_matrix(shape, perm.images)
-    return IrrepMatrix(m)
+def rep_element(shape: Partition, pairs: Mapping[tuple[int, int], float]) -> np.ndarray:
+    """Real combination sum c (i j) of transpositions, pair (i, j) to c, summed in map order."""
+    m = np.zeros((len(standard_tableaux(shape)),) * 2)
+    for (i, j), c in pairs.items():
+        m += float(c) * rep_transposition(shape, i, j)
+    return m

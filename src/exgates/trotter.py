@@ -37,7 +37,7 @@ from .encoding import (
     SpinSector,
     hamiltonian_from_pauli,
 )
-from .symrep import GroupAlgebraElement, rep_transposition
+from .symrep import rep_transposition
 
 __all__ = [
     "PulseStep",
@@ -82,7 +82,7 @@ SWAP_GENERATOR_N1 = {
 def _normalize_pair(pair: Iterable[int]) -> tuple[int, int]:
     i, j = sorted(int(v) for v in pair)
     if not (1 <= i < j <= 6):
-        raise ValueError(f"not a transposition pair of six spins: ({i}, {j})")
+        raise ValueError(f"not a transposition pair of six spins: {reprlib.repr((i, j))}")
     return i, j
 
 
@@ -190,24 +190,6 @@ def _merge_steps(a: PulseStep, b: PulseStep) -> PulseStep:
     return PulseStep.make(coeffs, a.phase + b.phase)
 
 
-def _element_step(x: GroupAlgebraElement, weight: float) -> PulseStep:
-    """Step exp(i * weight * x) for a real transposition combination."""
-    coeffs: dict[tuple[int, int], float] = {}
-    phase = 0.0
-    for perm, c in x.terms.items():
-        if abs(complex(c).imag) > 1e-14:
-            raise ValueError("schedule generators must have real coefficients")
-        c = float(complex(c).real)
-        if perm.is_identity():
-            phase += c
-            continue
-        moved = [k for k in range(1, 7) if perm(k) != k]
-        if len(moved) != 2:
-            raise ValueError(f"generator term is not a transposition: {perm}")
-        coeffs[_normalize_pair(moved)] = coeffs.get(_normalize_pair(moved), 0.0) + c
-    return PulseStep.make({p: c * weight for p, c in coeffs.items()}, phase * weight)
-
-
 # Largest iteration count a builder accepts.  Cost is linear in n: at
 # n = 10000, `exgates synthesize cnot` takes 5.1 s on a 2-vCPU VM, writes a
 # 40 MB file and peaks at 127 MB RSS.
@@ -216,17 +198,18 @@ MAX_ITERATIONS = 10_000
 
 def _check_iterations(n: int) -> None:
     if not 1 <= n <= MAX_ITERATIONS:
-        raise ValueError(f"iteration count must be between 1 and {MAX_ITERATIONS}, got {n}")
+        raise ValueError(f"iteration count must be between 1 and {MAX_ITERATIONS}, got {reprlib.repr(n)}")
 
 
 def trotter_product(
-    terms: Sequence[GroupAlgebraElement],
+    terms: Sequence[Mapping[tuple[int, int], float]],
     alpha: float,
     n: int,
     order: int = 1,
 ) -> PulseSchedule:
     """Product-formula schedule approximating exp(i alpha sum(terms)).
 
+    Each term is a pair map, transposition (i, j) to its real coefficient.
     Order 0 is the plain exponential product with error O(1/n); order 1 is
     the symmetrized split with error O(1/n^2).  A single term is exact.
     """
@@ -236,11 +219,12 @@ def trotter_product(
     if order not in (0, 1):
         raise ValueError("order must be 0 or 1")
     steps: list[PulseStep] = []
+    terms = [PulseStep.make(t) for t in terms]
     if order == 0:
-        cycle = [_element_step(t, alpha / n) for t in terms]
+        cycle = [t.scaled(alpha / n) for t in terms]
     else:
-        head = [_element_step(t, alpha / (2 * n)) for t in terms[1:]]
-        cycle = list(reversed(head)) + [_element_step(terms[0], alpha / n)] + head
+        head = [t.scaled(alpha / (2 * n)) for t in terms[1:]]
+        cycle = list(reversed(head)) + [terms[0].scaled(alpha / n)] + head
     for _ in range(n):
         steps.extend(cycle)
     return PulseSchedule(tuple(steps), name="trotter-product", order=order, n=n)
@@ -452,7 +436,7 @@ _PAIR_INDEX = {pair: k for k, pair in enumerate(ALL_PAIRS)}
 def pair_stack(sector: SpinSector) -> np.ndarray:
     """The 15 transposition matrices of a sector's irrep, (15, dim, dim) in ALL_PAIRS order."""
     stack = np.stack(
-        [rep_transposition(sector.partition, *pair).matrix for pair in ALL_PAIRS]
+        [rep_transposition(sector.partition, *pair) for pair in ALL_PAIRS]
     )
     stack.setflags(write=False)
     return stack
@@ -649,20 +633,20 @@ MAX_COEFFICIENT = 1e4
 def _json_number(value, what: str) -> float:
     """A finite JSON number; strings, booleans, NaN and infinities are rejected."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{what} must be a number, got {value!r}")
+        raise ValueError(f"{what} must be a number, got {reprlib.repr(value)}")
     try:
         number = float(value)
     except OverflowError:  # an integer beyond the float range
         number = math.inf
     if not math.isfinite(number):
-        raise ValueError(f"{what} must be finite, got {value!r}")
+        raise ValueError(f"{what} must be finite, got {reprlib.repr(value)}")
     return number
 
 
 def _json_int(value, what: str) -> int:
     """A JSON integer; floats, strings and booleans are rejected."""
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{what} must be an integer, got {value!r}")
+        raise ValueError(f"{what} must be an integer, got {reprlib.repr(value)}")
     return value
 
 
@@ -686,7 +670,7 @@ def schedule_from_json(data: dict) -> PulseSchedule:
         raise ValueError(f"schedule JSON must be an object, got {type(data).__name__}")
     version = _json_int(data.get("version"), "version")
     if version != 1:
-        raise ValueError(f"unsupported schedule version: {version!r}")
+        raise ValueError(f"unsupported schedule version: {reprlib.repr(version)}")
     steps = []
     for k, s in enumerate(_json_field(data, "steps", list, "steps")):
         if not isinstance(s, dict):
@@ -711,12 +695,12 @@ def schedule_from_json(data: dict) -> PulseSchedule:
         steps.append(step)
     order = _json_int(data.get("order", 1), "order")
     if order not in (0, 1):
-        raise ValueError(f"order must be 0 or 1, got {order}")
+        raise ValueError(f"order must be 0 or 1, got {reprlib.repr(order)}")
     n = _json_int(data.get("n", 1), "n")
     _check_iterations(n)
     name = data.get("name", "schedule")
     if not isinstance(name, str):
-        raise ValueError(f"name must be a string, got {name!r}")
+        raise ValueError(f"name must be a string, got {reprlib.repr(name)}")
     return PulseSchedule(tuple(steps), name=name, order=order, n=n)
 
 

@@ -270,6 +270,28 @@ class TestSynthesizeSimulate:
         assert err.count("malformed") == 1
         assert where in err
 
+    @pytest.mark.parametrize(
+        "fields, step",
+        [
+            ({}, {"pairs": [[1, 4]], "coeffs": [list(range(200))]}),
+            ({"name": list(range(200))}, None),
+            ({"version": 10**300}, None),
+            ({}, {"pairs": [[10**300, 4]], "coeffs": [0.5]}),
+            ({"n": 10**300}, None),
+            ({"order": 10**300}, None),
+        ],
+        ids=["list-coefficient", "list-name", "long-version", "long-pair-entry", "long-n", "long-order"],
+    )
+    def test_long_value_echoed_short(self, capsys, tmp_path, fields, step):
+        bad = tmp_path / "bad.json"
+        step = step or {"pairs": [[1, 4]], "coeffs": [0.5]}
+        bad.write_text(json.dumps({"version": 1, "steps": [step], **fields}))
+        code, out, err = run(capsys, "simulate", str(bad))
+        assert code == 2
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1
+        assert len(err.strip()) - len(str(bad)) <= 200
+
     def test_huge_coefficient_exit_2(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"version": 1, "steps": [{"pairs": [[1, 4]], "coeffs": [1e308]}]}))

@@ -21,7 +21,7 @@ from exgates.metrics import (
     table_rows,
 )
 from exgates.oracle import oracle_fidelity
-from exgates.symrep import GroupAlgebraElement, rep_element
+from exgates.symrep import rep_element
 from exgates.trotter import (
     PulseSchedule,
     PulseStep,
@@ -46,7 +46,7 @@ class TestSimulate:
         sector = SpinSector.SPIN0
         sch = PulseSchedule((PulseStep.make({(1, 2): np.pi / 2}),))
         g = simulate(sch, sector)
-        r = rep_element(sector.partition, GroupAlgebraElement.transposition(6, 1, 2)).matrix.real
+        r = rep_element(sector.partition, {(1, 2): 1.0})
         assert np.max(np.abs(g - expi((np.pi / 2) * r))) <= 1e-12
         # rotation by pi/2 of an involution: eigenvalues +-i
         vals = np.linalg.eigvals(g)
