@@ -15,6 +15,8 @@ from .symrep import Permutation, rep_adjacent, rep_element, rep_permutation, sta
 
 # Irrep dimension, and the constant the all-transposition sum acts as, per sector.
 _SECTOR_FACTS = {SpinSector.SPIN0: (5, 3.0), SpinSector.SPIN1: (9, 5.0)}
+# Largest |dF| or |dL| between the oracle and the irrep scores that passes.
+_ORACLE_TOL = 1e-8
 # Diagonals of the pair decouplers Ua and Ub in the joint eigenbasis, per sector.
 _DECOUPLER_DIAGONALS = {
     SpinSector.SPIN0: ((1, 1, 1, 1, -1), (1, 1, 1, 1, -1)),
@@ -166,7 +168,7 @@ def _suite_oracle() -> list[CheckResult]:
                 abs(f - rep.fidelity[sector.name]), abs(leak - rep.leakage[sector.name])
             )
             checks.append(
-                _check(f"{schedule.name}(n={schedule.n}) {sector.name} oracle F/L match", dev, 1e-8)
+                _check(f"{schedule.name}(n={schedule.n}) {sector.name} oracle F/L match", dev, _ORACLE_TOL)
             )
     return checks
 
@@ -260,12 +262,19 @@ def _cmd_simulate(args) -> int:
     }[args.sector]
     rep = metrics.report(schedule, target)
     _print_report(rep, sectors)
-    if args.oracle:
-        for sector in sectors:
-            f, leak = oracle.oracle_fidelity(schedule, sector, target)
-            df = abs(f - rep.fidelity[sector.name])
-            dl = abs(leak - rep.leakage[sector.name])
-            print(f"  oracle {sector.name}: |dF| = {df:.2e}, |dL| = {dl:.2e}")
+    if not args.oracle:
+        return 0
+    worst = 0.0
+    for sector in sectors:
+        f, leak = oracle.oracle_fidelity(schedule, sector, target)
+        df = abs(f - rep.fidelity[sector.name])
+        dl = abs(leak - rep.leakage[sector.name])
+        print(f"  oracle {sector.name}: |dF| = {df:.2e}, |dL| = {dl:.2e}")
+        worst = max(worst, df, dl)
+    if worst >= _ORACLE_TOL:
+        print(f"exgates: oracle disagrees with the irrep scores by {worst:.2e} "
+              f"(tolerance {_ORACLE_TOL:.0e})", file=sys.stderr)
+        return 1
     return 0
 
 

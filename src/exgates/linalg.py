@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["expi", "is_hermitian", "max_abs"]
+__all__ = ["expi", "is_hermitian", "max_abs", "real_coefficient"]
 
 
 def expi(h: np.ndarray) -> np.ndarray:
@@ -24,3 +24,14 @@ def is_hermitian(m: np.ndarray) -> bool:
 
 def max_abs(m: np.ndarray) -> float:
     return float(np.max(np.abs(m))) if m.size else 0.0
+
+
+def real_coefficient(c) -> float:
+    """``float(c)``, raising ``TypeError`` for any complex value.
+
+    A Python ``complex`` raises already; ``float`` of a numpy complex scalar
+    or array would drop the imaginary part with only a ``ComplexWarning``.
+    """
+    if type(c) is not float and np.iscomplexobj(c):
+        raise TypeError(f"coefficient must be real, got {c!r}")
+    return float(c)

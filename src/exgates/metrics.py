@@ -1,11 +1,11 @@
 """Schedule scoring: simulation, entanglement fidelity, leakage, tables.
 
 Simulation and scoring work on plain arrays, so the 5- and 9-dim irreps
-and the oracle's 15- and 20-dim blocks share one code path: a schedule is
-evolved on a (15, d, d) stack of transposition matrices (``evolve``, a
-pairwise product that multiplies each distinct adjacent pair once per
-level, so repeated cycles cost O(log n) levels), and a gate is scored
-through a 4 x d frame Pi whose rows are the computational states
+and the oracle's 9- and 5-dim frame closures share one code path: a
+schedule is evolved on a (15, d, d) stack of transposition matrices
+(``evolve``, a pairwise product that multiplies each distinct adjacent pair
+once per level, so repeated cycles cost O(log n) levels), and a gate is
+scored through a 4 x d frame Pi whose rows are the computational states
 (``frame_scores``).  With the frame compression
 
     v = G Pi^T,    g = Pi v    (a 4 x 4 matrix),
@@ -70,10 +70,12 @@ CNOT = np.array(
 FONG_WANDZURA_CYCLES = 13
 FONG_WANDZURA_TIME = 12.3
 
-# Distinct steps exponentiated per batched ``expi`` call in ``evolve``.  A
-# chunk of 8 on the oracle's 20-dim block is 51 KB of complex temporaries,
-# below glibc's 128 KiB mmap threshold; one stack of 100 steps (640 KB a
-# temporary) raised the benchmark's peak RSS by 5%.
+# Distinct steps exponentiated per batched ``expi`` call in ``evolve``.  The
+# largest stack is 9-dim (the spin-1 irrep and the oracle's spin-1 closure),
+# where a chunk of 8 is 10 KB of complex temporaries, far below glibc's
+# 128 KiB mmap threshold.  The value was set on the oracle's former 20-dim
+# block, where one stack of 100 steps (640 KB a temporary) raised the
+# benchmark's peak RSS by 5%; it is kept until a new RSS measurement.
 _EXPI_CHUNK = 8
 
 
@@ -166,8 +168,7 @@ def report(schedule: PulseSchedule, target: np.ndarray | None = None) -> Synthes
     leak: dict[str, float] = {}
     for sector in SpinSector:
         g = simulate(schedule, sector)
-        fid[sector.name] = entanglement_fidelity(g, target, sector)
-        leak[sector.name] = leakage(g, target, sector)
+        fid[sector.name], leak[sector.name] = frame_scores(g, target, projector(sector))
     distinct, seq = schedule._interned
     flagged = [not s.is_cross_block() and any(c < 0 for c in s.coeffs) for s in distinct]
     return SynthesisReport(

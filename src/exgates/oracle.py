@@ -14,11 +14,10 @@ states (total S_z = +1 forces total spin 1); the spin-0 frame is the
 singlet combination of the gauge doublets.  No representation matrices or
 embedding tables from the other modules are used, so agreement with them
 is a genuine cross-check.  Only the array-level evolve product and F/L
-formula of ``metrics`` are shared; they receive the physical swap stack
-and the frame built here.
-Both are cut to the frame's magnetization block (15 strings with two down
-spins for spin 1, 20 with three for spin 0); this is exact, as the swaps are
-0/1 permutations keeping the down-spin count, so G Pi^T is 0 off the block.
+formula of ``metrics`` are shared.  They receive the physical swaps and the
+frame cut to the frame's invariant closure (9 dims for spin 1, 5 for spin 0),
+exactly: every swap keeps the down-spin count and commutes with the swap
+sum, so it maps the closure into itself.
 """
 
 from __future__ import annotations
@@ -29,6 +28,7 @@ from typing import Mapping
 import numpy as np
 
 from .encoding import ALL_PAIRS, SpinSector
+from .linalg import real_coefficient
 from .metrics import evolve, frame_scores
 from .symrep import Permutation
 from .trotter import PulseSchedule
@@ -123,7 +123,7 @@ def oracle_projected_rep(pairs: Mapping[tuple[int, int], float], sector: SpinSec
     phi = logical_frame(sector)
     m = np.zeros((DIM, DIM))
     for pair, c in pairs.items():
-        m += float(c) * physical_swap(*sorted(pair))
+        m += real_coefficient(c) * physical_swap(*sorted(pair))
     return phi @ m @ phi.T
 
 
@@ -136,22 +136,45 @@ def _swap_stack() -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _magnetization_block(sector: SpinSector) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only (15, d, d) swap stack and 4 x d frame on the frame's down-spin block."""
+def frame_closure(sector: SpinSector) -> np.ndarray:
+    """Read-only d x 64 orthonormal basis of the invariant subspace the frame generates.
+
+    One ``eigh`` in the frame's down-spin block, where the 15 swaps sum to
+    S(S+1) + 3 on each total-spin eigenspace, an irreducible module of the
+    six-spin permutations: the eigenspace holding the frame is its closure
+    (value 5, 9 dims for spin 1; value 3, 5 dims for spin 0).  Raises
+    ``ValueError`` unless the frame lies in one block and one eigenspace.
+    """
     frame = logical_frame(sector)
     counts = {bin(idx).count("1") for idx in np.flatnonzero(frame.any(axis=0))}
     if len(counts) != 1:
         raise ValueError(f"{sector.name} frame spans down-spin counts {sorted(counts)}")
     block = [idx for idx in range(DIM) if bin(idx).count("1") in counts]
-    restricted = (_swap_stack()[:, block][:, :, block], frame[:, block])
+    values, vectors = np.linalg.eigh(_swap_stack()[:, block][:, :, block].sum(axis=0))
+    weights = np.linalg.norm(frame[:, block] @ vectors, axis=0)
+    held = set(np.rint(values[weights > 1e-8]).tolist())  # np.unique would import numpy.ma (14 ms)
+    if len(held) != 1:
+        raise ValueError(f"{sector.name} frame spans swap-sum eigenvalues {sorted(held)}")
+    kept = np.rint(values) == held.pop()
+    basis = np.zeros((np.count_nonzero(kept), DIM))
+    basis[:, block] = vectors[:, kept].T
+    basis.setflags(write=False)
+    return basis
+
+
+@lru_cache(maxsize=None)
+def _closure_block(sector: SpinSector) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (15, d, d) swap stack B P B^T and 4 x d frame Phi B^T on the closure B."""
+    basis = frame_closure(sector)
+    restricted = (basis @ _swap_stack() @ basis.T, logical_frame(sector) @ basis.T)
     for m in restricted:
         m.setflags(write=False)
     return restricted
 
 
 def oracle_simulate(schedule: PulseSchedule, sector: SpinSector) -> np.ndarray:
-    """Unitary of a schedule on the frame's magnetization block (rightmost step acts first)."""
-    return evolve(schedule, _magnetization_block(sector)[0])
+    """Unitary of a schedule on the frame's closure, in its basis (rightmost step first)."""
+    return evolve(schedule, _closure_block(sector)[0])
 
 
 def oracle_fidelity(
@@ -159,31 +182,8 @@ def oracle_fidelity(
 ) -> tuple[float, float]:
     """End-to-end (fidelity, leakage) of a schedule in the physical space.
 
-    The leakage complement is that of the frame in its magnetization block.
-    The swaps map that block into itself, so this equals the complement in
-    all 64 dimensions, and, as schedule unitaries never leave the frame's
-    permutation-invariant closure, the complement inside that closure.
+    The leakage complement is that of the frame in its closure.  The swaps
+    map the closure into itself, so the schedule's unitary keeps the frame
+    there and this equals the complement in all 64 dimensions.
     """
-    return frame_scores(oracle_simulate(schedule, sector), target, _magnetization_block(sector)[1])
-
-
-def frame_closure(sector: SpinSector) -> np.ndarray:
-    """Orthonormal basis of the invariant subspace generated by the frame.
-
-    Repeatedly applies all fifteen swaps and orthonormalizes until the
-    dimension stabilizes (9 for spin 1, 5 for spin 0).
-    """
-    basis = [v.copy() for v in logical_frame(sector)]
-    changed = True
-    while changed:
-        changed = False
-        for m in _swap_stack():
-            for v in list(basis):
-                w = m @ v
-                for b in basis:
-                    w = w - (b @ w) * b
-                norm = np.linalg.norm(w)
-                if norm > 1e-10:
-                    basis.append(w / norm)
-                    changed = True
-    return np.array(basis)
+    return frame_scores(oracle_simulate(schedule, sector), target, _closure_block(sector)[1])

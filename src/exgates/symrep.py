@@ -28,6 +28,8 @@ from typing import Mapping
 
 import numpy as np
 
+from .linalg import real_coefficient
+
 __all__ = [
     "Partition",
     "StandardTableau",
@@ -271,5 +273,5 @@ def rep_element(shape: Partition, pairs: Mapping[tuple[int, int], float]) -> np.
     """Real combination sum c (i j) of transpositions, pair (i, j) to c, summed in map order."""
     m = np.zeros((len(standard_tableaux(shape)),) * 2)
     for (i, j), c in pairs.items():
-        m += float(c) * rep_transposition(shape, i, j)
+        m += real_coefficient(c) * rep_transposition(shape, i, j)
     return m

@@ -37,6 +37,7 @@ from .encoding import (
     SpinSector,
     hamiltonian_from_pauli,
 )
+from .linalg import real_coefficient
 from .symrep import rep_transposition
 
 __all__ = [
@@ -103,9 +104,10 @@ class PulseStep:
         merged: dict[tuple[int, int], float] = {}
         for p, c in coeffs.items():
             key = _normalize_pair(p)
-            merged[key] = merged.get(key, 0.0) + float(c)
+            merged[key] = merged.get(key, 0.0) + (c if type(c) is float else real_coefficient(c))
         items = sorted((p, c) for p, c in merged.items() if c != 0.0)
-        return cls(tuple(p for p, _ in items), tuple(c for _, c in items), float(phase))
+        phase = phase if type(phase) is float else real_coefficient(phase)
+        return cls(tuple(p for p, _ in items), tuple(c for _, c in items), phase)
 
     @cached_property
     def _hash(self) -> int:

@@ -169,6 +169,26 @@ class TestSynthesizeSimulate:
             deltas = [float(tok) for tok in line.replace(",", "").split() if "e" in tok and tok[0].isdigit()]
             assert deltas and all(d <= 1e-8 for d in deltas)
 
+    @pytest.mark.parametrize(
+        "scores,code",
+        [((1.0, 0.0), 0), ((1.0, 0.99e-8), 0), ((1.0, 1e-8), 1), ((1.0 - 2**-20, 0.0), 1)],
+    )
+    def test_simulate_oracle_disagreement_exit_1(self, capsys, tmp_path, monkeypatch, scores, code):
+        # the empty schedule scores F = 1, L = 0 against identity in the irreps
+        from exgates import oracle
+        from exgates.trotter import PulseSchedule, save_schedule
+
+        path = tmp_path / "empty.json"
+        save_schedule(PulseSchedule((), name="empty"), path)
+        monkeypatch.setattr(oracle, "oracle_fidelity", lambda *args: scores)
+        got, out, err = run(capsys, "simulate", str(path), "--target", "identity", "--oracle")
+        assert got == code
+        assert len([line for line in out.splitlines() if "oracle" in line]) == 2
+        if code:
+            assert len(err.strip().splitlines()) == 1 and "oracle" in err
+        else:
+            assert err == ""
+
     def test_malformed_json_exit_2(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")

@@ -2,16 +2,14 @@
 
 import numpy as np
 import pytest
+from swap_blocks import MAGNETIZATION_BLOCKS
 
-from exgates import oracle
 from exgates.encoding import SpinSector
 from exgates.linalg import expi
 from exgates.trotter import pair_stack
 
-# The 5- and 9-dim irreps and the oracle's 15- and 20-dim magnetization blocks.
-_STACKS = [pair_stack(s) for s in SpinSector] + [
-    oracle._magnetization_block(s)[0] for s in SpinSector
-]
+# The 5- and 9-dim irreps and the 15- and 20-dim magnetization blocks.
+_STACKS = [pair_stack(s) for s in SpinSector] + MAGNETIZATION_BLOCKS
 
 
 def _hermitian_stacks(stack, k, rng):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from exgates import metrics
 from exgates.encoding import ALL_PAIRS, SpinSector, projector
 from exgates.linalg import expi
 from exgates.metrics import (
@@ -134,6 +135,24 @@ class TestReport:
         assert r.cycles == 39
         assert set(r.fidelity) == {"SPIN0", "SPIN1"}
         assert r.negative_local_steps > 0  # prefactor and inverse decouplers
+
+    def test_scores_each_sector_through_one_frame_scores_call(self, monkeypatch):
+        schedule = cnot_spin1(3)
+        calls = []
+        original = metrics.frame_scores
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(metrics, "frame_scores", counted)
+        r = report(schedule)
+        assert len(calls) == 2
+        monkeypatch.undo()
+        for sector in SpinSector:
+            g = simulate(schedule, sector)
+            assert r.fidelity[sector.name] == entanglement_fidelity(g, CNOT, sector)
+            assert r.leakage[sector.name] == leakage(g, CNOT, sector)
 
     def test_monotone_improvement_within_tables(self):
         rows1 = table_rows(1)

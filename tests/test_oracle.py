@@ -1,7 +1,9 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from swap_blocks import DOWN_SPINS, magnetization_block
 
 from exgates import encoding, oracle, symrep, trotter
 from exgates.decouple import local_sums
@@ -31,20 +33,38 @@ def state_index(bits: str) -> int:
     return int(bits, 2)
 
 
-# number of down spins (1 bits) of each basis string
-down_spins = np.array([bin(idx).count("1") for idx in range(DIM)])
-# each frame's number of down spins and magnetization block dimension
-FRAME_BLOCKS = [(SpinSector.SPIN1, 2, 15), (SpinSector.SPIN0, 3, 20)]
+# each frame's number of down spins and closure dimension
+FRAME_BLOCKS = [(SpinSector.SPIN1, 2, 9), (SpinSector.SPIN0, 3, 5)]
+# the value S(S+1) + 3 of the swap sum on each frame's closure
+SWAP_SUM = {SpinSector.SPIN1: 5.0, SpinSector.SPIN0: 3.0}
 
 
-def random_schedule(rng, n_steps):
+def random_schedule(rng, n_steps, scale=np.pi):
     steps = []
     for _ in range(n_steps):
         k = int(rng.integers(1, 7))
         pairs = rng.choice(len(ALL_PAIRS), size=k, replace=False)
-        coeffs = {ALL_PAIRS[p]: float(rng.uniform(-np.pi, np.pi)) for p in pairs}
+        coeffs = {ALL_PAIRS[p]: float(rng.uniform(-scale, scale)) for p in pairs}
         steps.append(PulseStep.make(coeffs, float(rng.uniform(-np.pi, np.pi))))
     return PulseSchedule(tuple(steps))
+
+
+def gram_schmidt_closure(sector):
+    """Reference closure: apply all swaps and orthonormalize until the span stops growing."""
+    basis = [v.copy() for v in logical_frame(sector)]
+    changed = True
+    while changed:
+        changed = False
+        for m in oracle._swap_stack():
+            for v in list(basis):
+                w = m @ v
+                for b in basis:
+                    w = w - (b @ w) * b
+                norm = np.linalg.norm(w)
+                if norm > 1e-10:
+                    basis.append(w / norm)
+                    changed = True
+    return np.array(basis)
 
 
 class TestPhysicalSwap:
@@ -138,66 +158,114 @@ class TestOracleProjectedRep:
             with pytest.raises(ValueError):
                 oracle_projected_rep(pairs, SpinSector.SPIN1)
 
+    @pytest.mark.parametrize("c", [np.complex128(1 + 2j), np.complex64(1 + 2j), 1 + 2j, np.complex128(1)])
+    def test_rejects_complex_coefficient(self, c):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            with pytest.raises(TypeError, match="must be real"):
+                oracle_projected_rep({(1, 2): c}, SpinSector.SPIN1)
+
 
 class TestClosure:
     @pytest.mark.parametrize("sector,dim", [(SpinSector.SPIN0, 5), (SpinSector.SPIN1, 9)])
     def test_closure_dimension(self, sector, dim):
-        assert frame_closure(sector).shape == (dim, DIM)
+        basis = frame_closure(sector)
+        assert basis.shape == (dim, DIM)
+        assert frame_closure(sector) is basis and not basis.flags.writeable
 
     def test_simulated_schedule_stays_in_closure(self):
+        schedule = cnot_spin_independent(2)
+        full = evolve(schedule, oracle._swap_stack())
         for sector, down, dim in FRAME_BLOCKS:
-            on_block = down_spins == down
-            closure = frame_closure(sector)
+            basis = frame_closure(sector)
             # the closure lies in the frame's magnetization block
-            assert not closure[:, ~on_block].any()
-            closure = closure[:, on_block]
-            proj = closure.T @ closure
-            phi = oracle._magnetization_block(sector)[1]
-            g = oracle_simulate(cnot_spin_independent(2), sector)
+            assert not basis[:, DOWN_SPINS != down].any()
+            g = oracle_simulate(schedule, sector)
             assert g.shape == (dim, dim)
-            leaked = (np.eye(dim) - proj) @ g @ phi.T
-            assert np.max(np.abs(leaked)) <= 1e-10
-            # compressions of a unitary have singular values at most one
-            sv = np.linalg.svd(closure @ g @ closure.T, compute_uv=False)
-            assert sv.max() <= 1 + 1e-10
+            # the 64-dim unitary maps the closure into itself and acts there as g
+            assert np.max(np.abs(full @ basis.T - basis.T @ g)) <= 1e-12
+            assert np.max(np.abs(g.conj().T @ g - np.eye(dim))) <= 1e-12
+
+    @pytest.mark.parametrize("sector", list(SpinSector))
+    def test_orthonormal_and_mapped_into_itself_by_every_swap(self, sector):
+        basis = frame_closure(sector)
+        assert np.max(np.abs(basis @ basis.T - np.eye(len(basis)))) <= 1e-14
+        outside = np.eye(DIM) - basis.T @ basis
+        for m in oracle._swap_stack():
+            assert np.max(np.abs(outside @ m @ basis.T)) <= 1e-14
+
+    @pytest.mark.parametrize("sector", list(SpinSector))
+    def test_projector_equals_gram_schmidt_reference(self, sector):
+        basis = frame_closure(sector)
+        reference = gram_schmidt_closure(sector)
+        assert reference.shape == basis.shape
+        assert np.max(np.abs(basis.T @ basis - reference.T @ reference)) <= 1e-12
+
+    def test_frame_outside_one_eigenspace_rejected(self, monkeypatch):
+        # product states with two down spins mix total spins 1, 2 and 3
+        strings = ["110000", "101000", "000011", "010100"]
+        mixed = np.zeros((4, DIM))
+        mixed[range(4), [int(bits, 2) for bits in strings]] = 1.0
+        monkeypatch.setattr(oracle, "logical_frame", lambda sector: mixed)
+        with pytest.raises(ValueError, match="eigenvalues"):
+            oracle.frame_closure.__wrapped__(SpinSector.SPIN1)
 
 
 class TestOracleFidelity:
+    def test_agrees_with_irreps_on_large_random_steps(self):
+        rng = np.random.default_rng(15)
+        for _ in range(5):
+            schedule = random_schedule(rng, 100, scale=1e4)
+            r = report(schedule)
+            for sector in SpinSector:
+                got = oracle_fidelity(schedule, sector, CNOT)
+                want = (r.fidelity[sector.name], r.leakage[sector.name])
+                assert np.max(np.abs(np.subtract(got, want))) <= 1e-10
+
     def test_empty_schedule_quarter(self):
         f, leak = oracle_fidelity(PulseSchedule(()), SpinSector.SPIN1, CNOT)
         assert f == pytest.approx(0.25)
         assert leak == pytest.approx(0.0, abs=1e-12)
 
-    @pytest.mark.parametrize("builder,n", [(cnot_spin_independent, 3), (cnot_spin1, 2)])
+    @pytest.mark.parametrize(
+        "builder,n",
+        [(cnot_spin_independent, 3), (cnot_spin1, 2)]
+        + [(b, n) for b in (cnot_spin_independent, cnot_spin1) for n in (50, 200)],
+    )
     def test_matches_irrep_path(self, builder, n):
         schedule = builder(n)
         r = report(schedule)
         for sector in SpinSector:
             f, leak = oracle_fidelity(schedule, sector, CNOT)
-            assert abs(f - r.fidelity[sector.name]) <= 1e-8
-            assert abs(leak - r.leakage[sector.name]) <= 1e-8
+            assert abs(f - r.fidelity[sector.name]) <= 1e-10
+            assert abs(leak - r.leakage[sector.name]) <= 1e-10
 
 
 class TestMagnetizationBlock:
     def test_swaps_keep_the_down_spin_count(self):
         # every off-block entry of every swap is exactly zero
         stack = oracle._swap_stack()
-        assert not stack[:, down_spins[:, None] != down_spins[None, :]].any()
+        assert not stack[:, DOWN_SPINS[:, None] != DOWN_SPINS[None, :]].any()
 
     @pytest.mark.parametrize("sector,down,dim", FRAME_BLOCKS)
     def test_block_is_the_frames_down_spin_count(self, sector, down, dim):
-        stack, phi = oracle._magnetization_block(sector)
-        on_block = down_spins == down
+        # the closure block: swaps and frame in the closure of the frame's down-spin block
+        basis = frame_closure(sector)
+        stack, phi = oracle._closure_block(sector)
+        assert basis.shape == (dim, DIM) and not basis[:, DOWN_SPINS != down].any()
         assert stack.shape == (15, dim, dim) and phi.shape == (4, dim)
-        assert np.array_equal(stack, oracle._swap_stack()[:, on_block][:, :, on_block])
-        assert np.array_equal(phi, logical_frame(sector)[:, on_block])
         assert not (stack.flags.writeable or phi.flags.writeable)
+        # each swap acts on the closure as its block, and the frame lifts back
+        for m, block in zip(oracle._swap_stack(), stack):
+            assert np.max(np.abs(m @ basis.T - basis.T @ block)) <= 1e-14
+        assert np.max(np.abs(phi @ basis - logical_frame(sector))) <= 1e-14
+        assert np.max(np.abs(stack.sum(axis=0) - SWAP_SUM[sector] * np.eye(dim))) <= 1e-13
 
     def test_frame_spanning_two_counts_rejected(self, monkeypatch):
         mixed = logical_frame(SpinSector.SPIN1) + logical_frame(SpinSector.SPIN0)
         monkeypatch.setattr(oracle, "logical_frame", lambda sector: mixed)
         with pytest.raises(ValueError, match="down-spin counts"):
-            oracle._magnetization_block.__wrapped__(SpinSector.SPIN1)
+            oracle.frame_closure.__wrapped__(SpinSector.SPIN1)
 
     @pytest.mark.parametrize("sector", list(SpinSector))
     def test_scores_equal_the_64_dim_oracle(self, sector):
@@ -215,14 +283,16 @@ class TestMagnetizationBlock:
 
     def test_peak_memory_stays_chunk_bounded(self):
         # evolve exponentiates distinct steps in small chunks; one stack of
-        # 100 steps on the 20-dim block would peak near 2.5 MiB
+        # 100 steps on the 20-dim block would peak near 2.5 MiB (the oracle's
+        # 5-dim closure peaks below 0.2 MiB either way, so it cannot tell)
         rng = np.random.default_rng(7)
         schedule = random_schedule(rng, 100)
         assert len(set(schedule.steps)) == 100
-        oracle_simulate(schedule, SpinSector.SPIN0)  # build the cached block first
+        block = magnetization_block(3)
+        evolve(schedule, block)
         tracemalloc.start()
         try:
-            oracle_simulate(schedule, SpinSector.SPIN0)
+            evolve(schedule, block)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -1,9 +1,9 @@
 """Invariants of simulation and scoring on random schedules.
 
 Schedules draw random pairs, coefficients and phases, up to 20 steps; the
-example counts are small because every oracle example simulates in 64
-dimensions.  The pairwise product in ``evolve`` is checked against a
-left-to-right product on long schedules over a few distinct steps.
+example counts are small to keep the suite fast.  The pairwise product in
+``evolve`` is checked against a left-to-right product on long schedules
+over a few distinct steps.
 """
 
 import json
@@ -11,6 +11,7 @@ import json
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from swap_blocks import MAGNETIZATION_BLOCKS
 
 from exgates import oracle
 from exgates.encoding import ALL_PAIRS, SpinSector
@@ -37,10 +38,11 @@ _STEPS = st.builds(
 )
 _SCHEDULES = st.lists(_STEPS, max_size=20).map(lambda steps: PulseSchedule(tuple(steps)))
 _SECTORS = st.sampled_from(list(SpinSector))
-# The 5- and 9-dim irreps and the oracle's 15- and 20-dim magnetization blocks.
+# The 5- and 9-dim irreps, the oracle's 9- and 5-dim frame closures and the
+# 15- and 20-dim magnetization blocks.
 _STACKS = [pair_stack(s) for s in SpinSector] + [
-    oracle._magnetization_block(s)[0] for s in SpinSector
-]
+    oracle._closure_block(s)[0] for s in SpinSector
+] + MAGNETIZATION_BLOCKS
 
 
 @st.composite

@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -175,6 +176,13 @@ class TestRepElement:
         for pairs in ({(1, 7): 1.0}, {(2, 2): 1.0}):
             with pytest.raises(ValueError):
                 rep_element(P42, pairs)
+
+    @pytest.mark.parametrize("c", [np.complex128(1 + 2j), np.complex64(1 + 2j), 1 + 2j, np.complex128(1)])
+    def test_rejects_complex_coefficient(self, c):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            with pytest.raises(TypeError, match="must be real"):
+                rep_element(P42, {(1, 2): c})
 
     def test_linear(self):
         x = {(1, 4): 2.0}

@@ -1,12 +1,14 @@
 import json
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from swap_blocks import MAGNETIZATION_BLOCKS
 
-from exgates import oracle, trotter
+from exgates import trotter
 from exgates.decouple import decouple_map
 from exgates.encoding import (
     ALL_PAIRS,
@@ -137,6 +139,20 @@ class TestPulseStep:
         with pytest.raises(ValueError):
             PulseStep.make({(0, 2): 1.0})
 
+    @pytest.mark.parametrize("c", [np.complex128(1 + 2j), np.complex64(1 + 2j), 1 + 2j, np.complex128(1)])
+    def test_rejects_complex_coefficient_or_phase(self, c):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            with pytest.raises(TypeError, match="must be real"):
+                PulseStep.make({(1, 2): c})
+            with pytest.raises(TypeError, match="must be real"):
+                PulseStep.make({(1, 2): 1.0}, phase=c)
+
+    def test_real_numbers_of_any_type_become_floats(self):
+        s = PulseStep.make({(1, 2): 1, (3, 4): np.float32(0.5), (5, 6): np.int64(-2)}, phase=np.float64(0.25))
+        assert s == PulseStep(((1, 2), (3, 4), (5, 6)), (1.0, 0.5, -2.0), 0.25)
+        assert all(type(c) is float for c in (*s.coeffs, s.phase))
+
     def test_equal_steps_hash_equal(self):
         a = PulseStep.make({(1, 2): 0.5, (3, 4): -0.25}, phase=0.1)
         b = PulseStep.make({(4, 3): -0.25, (2, 1): 0.5}, phase=0.1)
@@ -234,7 +250,7 @@ class TestStepGenerator:
             for _ in range(k)
         ]
         stacks = [pair_stack(s) for s in SpinSector]
-        stacks += [oracle._magnetization_block(s)[0] for s in SpinSector]
+        stacks += MAGNETIZATION_BLOCKS
         for stack in stacks:
             got = step_generators(steps, stack)
             assert got.shape == (k, *stack.shape[1:])
