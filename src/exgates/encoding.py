@@ -20,6 +20,7 @@ from typing import Mapping
 
 import numpy as np
 
+from .linalg import real_coefficient
 from .symrep import Partition, rep_element, standard_tableaux
 
 __all__ = [
@@ -229,7 +230,8 @@ def hamiltonian_from_pauli(
     real coefficients whose projected representation in ``sector`` equals
     the target matrix.
     Words containing Y are rejected: Y requires conjugation by local
-    rotations, which is schedule-level machinery.
+    rotations, which is schedule-level machinery.  Complex coefficients
+    raise ``TypeError`` and NaN or infinite ones ``ValueError``.
     """
     tau = np.zeros(9)
     for word, c in target.items():
@@ -237,7 +239,7 @@ def hamiltonian_from_pauli(
             raise ValueError(f"Pauli target may not contain Y: {word!r}")
         if word not in PAULI_ORDER:
             raise ValueError(f"not a Pauli word over {{I,X,Z}}^2: {word!r}")
-        tau[PAULI_ORDER.index(word)] += float(c)
+        tau[PAULI_ORDER.index(word)] += real_coefficient(c)
     tau[0] /= sector.identity_scale
     v = SWAP_TO_PAULI.T @ tau / sector.cross_scale
     return {pair: v[k] for k, pair in enumerate(CROSS_PAIRS) if v[k] != 0}

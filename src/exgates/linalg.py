@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import math
+import reprlib
+
 import numpy as np
 
 __all__ = ["expi", "is_hermitian", "max_abs", "real_coefficient"]
@@ -27,11 +30,15 @@ def max_abs(m: np.ndarray) -> float:
 
 
 def real_coefficient(c) -> float:
-    """``float(c)``, raising ``TypeError`` for any complex value.
+    """``float(c)``, raising ``TypeError`` for any complex value and ``ValueError`` for NaN or an infinity.
 
     A Python ``complex`` raises already; ``float`` of a numpy complex scalar
     or array would drop the imaginary part with only a ``ComplexWarning``.
+    A non-finite value would only fail later, in ``eigh``.
     """
     if type(c) is not float and np.iscomplexobj(c):
         raise TypeError(f"coefficient must be real, got {c!r}")
-    return float(c)
+    value = float(c)
+    if not math.isfinite(value):
+        raise ValueError(f"coefficient must be finite, got {reprlib.repr(c)}")
+    return value

@@ -41,7 +41,7 @@ from .trotter import (
     consolidate,
     normalized_time,
     pair_stack,
-    step_generators,
+    row_generators,
 )
 
 __all__ = [
@@ -70,47 +70,62 @@ CNOT = np.array(
 FONG_WANDZURA_CYCLES = 13
 FONG_WANDZURA_TIME = 12.3
 
-# Distinct steps exponentiated per batched ``expi`` call in ``evolve``.  The
-# largest stack is 9-dim (the spin-1 irrep and the oracle's spin-1 closure),
-# where a chunk of 8 is 10 KB of complex temporaries, far below glibc's
-# 128 KiB mmap threshold.  The value was set on the oracle's former 20-dim
-# block, where one stack of 100 steps (640 KB a temporary) raised the
-# benchmark's peak RSS by 5%; it is kept until a new RSS measurement.
-_EXPI_CHUNK = 8
+# Complex entries in one chunk of (k, d, d) matrices in ``evolve``: 4096,
+# 64 KiB a temporary, under glibc's 128 KiB mmap threshold, so chunk
+# temporaries reuse heap memory instead of mapping fresh pages.  That is
+# 163 matrices at d = 5, 50 at d = 9 and 10 at d = 20.  Against the former
+# chunks of 8 steps, the benchmark's median peak RSS rose by 0.1 MB on
+# random-oracle (36.25 to 36.37 MB) and by 0.3 MB on paper-tables and
+# long-schedules (2-vCPU VM, Python 3.11, numpy 2.4).
+_CHUNK_ENTRIES = 4096
+
+
+def _chunk(d: int) -> int:
+    """Matrices per ``evolve`` chunk at dimension d."""
+    return max(1, _CHUNK_ENTRIES // (d * d))
 
 
 def evolve(schedule: PulseSchedule, stack: np.ndarray) -> np.ndarray:
     """Unitary of a schedule on a (15, d, d) transposition stack (rightmost step first).
 
-    A pairwise product over the schedule's interned form and product plan
-    (``PulseSchedule._interned`` and ``_product_levels``), both computed
-    once per schedule, so a call hashes no step and pairs no id: for each
-    sector or oracle block it only builds and multiplies matrices.  Each
-    distinct step's unitary is built once, from its generator and identity
-    phase alone, so the step unitaries do not depend on the rest of the
-    schedule.  The distinct steps are exponentiated in chunks of at most
-    ``_EXPI_CHUNK``, one (k, d, d) generator stack and one batched ``expi``
-    call a chunk, each unitary bit for bit the one a per-step call gives; a
-    nonzero phase then multiplies its unitary as a scalar, as a broadcast
-    multiply over the chunk would not round the same.  Each level of the
-    plan multiplies each distinct pair of neighbouring ids once, so a
-    schedule of n repeats of a few distinct steps takes O(log n) levels of
-    a few products each, not one product per step.  The product is grouped
-    differently from a left-to-right one, which moves F and L by rounding
-    only: at most 5e-14 on the CNOT families at n = 200.
+    A pairwise product over the schedule's numeric form
+    (``PulseSchedule._arrays``: coefficient rows, phase factors and product
+    plan as id arrays), computed once per schedule, so for each sector or
+    oracle closure a call only builds and multiplies matrices, with no
+    Python loop over steps or pairs.  Each distinct step's unitary is built
+    once, from its generator and identity phase alone, so the step
+    unitaries do not depend on the rest of the schedule.  The distinct
+    steps go in chunks of ``_chunk(d)`` matrices: one ``row_generators``
+    stack, one batched ``expi`` and one phase multiply a chunk, each
+    unitary bit for bit the one a per-step call gives.  The phase multiply
+    is out of place, ``np.where(phased, f * u, u)``, which rounds as the
+    scalar ``f * u`` does; an in-place ``u *= f`` does not, and a factor
+    of exactly 1 could still flip the sign of a zero.  Each level of the
+    plan multiplies each distinct pair of neighbouring ids once, in chunked
+    batched products into a preallocated stack, so a schedule of n repeats
+    of a few distinct steps takes O(log n) levels of a few products each,
+    not one product per step.  The product is grouped differently from a
+    left-to-right one, which moves F and L by rounding only: at most 5e-14
+    on the CNOT families at n = 200.
     """
-    distinct, seq = schedule._interned
-    if not seq:
-        return np.eye(stack.shape[1], dtype=complex)
-    mats = []
-    for start in range(0, len(distinct), _EXPI_CHUNK):
-        chunk = distinct[start : start + _EXPI_CHUNK]
-        for step, u in zip(chunk, expi(step_generators(chunk, stack))):
-            mats.append(np.exp(1j * step.phase) * u if step.phase else u)
-    for pairs, carry in schedule._product_levels:
-        products = [mats[a] @ mats[b] for a, b in pairs]
+    d = stack.shape[1]
+    if not schedule.steps:
+        return np.eye(d, dtype=complex)
+    rows, phases, phased, levels = schedule._arrays
+    chunk = _chunk(d)
+    mats = np.empty((len(rows), d, d), dtype=complex)
+    for start in range(0, len(rows), chunk):
+        part = slice(start, start + chunk)
+        u = expi(row_generators(rows[part], stack))
+        mats[part] = np.where(phased[part, None, None], phases[part, None, None] * u, u)
+    for left, right, carry in levels:
+        products = np.empty((len(left) + (carry is not None), d, d), dtype=complex)
+        paired = products[: len(left)]
+        for start in range(0, len(left), chunk):
+            part = slice(start, start + chunk)
+            np.matmul(mats[left[part]], mats[right[part]], out=paired[part])
         if carry is not None:
-            products.append(mats[carry])
+            products[-1] = mats[carry]
         mats = products
     return mats[0]
 

@@ -24,7 +24,7 @@ import math
 import reprlib
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -55,6 +55,7 @@ __all__ = [
     "single_qubit_schedule",
     "canonical_two_qubit_schedule",
     "pair_stack",
+    "row_generators",
     "step_generators",
     "consolidate",
     "cancel_negatives",
@@ -92,7 +93,9 @@ class PulseStep:
     """One exponential factor exp(i sum_c c_ij (i j) + i phase).
 
     Coefficients are radians on transpositions; zero coefficients are not
-    stored, and pairs are kept sorted so equal steps compare equal.
+    stored, and pairs are kept sorted so equal steps compare equal.  ``make``
+    rejects complex coefficients and phases (``TypeError``) and NaN or
+    infinite ones (``ValueError``).
     """
 
     pairs: tuple[tuple[int, int], ...]
@@ -104,10 +107,11 @@ class PulseStep:
         merged: dict[tuple[int, int], float] = {}
         for p, c in coeffs.items():
             key = _normalize_pair(p)
-            merged[key] = merged.get(key, 0.0) + (c if type(c) is float else real_coefficient(c))
+            c = real_coefficient(c)
+            # a pair given twice, as (i, j) and (j, i), may sum past the float range
+            merged[key] = real_coefficient(merged[key] + c) if key in merged else c
         items = sorted((p, c) for p, c in merged.items() if c != 0.0)
-        phase = phase if type(phase) is float else real_coefficient(phase)
-        return cls(tuple(p for p, _ in items), tuple(c for _, c in items), phase)
+        return cls(tuple(p for p, _ in items), tuple(c for _, c in items), real_coefficient(phase))
 
     @cached_property
     def _hash(self) -> int:
@@ -133,11 +137,32 @@ class PulseStep:
         return any(p in CROSS_PAIRS for p in self.pairs)
 
 
+class _StepArrays(NamedTuple):
+    """Numeric form of a schedule's distinct steps, read-only.
+
+    ``rows`` is the (k, 15) coefficient matrix in ALL_PAIRS order;
+    ``phases[i]`` is the scalar ``np.exp(1j * phase)`` of step i and
+    ``phased[i]`` whether that phase is nonzero; ``levels`` is the product
+    plan as (left ids, right ids, carried id) per level.
+    """
+
+    rows: np.ndarray
+    phases: np.ndarray
+    phased: np.ndarray
+    levels: tuple[tuple[np.ndarray, np.ndarray, int | None], ...]
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
 @dataclass(frozen=True)
 class PulseSchedule:
     """An ordered pulse sequence with construction metadata.
 
-    Its interned form (``_interned``) and product plan (``_product_levels``)
+    Its interned form (``_interned``), product plan (``_product_levels``) and
+    the numeric form of its distinct steps (``_arrays``, a ``_StepArrays``)
     are computed on first use and kept on the instance, as ``PulseStep._hash``
     is.  They are not fields: equality, hashing and JSON see only the steps
     and metadata, and ``replace`` makes a schedule that computes its own.
@@ -183,6 +208,30 @@ class PulseSchedule:
             levels.append((tuple(pairs), carry))
             seq = level
         return tuple(levels)
+
+    @cached_property
+    def _arrays(self) -> _StepArrays:
+        """The distinct steps' coefficient rows, phase factors and id-array product plan.
+
+        Built once per schedule, so both irreps, both oracle closures and
+        ``consolidate`` read the same arrays.  Each phase factor is its own
+        scalar ``np.exp``, the value a per-step multiply used.
+        """
+        distinct = self._interned[0]
+        levels = tuple(
+            (
+                _read_only(np.array([a for a, _ in pairs], dtype=np.intp)),
+                _read_only(np.array([b for _, b in pairs], dtype=np.intp)),
+                carry,
+            )
+            for pairs, carry in self._product_levels
+        )
+        return _StepArrays(
+            _read_only(_coefficient_rows(distinct)),
+            _read_only(np.array([np.exp(1j * s.phase) for s in distinct], dtype=complex)),
+            _read_only(np.array([s.phase != 0.0 for s in distinct], dtype=bool)),
+            levels,
+        )
 
 
 def _merge_steps(a: PulseStep, b: PulseStep) -> PulseStep:
@@ -362,7 +411,7 @@ def single_qubit_schedule(
     )
     if delta != 0.0:
         if steps:
-            steps[0] = replace(steps[0], phase=steps[0].phase + delta)
+            steps[0] = PulseStep.make(steps[0].coefficients(), steps[0].phase + delta)
         else:
             steps.append(PulseStep.make({}, delta))
     return PulseSchedule(tuple(steps), name=f"local-block{block}", order=1, n=1)
@@ -444,25 +493,32 @@ def pair_stack(sector: SpinSector) -> np.ndarray:
     return stack
 
 
-def step_generators(steps: Sequence[PulseStep], stack: np.ndarray) -> np.ndarray:
-    """Generators sum_c c_ij P_ij of k steps as a (k, d, d) stack.
-
-    ``stack`` is (15, d, d) in ALL_PAIRS order.  This is the one
-    coefficient-to-matrix path; the identity phase is left out.  Each row
-    is its own matrix-vector product ``coeffs @ stack.reshape(15, d*d)``,
-    the one ``tensordot`` makes; a single (k, 15) @ (15, d*d) matrix
-    product would round some entries differently in the last place and
-    move F and L by up to 3e-12 at n = 200.
-    """
-    coeffs = np.zeros((len(steps), len(ALL_PAIRS)))
-    for row, step in zip(coeffs, steps):
+def _coefficient_rows(steps: Sequence[PulseStep]) -> np.ndarray:
+    """(k, 15) coefficients of k steps in ALL_PAIRS order; the identity phase is left out."""
+    rows = np.zeros((len(steps), len(ALL_PAIRS)))
+    for row, step in zip(rows, steps):
         for pair, c in zip(step.pairs, step.coeffs):
             row[_PAIR_INDEX[pair]] += c
+    return rows
+
+
+def row_generators(rows: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    """Generators sum_c c_ij P_ij of (k, 15) coefficient rows as a (k, d, d) stack.
+
+    ``stack`` is (15, d, d) in ALL_PAIRS order.  This is the one
+    coefficient-to-matrix path.  One batched ``matmul`` makes each row its
+    own (1, 15) @ (15, d*d) vector-matrix product, the one ``tensordot``
+    makes, bit for bit; a single (k, 15) @ (15, d*d) matrix product would
+    round some entries differently in the last place and move F and L by
+    up to 3e-12 at n = 200.
+    """
     flat = stack.reshape(len(ALL_PAIRS), -1)
-    out = np.empty((len(steps), flat.shape[1]))
-    for row, into in zip(coeffs, out):
-        np.matmul(row, flat, out=into)
-    return out.reshape(len(steps), *stack.shape[1:])
+    return np.matmul(rows[:, None, :], flat).reshape(len(rows), *stack.shape[1:])
+
+
+def step_generators(steps: Sequence[PulseStep], stack: np.ndarray) -> np.ndarray:
+    """Generators of k steps as a (k, d, d) stack: ``row_generators`` of their rows."""
+    return row_generators(_coefficient_rows(steps), stack)
 
 
 def _generators_commute(a: Sequence[np.ndarray], b: Sequence[np.ndarray]) -> np.ndarray:
@@ -503,7 +559,7 @@ def consolidate(schedule: PulseSchedule) -> PulseSchedule:
     stacks = [pair_stack(s) for s in SpinSector]
     distinct, seq = schedule._interned
     ids = {step: i for i, step in enumerate(distinct)}
-    generators = [step_generators(distinct, m) for m in stacks]
+    generators = [row_generators(schedule._arrays.rows, m) for m in stacks]
     pairs = list(dict.fromkeys(zip(seq, seq[1:])))
     left, right = [a for a, _ in pairs], [b for _, b in pairs]
     commuting = dict(zip(pairs, _generators_commute(

@@ -1,3 +1,6 @@
+import re
+import reprlib
+
 import numpy as np
 import pytest
 
@@ -151,6 +154,11 @@ class TestHamiltonianFromPauli:
         x = hamiltonian_from_pauli({word: 1.0}, sector)
         m = projected_rep(x, sector)
         assert np.max(np.abs(m - pauli_word(word))) <= 1e-12
+
+    @pytest.mark.parametrize("c", [float("nan"), float("inf"), -float("inf"), np.float64("nan")])
+    def test_non_finite_coefficient_rejected(self, c):
+        with pytest.raises(ValueError, match=re.escape(f"must be finite, got {reprlib.repr(c)}")):
+            hamiltonian_from_pauli({"IX": 0.5, "ZX": c}, SpinSector.SPIN1)
 
     def test_y_rejected(self):
         with pytest.raises(ValueError):

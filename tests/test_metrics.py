@@ -1,11 +1,13 @@
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from swap_blocks import magnetization_block
 
-from exgates import metrics
+from exgates import metrics, oracle, trotter
 from exgates.encoding import ALL_PAIRS, SpinSector, projector
 from exgates.linalg import expi
 from exgates.metrics import (
@@ -13,6 +15,7 @@ from exgates.metrics import (
     FONG_WANDZURA_CYCLES,
     FONG_WANDZURA_TIME,
     entanglement_fidelity,
+    evolve,
     leakage,
     render_csv,
     render_json,
@@ -29,6 +32,7 @@ from exgates.trotter import (
     cnot_spin1,
     cnot_spin_independent,
     normalized_time,
+    pair_stack,
 )
 
 
@@ -53,9 +57,9 @@ class TestSimulate:
         vals = np.linalg.eigvals(g)
         assert np.allclose(np.abs(vals.real), 0, atol=1e-12)
 
-    @pytest.mark.parametrize("k", [7, 8, 9, 17])
+    @pytest.mark.parametrize("k", [7, 8, 9, 17, 51, 164])
     def test_distinct_steps_across_chunks(self, k):
-        # more distinct steps than one batched exponential takes
+        # up to more distinct steps than one chunk holds (50 at d = 9, 163 at d = 5)
         rng = np.random.default_rng(k)
         steps = tuple(
             PulseStep.make(
@@ -253,6 +257,98 @@ class TestInternedOnce:
         finally:
             tracemalloc.stop()
         assert peak <= 1.05 * 4043 * 1024
+
+
+def _reference_evolve(schedule, stack):
+    """The per-step algorithm ``evolve`` replaced, kept to pin its bits.
+
+    Each distinct step gets its own 1-d coefficient product and ``expi``,
+    a nonzero phase multiplies its unitary as a scalar, and each pair of the
+    product plan is one ``@``.
+    """
+    distinct, seq = schedule._interned
+    if not seq:
+        return np.eye(stack.shape[1], dtype=complex)
+    flat = stack.reshape(len(ALL_PAIRS), -1)
+    mats = []
+    for step in distinct:
+        coeffs = np.zeros(len(ALL_PAIRS))
+        for pair, c in zip(step.pairs, step.coeffs):
+            coeffs[ALL_PAIRS.index(pair)] += c
+        u = expi((coeffs @ flat).reshape(stack.shape[1:]))
+        mats.append(np.exp(1j * step.phase) * u if step.phase else u)
+    for pairs, carry in schedule._product_levels:
+        products = [mats[a] @ mats[b] for a, b in pairs]
+        if carry is not None:
+            products.append(mats[carry])
+        mats = products
+    return mats[0]
+
+
+# The 5- and 9-dim irreps, the oracle's 9- and 5-dim closures and the 20-dim block.
+_EVOLVE_STACKS = {
+    "irrep-SPIN0": pair_stack(SpinSector.SPIN0),
+    "irrep-SPIN1": pair_stack(SpinSector.SPIN1),
+    "closure-SPIN1": oracle._closure_block(SpinSector.SPIN1)[0],
+    "closure-SPIN0": oracle._closure_block(SpinSector.SPIN0)[0],
+    "block-20": magnetization_block(3),
+}
+
+
+def _random_steps(rng, k, phased):
+    return [
+        PulseStep.make(
+            {ALL_PAIRS[p]: rng.uniform(-np.pi, np.pi) for p in rng.choice(15, rng.integers(1, 7), replace=False)},
+            rng.uniform(-np.pi, np.pi) if phased and j % 2 else 0.0,
+        )
+        for j in range(k)
+    ]
+
+
+class TestBatchedEvolve:
+    """``evolve`` in chunks of matrices, bit for bit the per-step algorithm."""
+
+    def test_chunks_hold_4096_entries(self):
+        assert [metrics._chunk(d) for d in (5, 9, 20, 64, 65)] == [163, 50, 10, 1, 1]
+
+    @pytest.mark.parametrize("phased", [False, True], ids=["zero-phases", "phases"])
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    @pytest.mark.parametrize("name", list(_EVOLVE_STACKS))
+    def test_bit_identical_to_per_step_reference(self, name, offset, phased):
+        stack = _EVOLVE_STACKS[name]
+        k = metrics._chunk(stack.shape[1]) + offset
+        rng = np.random.default_rng([k, phased])
+        distinct = _random_steps(rng, k, phased)
+        # every step once, then repeats: level 0 holds more pairs than one chunk
+        picks = list(range(k)) + rng.integers(0, k, size=k + 1).tolist()
+        sch = PulseSchedule(tuple(distinct[j] for j in picks))
+        assert len(sch._interned[0]) == k
+        assert np.array_equal(evolve(sch, stack), _reference_evolve(sch, stack))
+
+    def test_report_and_oracle_build_each_schedules_rows_once(self, monkeypatch):
+        built = []
+        original = trotter._coefficient_rows
+
+        def counting(steps):
+            built.append(tuple(steps))
+            return original(steps)
+
+        monkeypatch.setattr(trotter, "_coefficient_rows", counting)
+        rng = np.random.default_rng(16)
+        for sch in (
+            cnot_spin1(50),
+            cnot_spin_independent(3),
+            PulseSchedule(tuple(_random_steps(rng, 60, True))),
+        ):
+            built.clear()
+            report(sch)
+            for sector in SpinSector:
+                oracle_fidelity(sch, sector, CNOT)
+            distinct = sch._interned[0]
+            assert built.count(distinct) == 1
+            # consolidation builds rows only for the merged steps it makes
+            rows_per_step = Counter(step for steps in built for step in steps)
+            assert all(rows_per_step[step] == 1 for step in distinct)
 
 
 class TestRendering:

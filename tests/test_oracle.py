@@ -165,6 +165,11 @@ class TestOracleProjectedRep:
             with pytest.raises(TypeError, match="must be real"):
                 oracle_projected_rep({(1, 2): c}, SpinSector.SPIN1)
 
+    @pytest.mark.parametrize("c", [float("nan"), float("inf"), np.float64("-inf")])
+    def test_rejects_non_finite_coefficient(self, c):
+        with pytest.raises(ValueError, match="must be finite"):
+            oracle_projected_rep({(1, 2): c}, SpinSector.SPIN1)
+
 
 class TestClosure:
     @pytest.mark.parametrize("sector,dim", [(SpinSector.SPIN0, 5), (SpinSector.SPIN1, 9)])

@@ -184,6 +184,11 @@ class TestRepElement:
             with pytest.raises(TypeError, match="must be real"):
                 rep_element(P42, {(1, 2): c})
 
+    @pytest.mark.parametrize("c", [float("nan"), float("inf"), np.float64("-inf")])
+    def test_rejects_non_finite_coefficient(self, c):
+        with pytest.raises(ValueError, match="must be finite"):
+            rep_element(P42, {(1, 2): c})
+
     def test_linear(self):
         x = {(1, 4): 2.0}
         y = {(2, 5): -0.5}

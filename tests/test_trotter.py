@@ -1,4 +1,6 @@
 import json
+import re
+import reprlib
 import warnings
 from dataclasses import replace
 
@@ -34,6 +36,7 @@ from exgates.trotter import (
     decoupled_evolution,
     normalized_time,
     pair_stack,
+    row_generators,
     schedule_from_json,
     schedule_to_json,
     single_qubit_schedule,
@@ -148,6 +151,20 @@ class TestPulseStep:
             with pytest.raises(TypeError, match="must be real"):
                 PulseStep.make({(1, 2): 1.0}, phase=c)
 
+    @pytest.mark.parametrize("c", [float("nan"), float("inf"), -float("inf"), np.float64("nan"), np.float32("-inf")])
+    def test_rejects_non_finite_coefficient_or_phase(self, c):
+        message = re.escape(f"must be finite, got {reprlib.repr(c)}")
+        with pytest.raises(ValueError, match=message):
+            PulseStep.make({(1, 2): c})
+        with pytest.raises(ValueError, match=message):
+            PulseStep.make({(1, 2): 1.0}, phase=c)
+
+    def test_coefficients_past_the_float_range_rejected(self):
+        with pytest.raises(ValueError, match="must be finite, got inf"):
+            PulseStep.make({(1, 2): 1e300}).scaled(1e10)
+        with pytest.raises(ValueError, match="must be finite, got inf"):
+            PulseStep.make({(1, 2): 1e308, (2, 1): 1e308})
+
     def test_real_numbers_of_any_type_become_floats(self):
         s = PulseStep.make({(1, 2): 1, (3, 4): np.float32(0.5), (5, 6): np.int64(-2)}, phase=np.float64(0.25))
         assert s == PulseStep(((1, 2), (3, 4), (5, 6)), (1.0, 0.5, -2.0), 0.25)
@@ -232,6 +249,27 @@ class TestInternedForm:
         assert len(sch._product_levels) == max(len(seq) - 1, 0).bit_length()
 
 
+class TestStepArrays:
+    """``PulseSchedule._arrays``: the distinct steps' numeric form, built once per schedule."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(sch=_repeating_schedules())
+    def test_arrays_spell_out_the_interned_form(self, sch):
+        arrays = sch._arrays
+        assert sch._arrays is arrays
+        distinct, _ = sch._interned
+        assert arrays.rows.shape == (len(distinct), 15)
+        for step, row, phase, phased in zip(distinct, arrays.rows, arrays.phases, arrays.phased):
+            assert {ALL_PAIRS[k]: c for k, c in enumerate(row) if c} == step.coefficients()
+            assert phase == np.exp(1j * step.phase) and phased == (step.phase != 0.0)
+        assert len(arrays.levels) == len(sch._product_levels)
+        for (left, right, carry), (pairs, want_carry) in zip(arrays.levels, sch._product_levels):
+            assert list(zip(left.tolist(), right.tolist())) == list(pairs)
+            assert carry == want_carry
+        for a in (arrays.rows, arrays.phases, arrays.phased, *(a for lv in arrays.levels for a in lv[:2])):
+            assert not a.flags.writeable
+
+
 class TestStepGenerator:
     @settings(max_examples=60, deadline=None)
     @given(coeffs=_COEFF_MAPS, sector=st.sampled_from(list(SpinSector)))
@@ -260,6 +298,7 @@ class TestStepGenerator:
                     coeffs[ALL_PAIRS.index(pair)] += c
                 assert np.array_equal(row, np.tensordot(coeffs, stack, axes=1))
                 assert np.array_equal(row, step_generators((step,), stack)[0])
+            assert np.array_equal(got, row_generators(trotter._coefficient_rows(steps), stack))
 
 
 class TestTrotterProduct:
@@ -485,6 +524,14 @@ class TestSingleQubit:
             assert type(sch.steps[0].phase) is float
             assert json.loads(json.dumps(schedule_to_json(sch)))["steps"][0]["phase"] == delta
 
+    @pytest.mark.parametrize("alpha", [0.0, 0.1])
+    def test_phase_is_checked_like_any_other(self, alpha):
+        # with or without a rotation step to carry it
+        with pytest.raises(ValueError, match="must be finite"):
+            single_qubit_schedule(1, alpha, 0, 0, float("nan"))
+        sch = single_qubit_schedule(1, alpha, 0, 0, np.int64(1))
+        assert type(sch.steps[0].phase) is float and sch.steps[0].phase == 1.0
+
     def test_z_rotation_via_swap12(self):
         sch = single_qubit_schedule(1, 0, np.pi / 4, 0)
         (step,) = sch.steps
@@ -589,13 +636,13 @@ class TestConsolidate:
     def test_generators_built_once_per_distinct_step(self, monkeypatch):
         # counts generator rows on the one coefficient-to-matrix path
         built = []
-        original = trotter.step_generators
+        original = trotter.row_generators
 
-        def counting(steps, stack):
-            built.extend(steps)
-            return original(steps, stack)
+        def counting(rows, stack):
+            built.extend(rows)
+            return original(rows, stack)
 
-        monkeypatch.setattr(trotter, "step_generators", counting)
+        monkeypatch.setattr(trotter, "row_generators", counting)
         sch = cnot_spin1(200)
         merged = consolidate(sch)
         # the steps consolidation sees: the input's and the merged ones
