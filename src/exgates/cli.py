@@ -70,8 +70,8 @@ def _suite_encoding() -> list[CheckResult]:
         checks.append(
             _check(f"{sector.name} computational basis orthonormal", max_abs(pi @ pi.T - np.eye(4)))
         )
-        checks.extend(encoding.verify_local_pauli_table(sector).checks)
-        checks.extend(encoding.verify_cross_pauli_table(sector).checks)
+        checks.extend(encoding.verify_local_pauli_table(sector))
+        checks.extend(encoding.verify_cross_pauli_table(sector))
         worst_y = 0.0
         for pair in encoding.CROSS_PAIRS:
             p = encoding.projected_rep({pair: 1.0}, sector)
@@ -218,7 +218,7 @@ def _cmd_synthesize(args) -> int:
     else:
         schedule = trotter.cnot_spin1(args.n)
     if args.cancel_negatives:
-        schedule = trotter.cancel_negatives(schedule, args.cancel_mode)
+        schedule = trotter.cancel_negatives(schedule, args.cancel_negatives)
     out = args.out or f"cnot-{args.mode}-n{args.n}.json"
     try:
         trotter.save_schedule(schedule, out)
@@ -305,8 +305,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=["independent", "spin1"], default="independent")
     p.add_argument("--n", type=int, default=5)
     p.add_argument("--order", type=int, choices=[0, 1], default=1)
-    p.add_argument("--cancel-negatives", action="store_true")
-    p.add_argument("--cancel-mode", choices=["full-sum", "cross-sum"], default="full-sum")
+    p.add_argument(
+        "--cancel-negatives",
+        nargs="?",
+        const="full-sum",
+        choices=["full-sum", "cross-sum"],
+        help="remove negative Hamiltonian coefficients (bare flag: full-sum)",
+    )
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_synthesize)
 

@@ -38,7 +38,6 @@ __all__ = [
     "verify_cross_pauli_table",
     "hamiltonian_from_pauli",
     "CheckResult",
-    "CheckReport",
 ]
 
 BLOCK_A_PAIRS = ((1, 2), (1, 3), (2, 3))
@@ -174,19 +173,7 @@ class CheckResult:
         return self.deviation <= self.tol
 
 
-@dataclass(frozen=True)
-class CheckReport:
-    checks: tuple[CheckResult, ...]
-
-    @property
-    def ok(self) -> bool:
-        return all(c.ok for c in self.checks)
-
-    def failures(self) -> tuple[CheckResult, ...]:
-        return tuple(c for c in self.checks if not c.ok)
-
-
-def verify_local_pauli_table(sector: SpinSector) -> CheckReport:
+def verify_local_pauli_table(sector: SpinSector) -> tuple[CheckResult, ...]:
     """Check the within-block exchange -> Pauli identities for both blocks."""
     checks = []
     for block, offset, targets in (
@@ -204,10 +191,10 @@ def verify_local_pauli_table(sector: SpinSector) -> CheckReport:
                     f"{shifted[0]}/{shifted[1]} -> {target}"
                 )
                 checks.append(CheckResult(name, dev, 1e-12))
-    return CheckReport(tuple(checks))
+    return tuple(checks)
 
 
-def verify_cross_pauli_table(sector: SpinSector) -> CheckReport:
+def verify_cross_pauli_table(sector: SpinSector) -> tuple[CheckResult, ...]:
     """Check the nine cross-block dictionary rows in a sector."""
     ps = [projected_rep({p: 1.0}, sector) for p in CROSS_PAIRS]
     a, b = sector.cross_scale, sector.identity_scale
@@ -217,7 +204,7 @@ def verify_cross_pauli_table(sector: SpinSector) -> CheckReport:
         target = a * (b if word == "II" else 1.0) * pauli_word(word)
         dev = float(np.max(np.abs(combo - target)))
         checks.append(CheckResult(f"{sector.name} row {row + 1} -> {word}", dev, 1e-12))
-    return CheckReport(tuple(checks))
+    return tuple(checks)
 
 
 def hamiltonian_from_pauli(

@@ -1,13 +1,14 @@
-"""Small dense linear-algebra helpers shared across modules."""
+"""Small dense linear-algebra helpers and the input checks shared across modules."""
 
 from __future__ import annotations
 
 import math
+import operator
 import reprlib
 
 import numpy as np
 
-__all__ = ["expi", "is_hermitian", "max_abs", "real_coefficient"]
+__all__ = ["expi", "is_hermitian", "max_abs", "real_coefficient", "plain_int", "integer_pair"]
 
 
 def expi(h: np.ndarray) -> np.ndarray:
@@ -42,3 +43,29 @@ def real_coefficient(c) -> float:
     if not math.isfinite(value):
         raise ValueError(f"coefficient must be finite, got {reprlib.repr(c)}")
     return value
+
+
+def plain_int(value, what: str) -> int:
+    """``operator.index(value)``, raising ``ValueError`` that names ``what`` for a bool or a non-integer.
+
+    numpy integers pass; ``int()`` would also take floats, strings and
+    bools, and ``True`` would pass ``operator.index`` as 1.
+    """
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{what} must be an integer, got {reprlib.repr(value)}")
+
+
+def integer_pair(pair) -> tuple[int, int]:
+    """The two entries of a pair-map key as plain ints, raising ``ValueError`` that names the pair.
+
+    Range and i != j are left to the caller.
+    """
+    try:
+        i, j = pair
+        return plain_int(i, "pair entry"), plain_int(j, "pair entry")
+    except (TypeError, ValueError):
+        raise ValueError(f"pair must hold two integers, got {reprlib.repr(pair)}") from None

@@ -28,7 +28,7 @@ from typing import Mapping
 import numpy as np
 
 from .encoding import ALL_PAIRS, SpinSector
-from .linalg import real_coefficient
+from .linalg import integer_pair, real_coefficient
 from .metrics import evolve, frame_scores
 from .symrep import Permutation
 from .trotter import PulseSchedule
@@ -123,7 +123,7 @@ def oracle_projected_rep(pairs: Mapping[tuple[int, int], float], sector: SpinSec
     phi = logical_frame(sector)
     m = np.zeros((DIM, DIM))
     for pair, c in pairs.items():
-        m += real_coefficient(c) * physical_swap(*sorted(pair))
+        m += real_coefficient(c) * physical_swap(*sorted(integer_pair(pair)))
     return phi @ m @ phi.T
 
 

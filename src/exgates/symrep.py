@@ -28,7 +28,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .linalg import real_coefficient
+from .linalg import integer_pair, real_coefficient
 
 __all__ = [
     "Partition",
@@ -272,6 +272,6 @@ def rep_transposition(shape: Partition, i: int, j: int) -> np.ndarray:
 def rep_element(shape: Partition, pairs: Mapping[tuple[int, int], float]) -> np.ndarray:
     """Real combination sum c (i j) of transpositions, pair (i, j) to c, summed in map order."""
     m = np.zeros((len(standard_tableaux(shape)),) * 2)
-    for (i, j), c in pairs.items():
-        m += real_coefficient(c) * rep_transposition(shape, i, j)
+    for pair, c in pairs.items():
+        m += real_coefficient(c) * rep_transposition(shape, *integer_pair(pair))
     return m

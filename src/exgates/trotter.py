@@ -37,7 +37,7 @@ from .encoding import (
     SpinSector,
     hamiltonian_from_pauli,
 )
-from .linalg import real_coefficient
+from .linalg import integer_pair, plain_int, real_coefficient
 from .symrep import rep_transposition
 
 __all__ = [
@@ -56,7 +56,6 @@ __all__ = [
     "canonical_two_qubit_schedule",
     "pair_stack",
     "row_generators",
-    "step_generators",
     "consolidate",
     "cancel_negatives",
     "normalized_time",
@@ -81,8 +80,8 @@ SWAP_GENERATOR_N1 = {
 }
 
 
-def _normalize_pair(pair: Iterable[int]) -> tuple[int, int]:
-    i, j = sorted(int(v) for v in pair)
+def _normalize_pair(pair) -> tuple[int, int]:
+    i, j = sorted(integer_pair(pair))
     if not (1 <= i < j <= 6):
         raise ValueError(f"not a transposition pair of six spins: {reprlib.repr((i, j))}")
     return i, j
@@ -161,11 +160,11 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 class PulseSchedule:
     """An ordered pulse sequence with construction metadata.
 
-    Its interned form (``_interned``), product plan (``_product_levels``) and
-    the numeric form of its distinct steps (``_arrays``, a ``_StepArrays``)
-    are computed on first use and kept on the instance, as ``PulseStep._hash``
-    is.  They are not fields: equality, hashing and JSON see only the steps
-    and metadata, and ``replace`` makes a schedule that computes its own.
+    Its interned form (``_interned``) and the numeric form of its distinct
+    steps and product plan (``_arrays``, a ``_StepArrays``) are computed on
+    first use and kept on the instance, as ``PulseStep._hash`` is.  They are
+    not fields: equality, hashing and JSON see only the steps and metadata,
+    and ``replace`` makes a schedule that computes its own.
     """
 
     steps: tuple[PulseStep, ...]
@@ -189,15 +188,17 @@ class PulseSchedule:
         return tuple(ids), seq
 
     @cached_property
-    def _product_levels(self) -> tuple[tuple[tuple[tuple[int, int], ...], int | None], ...]:
-        """``evolve``'s pairwise product plan: (distinct id pairs, carried id) per level.
+    def _arrays(self) -> _StepArrays:
+        """The distinct steps' coefficient rows, phase factors and pairwise product plan.
 
-        A level pairs neighbouring ids (0, 1), (2, 3), ... of the one below;
-        each distinct pair gets the next id, first occurrence first, and an
-        odd last id is carried up as the id after them.  It depends on the
-        ids alone, so it is walked once per schedule, not once per stack.
+        Built once per schedule, so both irreps, both oracle closures and
+        ``consolidate`` read the same arrays.  Each phase factor is its own
+        scalar ``np.exp``, the value a per-step multiply used.  A plan level
+        pairs neighbouring ids (0, 1), (2, 3), ... of the one below; each
+        distinct pair gets the next id, first occurrence first, and an odd
+        last id is carried up as the id after them.
         """
-        seq = self._interned[1]
+        distinct, seq = self._interned
         levels = []
         while len(seq) > 1:
             pairs: dict[tuple[int, int], int] = {}
@@ -205,32 +206,14 @@ class PulseSchedule:
             carry = seq[-1] if len(seq) % 2 else None
             if carry is not None:
                 level.append(len(pairs))
-            levels.append((tuple(pairs), carry))
+            left, right = (_read_only(np.array(ids, dtype=np.intp)) for ids in zip(*pairs))
+            levels.append((left, right, carry))
             seq = level
-        return tuple(levels)
-
-    @cached_property
-    def _arrays(self) -> _StepArrays:
-        """The distinct steps' coefficient rows, phase factors and id-array product plan.
-
-        Built once per schedule, so both irreps, both oracle closures and
-        ``consolidate`` read the same arrays.  Each phase factor is its own
-        scalar ``np.exp``, the value a per-step multiply used.
-        """
-        distinct = self._interned[0]
-        levels = tuple(
-            (
-                _read_only(np.array([a for a, _ in pairs], dtype=np.intp)),
-                _read_only(np.array([b for _, b in pairs], dtype=np.intp)),
-                carry,
-            )
-            for pairs, carry in self._product_levels
-        )
         return _StepArrays(
             _read_only(_coefficient_rows(distinct)),
             _read_only(np.array([np.exp(1j * s.phase) for s in distinct], dtype=complex)),
             _read_only(np.array([s.phase != 0.0 for s in distinct], dtype=bool)),
-            levels,
+            tuple(levels),
         )
 
 
@@ -247,9 +230,20 @@ def _merge_steps(a: PulseStep, b: PulseStep) -> PulseStep:
 MAX_ITERATIONS = 10_000
 
 
-def _check_iterations(n: int) -> None:
+def _check_iterations(n) -> int:
+    """``n`` as a plain int; ``ValueError`` unless it is an integer from 1 to MAX_ITERATIONS."""
+    n = plain_int(n, "iteration count")
     if not 1 <= n <= MAX_ITERATIONS:
         raise ValueError(f"iteration count must be between 1 and {MAX_ITERATIONS}, got {reprlib.repr(n)}")
+    return n
+
+
+def _check_order(order) -> int:
+    """``order`` as a plain int; ``ValueError`` unless it is 0 or 1."""
+    order = plain_int(order, "order")
+    if order not in (0, 1):
+        raise ValueError(f"order must be 0 or 1, got {reprlib.repr(order)}")
+    return order
 
 
 def trotter_product(
@@ -266,9 +260,8 @@ def trotter_product(
     """
     if not terms:
         raise ValueError("need at least one term")
-    _check_iterations(n)
-    if order not in (0, 1):
-        raise ValueError("order must be 0 or 1")
+    n = _check_iterations(n)
+    order = _check_order(order)
     steps: list[PulseStep] = []
     terms = [PulseStep.make(t) for t in terms]
     if order == 0:
@@ -332,10 +325,9 @@ def decoupled_evolution(
     cycle is ``_DECOUPLED_CYCLES[order]`` with dt = alpha/4n; unless h
     commutes with U, consolidation leaves 12n+3 cycles (order 1) or 8n+1.
     """
-    _check_iterations(n)
+    n = _check_iterations(n)
     drop = {_normalize_pair(p) for p in drop_from_decoupler}
-    if order not in (0, 1):
-        raise ValueError("order must be 0 or 1")
+    order = _check_order(order)
     prefix, cycle, suffix = _DECOUPLED_CYCLES[order]
     pairs = [p for p in BLOCK_A_PAIRS + BLOCK_B_PAIRS if p not in drop]
     decouplers = {"u": (np.pi / 2, pairs), "u2": (np.pi, pairs)}
@@ -357,7 +349,7 @@ def cnot_spin_independent(n: int, order: int = 1) -> PulseSchedule:
     core = decoupled_evolution(
         SWAP_GENERATOR_N, np.pi / 2, n, order=order, drop_from_decoupler=[(1, 2)]
     )
-    return PulseSchedule((_CNOT_PREFACTOR,) + core.steps, name="cnot-independent", order=order, n=n)
+    return replace(core, steps=(_CNOT_PREFACTOR,) + core.steps, name="cnot-independent")
 
 
 def cnot_spin1(n: int) -> PulseSchedule:
@@ -369,7 +361,7 @@ def cnot_spin1(n: int) -> PulseSchedule:
     (T^1/2 Ub T^1/2 Ub' Ua T Ub T Ua' T^1/2 Ub' T^1/2)^n with dt = pi/8n
     (10n+1 cycles); (12) is dropped from Ua: it commutes with the generator.
     """
-    _check_iterations(n)
+    n = _check_iterations(n)
     decouplers = {"ua": (np.pi, ((1, 3), (2, 3))), "ub": (np.pi, BLOCK_B_PAIRS)}
     steps = _cycle_steps(SWAP_GENERATOR_N1, np.pi / (8 * n), decouplers, _SPIN1_CYCLE, n)
     return PulseSchedule((_CNOT_PREFACTOR,) + steps, name="cnot-spin1", order=1, n=n)
@@ -455,7 +447,7 @@ def canonical_two_qubit_schedule(
     The YY factor is realized by conjugating a ZZ evolution with
     exp(i pi/4 (XI + IX)).
     """
-    _check_iterations(n)
+    n = _check_iterations(n)
     independent = sector is None
     basis_sector = SpinSector.SPIN1 if independent else sector
     if independent:
@@ -514,11 +506,6 @@ def row_generators(rows: np.ndarray, stack: np.ndarray) -> np.ndarray:
     """
     flat = stack.reshape(len(ALL_PAIRS), -1)
     return np.matmul(rows[:, None, :], flat).reshape(len(rows), *stack.shape[1:])
-
-
-def step_generators(steps: Sequence[PulseStep], stack: np.ndarray) -> np.ndarray:
-    """Generators of k steps as a (k, d, d) stack: ``row_generators`` of their rows."""
-    return row_generators(_coefficient_rows(steps), stack)
 
 
 def _generators_commute(a: Sequence[np.ndarray], b: Sequence[np.ndarray]) -> np.ndarray:
@@ -584,7 +571,7 @@ def consolidate(schedule: PulseSchedule) -> PulseSchedule:
                     merged = _merge_steps(out[-1], step)
                     to = (ids.setdefault(merged, len(ids)), merged)
                     if to[0] == len(rows):
-                        rows.append([step_generators((merged,), m) for m in stacks])
+                        rows.append([row_generators(_coefficient_rows((merged,)), m) for m in stacks])
                 transitions[key] = to
             if to is not None:
                 out_ids[-1], out[-1] = to
@@ -646,11 +633,17 @@ def cancel_negatives(schedule: PulseSchedule, mode: str) -> PulseSchedule:
     """Remove negative coefficients from Hamiltonian-bearing steps.
 
     A step is Hamiltonian-bearing when it involves a cross-block
-    transposition.  The added transposition sums act as sector constants
-    (full or cross sum) or as zero (block sums) on the computational
-    subspace, so the logical action changes by at most a global phase per
-    sector; a Hamiltonian step holding a single exchange interaction is
-    instead shifted by a full period, which leaves its unitary untouched.
+    transposition.  ``full-sum`` adds the all-transposition sum, which is
+    central: it acts as a constant in each irrep, so each step, and the
+    logical action, changes by a global phase per sector only.
+    ``cross-sum`` adds the cross and block sums, which act as a constant
+    and as zero on the computational subspace only; they do not commute
+    with the rest of the step, so the finite-n product changes.  For
+    ``cnot_spin_independent(3)`` it moves F from 0.99136 to 0.97343
+    (SPIN1) and from 0.99946 to 0.93609 (SPIN0); at n = 200 both still
+    print 1.00000.  A Hamiltonian step holding a single exchange
+    interaction is instead shifted by a full period, which leaves its
+    unitary untouched.
     Purely local steps (decouplers, prefactors, one-qubit factors) are
     left alone; their negatives are reported rather than rewritten.  Each
     distinct step of the schedule's interned form is rewritten once per
@@ -701,13 +694,6 @@ def _json_number(value, what: str) -> float:
     return number
 
 
-def _json_int(value, what: str) -> int:
-    """A JSON integer; floats, strings and booleans are rejected."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{what} must be an integer, got {reprlib.repr(value)}")
-    return value
-
-
 def _json_field(data: dict, key: str, kind: type, what: str):
     """``data[key]``, which must be present and a ``kind`` (list or dict)."""
     if key not in data:
@@ -726,7 +712,7 @@ def schedule_from_json(data: dict) -> PulseSchedule:
     """
     if not isinstance(data, dict):
         raise ValueError(f"schedule JSON must be an object, got {type(data).__name__}")
-    version = _json_int(data.get("version"), "version")
+    version = plain_int(data.get("version"), "version")
     if version != 1:
         raise ValueError(f"unsupported schedule version: {reprlib.repr(version)}")
     steps = []
@@ -737,7 +723,7 @@ def schedule_from_json(data: dict) -> PulseSchedule:
         for p in _json_field(s, "pairs", list, f"step {k} pairs"):
             if not isinstance(p, list) or len(p) != 2:
                 raise ValueError(f"step {k} pair {reprlib.repr(p)} must have two entries")
-            pairs.append(_normalize_pair(_json_int(v, f"step {k} pair entry") for v in p))
+            pairs.append(_normalize_pair([plain_int(v, f"step {k} pair entry") for v in p]))
         coeffs = [
             _json_number(c, f"step {k} coefficient")
             for c in _json_field(s, "coeffs", list, f"step {k} coeffs")
@@ -751,11 +737,8 @@ def schedule_from_json(data: dict) -> PulseSchedule:
         if step.max_coefficient() > MAX_COEFFICIENT:
             raise ValueError(f"step {k}: coefficient magnitude above {MAX_COEFFICIENT:g}")
         steps.append(step)
-    order = _json_int(data.get("order", 1), "order")
-    if order not in (0, 1):
-        raise ValueError(f"order must be 0 or 1, got {reprlib.repr(order)}")
-    n = _json_int(data.get("n", 1), "n")
-    _check_iterations(n)
+    order = _check_order(data.get("order", 1))
+    n = _check_iterations(plain_int(data.get("n", 1), "n"))
     name = data.get("name", "schedule")
     if not isinstance(name, str):
         raise ValueError(f"name must be a string, got {reprlib.repr(name)}")
@@ -763,9 +746,10 @@ def schedule_from_json(data: dict) -> PulseSchedule:
 
 
 def save_schedule(schedule: PulseSchedule, path) -> None:
+    """Write a schedule's JSON; the text is built before the file is opened, so a failure leaves none."""
+    text = json.dumps(schedule_to_json(schedule), indent=1) + "\n"
     with open(path, "w") as fh:
-        json.dump(schedule_to_json(schedule), fh, indent=1)
-        fh.write("\n")
+        fh.write(text)
 
 
 def load_schedule(path) -> PulseSchedule:

@@ -75,9 +75,9 @@ def test_criterion_3_pauli_dictionaries():
     for sector in SpinSector:
         local = verify_local_pauli_table(sector)
         cross = verify_cross_pauli_table(sector)
-        assert local.ok, local.failures()
-        assert cross.ok, cross.failures()
-        worst = max(worst, *(c.deviation for c in local.checks + cross.checks))
+        assert all(c.ok for c in local), [c for c in local if not c.ok]
+        assert all(c.ok for c in cross), [c for c in cross if not c.ok]
+        worst = max(worst, *(c.deviation for c in local + cross))
     print(f"PASS criterion 3 (pauli dictionaries): max dev {worst:.2e} <= 1e-12")
 
 

@@ -91,12 +91,12 @@ class TestPauliTables:
     @pytest.mark.parametrize("sector", list(SpinSector))
     def test_local_table(self, sector):
         result = verify_local_pauli_table(sector)
-        assert result.ok, result.failures()
+        assert all(c.ok for c in result), [c for c in result if not c.ok]
 
     @pytest.mark.parametrize("sector", list(SpinSector))
     def test_cross_table(self, sector):
         result = verify_cross_pauli_table(sector)
-        assert result.ok, result.failures()
+        assert all(c.ok for c in result), [c for c in result if not c.ok]
 
     @pytest.mark.parametrize("sector", list(SpinSector))
     def test_cross_projections_have_no_y_component(self, sector):

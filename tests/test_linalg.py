@@ -1,12 +1,17 @@
-"""The spectral exponential on one matrix and on a stack of matrices."""
+"""The spectral exponential on one matrix and on a stack of matrices, and the pair check."""
+
+import re
+import reprlib
 
 import numpy as np
 import pytest
 from swap_blocks import MAGNETIZATION_BLOCKS
 
-from exgates.encoding import SpinSector
+from exgates.encoding import SpinSector, projected_rep
 from exgates.linalg import expi
-from exgates.trotter import pair_stack
+from exgates.oracle import oracle_projected_rep
+from exgates.symrep import rep_element
+from exgates.trotter import PulseStep, pair_stack
 
 # The 5- and 9-dim irreps and the 15- and 20-dim magnetization blocks.
 _STACKS = [pair_stack(s) for s in SpinSector] + MAGNETIZATION_BLOCKS
@@ -40,3 +45,29 @@ def test_matrix_call_is_the_spectral_formula(stack):
         h = hs[0]
         w, v = np.linalg.eigh(h)
         assert np.array_equal(expi(h), (v * np.exp(1j * w)) @ v.conj().T)
+
+
+# The four functions that take a pair map, each returning something comparable.
+_PAIR_MAP_TAKERS = {
+    "PulseStep.make": lambda m: np.array(PulseStep.make(m).pairs),
+    "rep_element": lambda m: rep_element(SpinSector.SPIN1.partition, m),
+    "projected_rep": lambda m: projected_rep(m, SpinSector.SPIN0),
+    "oracle_projected_rep": lambda m: oracle_projected_rep(m, SpinSector.SPIN1),
+}
+
+
+@pytest.mark.parametrize("take", _PAIR_MAP_TAKERS.values(), ids=_PAIR_MAP_TAKERS.keys())
+@pytest.mark.parametrize(
+    "pair",
+    [(1.5, 2), ("1", 2), (1.0, 2.0), (True, 2), (1, np.True_), (np.float64(1.0), 2), "12", (1, 2, 3)],
+)
+def test_pair_entries_must_be_integers(take, pair):
+    with pytest.raises(ValueError, match=re.escape(reprlib.repr(pair))):
+        take({pair: 1.0})
+
+
+@pytest.mark.parametrize("take", _PAIR_MAP_TAKERS.values(), ids=_PAIR_MAP_TAKERS.keys())
+def test_numpy_integer_pairs_accepted(take):
+    want = take({(2, 5): 0.7, (1, 4): -0.3})
+    got = take({(np.int64(2), np.uint8(5)): 0.7, (np.int32(1), 4): -0.3})
+    assert np.array_equal(got, want)

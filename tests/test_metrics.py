@@ -277,8 +277,8 @@ def _reference_evolve(schedule, stack):
             coeffs[ALL_PAIRS.index(pair)] += c
         u = expi((coeffs @ flat).reshape(stack.shape[1:]))
         mats.append(np.exp(1j * step.phase) * u if step.phase else u)
-    for pairs, carry in schedule._product_levels:
-        products = [mats[a] @ mats[b] for a, b in pairs]
+    for left, right, carry in schedule._arrays.levels:
+        products = [mats[a] @ mats[b] for a, b in zip(left, right)]
         if carry is not None:
             products.append(mats[carry])
         mats = products

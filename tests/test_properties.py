@@ -21,11 +21,12 @@ from exgates.oracle import oracle_fidelity
 from exgates.trotter import (
     PulseSchedule,
     PulseStep,
+    _coefficient_rows,
     cancel_negatives,
     pair_stack,
+    row_generators,
     schedule_from_json,
     schedule_to_json,
-    step_generators,
 )
 
 IDENTITY = np.eye(4, dtype=complex)
@@ -65,7 +66,7 @@ def _repeating_schedules(draw):
 
 
 def _step_unitary(step, stack):
-    u = expi(step_generators((step,), stack)[0])
+    u = expi(row_generators(_coefficient_rows((step,)), stack)[0])
     return np.exp(1j * step.phase) * u if step.phase else u
 
 

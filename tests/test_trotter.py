@@ -40,7 +40,6 @@ from exgates.trotter import (
     schedule_from_json,
     schedule_to_json,
     single_qubit_schedule,
-    step_generators,
     trotter_product,
 )
 
@@ -108,7 +107,7 @@ def _reference_consolidate(schedule):
     stacks = [pair_stack(s) for s in SpinSector]
 
     def generators(step):
-        return [step_generators((step,), m) for m in stacks]
+        return [row_generators(trotter._coefficient_rows((step,)), m) for m in stacks]
 
     out = []
     for step in schedule.steps:
@@ -117,6 +116,11 @@ def _reference_consolidate(schedule):
         else:
             out.append(step)
     return replace(schedule, steps=tuple(out))
+
+
+def _plan(schedule):
+    """A schedule's product plan as plain (left ids, right ids, carried id) per level."""
+    return [(left.tolist(), right.tolist(), carry) for left, right, carry in schedule._arrays.levels]
 
 
 def computational_block(schedule, sector):
@@ -212,7 +216,7 @@ class TestInternedForm:
     @given(sch=_repeating_schedules())
     def test_filled_cache_is_invisible(self, sch):
         fresh = PulseSchedule(sch.steps, name=sch.name, order=sch.order, n=sch.n)
-        sch._interned, sch._product_levels
+        sch._interned, sch._arrays
         assert "_interned" in vars(sch) and "_interned" not in vars(fresh)
         assert sch == fresh and hash(sch) == hash(fresh)
         assert schedule_to_json(sch) == schedule_to_json(fresh)
@@ -221,7 +225,7 @@ class TestInternedForm:
     @settings(max_examples=100, deadline=None)
     @given(sch=_repeating_schedules())
     def test_derived_schedules_intern_their_own_steps(self, sch):
-        sch._interned, sch._product_levels
+        sch._interned, sch._arrays
         derived = [
             replace(sch, steps=sch.steps[::-1] + sch.steps[:1]),
             consolidate(sch),
@@ -231,7 +235,7 @@ class TestInternedForm:
         for out in derived:
             fresh = PulseSchedule(out.steps)
             assert out._interned == fresh._interned
-            assert out._product_levels == fresh._product_levels
+            assert _plan(out) == _plan(fresh)
             distinct, seq = out._interned
             assert tuple(distinct[k] for k in seq) == out.steps
 
@@ -241,12 +245,13 @@ class TestInternedForm:
         """With concatenation as the product, the plan spells out the id sequence."""
         distinct, seq = sch._interned
         words = [(k,) for k in range(len(distinct))]
-        for pairs, carry in sch._product_levels:
+        for left, right, carry in sch._arrays.levels:
+            pairs = list(zip(left.tolist(), right.tolist()))
             assert len(set(pairs)) == len(pairs)
             carried = [] if carry is None else [words[carry]]
             words = [words[a] + words[b] for a, b in pairs] + carried
         assert (words[0] if seq else ()) == seq
-        assert len(sch._product_levels) == max(len(seq) - 1, 0).bit_length()
+        assert len(sch._arrays.levels) == max(len(seq) - 1, 0).bit_length()
 
 
 class TestStepArrays:
@@ -262,10 +267,6 @@ class TestStepArrays:
         for step, row, phase, phased in zip(distinct, arrays.rows, arrays.phases, arrays.phased):
             assert {ALL_PAIRS[k]: c for k, c in enumerate(row) if c} == step.coefficients()
             assert phase == np.exp(1j * step.phase) and phased == (step.phase != 0.0)
-        assert len(arrays.levels) == len(sch._product_levels)
-        for (left, right, carry), (pairs, want_carry) in zip(arrays.levels, sch._product_levels):
-            assert list(zip(left.tolist(), right.tolist())) == list(pairs)
-            assert carry == want_carry
         for a in (arrays.rows, arrays.phases, arrays.phased, *(a for lv in arrays.levels for a in lv[:2])):
             assert not a.flags.writeable
 
@@ -276,7 +277,7 @@ class TestStepGenerator:
     def test_matches_group_algebra_generator(self, coeffs, sector):
         step = PulseStep.make(coeffs)
         want = rep_element(sector.partition, step.coefficients())
-        got = step_generators((step,), pair_stack(sector))[0]
+        got = row_generators(trotter._coefficient_rows((step,)), pair_stack(sector))[0]
         assert np.max(np.abs(got - want)) <= 1e-13
 
     @pytest.mark.parametrize("k", [0, 1, 7, 8, 9, 17])
@@ -290,15 +291,15 @@ class TestStepGenerator:
         stacks = [pair_stack(s) for s in SpinSector]
         stacks += MAGNETIZATION_BLOCKS
         for stack in stacks:
-            got = step_generators(steps, stack)
+            got = row_generators(trotter._coefficient_rows(steps), stack)
             assert got.shape == (k, *stack.shape[1:])
             for step, row in zip(steps, got):
                 coeffs = np.zeros(15)
                 for pair, c in zip(step.pairs, step.coeffs):
                     coeffs[ALL_PAIRS.index(pair)] += c
                 assert np.array_equal(row, np.tensordot(coeffs, stack, axes=1))
-                assert np.array_equal(row, step_generators((step,), stack)[0])
-            assert np.array_equal(got, row_generators(trotter._coefficient_rows(steps), stack))
+                assert np.array_equal(row, row_generators(trotter._coefficient_rows((step,)), stack)[0])
+            assert np.array_equal(got, row_generators(PulseSchedule(tuple(steps))._arrays.rows, stack))
 
 
 class TestTrotterProduct:
@@ -494,6 +495,37 @@ class TestCnotConstructions:
             cnot_spin1(0)
         with pytest.raises(ValueError):
             cnot_spin1(MAX_ITERATIONS + 1)
+
+    _BUILDS = {
+        "trotter_product": lambda n, order: trotter_product([{(1, 4): 1.0}, {(2, 5): 0.5}], 1.0, n, order),
+        "decoupled_evolution": lambda n, order: decoupled_evolution(SWAP_GENERATOR_N, 1.0, n, order=order),
+        "cnot_spin_independent": lambda n, order: cnot_spin_independent(n, order=order),
+        "cnot_spin1": lambda n, order: cnot_spin1(n),
+    }
+    _ORDERED = ("trotter_product", "decoupled_evolution", "cnot_spin_independent")
+
+    @pytest.mark.parametrize("build", _BUILDS.values(), ids=_BUILDS.keys())
+    @pytest.mark.parametrize("n", [True, 2.0, np.float64(2.0), "2"])
+    def test_bool_or_float_n_rejected(self, build, n):
+        with pytest.raises(ValueError, match="iteration count must be an integer"):
+            build(n, 1)
+
+    @pytest.mark.parametrize("build", list(map(_BUILDS.get, _ORDERED)), ids=_ORDERED)
+    @pytest.mark.parametrize("order", [True, False, 1.0, np.float64(0.0)])
+    def test_bool_or_float_order_rejected(self, build, order):
+        with pytest.raises(ValueError, match="order must be an integer"):
+            build(2, order)
+
+    @pytest.mark.parametrize("build", _BUILDS.values(), ids=_BUILDS.keys())
+    def test_numpy_int_n_and_order_stored_as_int(self, build, tmp_path):
+        from exgates.trotter import load_schedule, save_schedule
+
+        sch = build(np.int64(2), np.int32(1))
+        assert type(sch.n) is int and type(sch.order) is int
+        assert sch == build(2, 1)
+        path = tmp_path / "schedule.json"
+        save_schedule(sch, path)
+        assert load_schedule(path) == sch
 
     def test_is_prefactored_decoupled_evolution(self):
         # the construction is exactly the first-order decoupled evolution
@@ -783,6 +815,14 @@ class TestScheduleJson:
         assert top.n == MAX_ITERATIONS
         with pytest.raises(ValueError, match="iteration count"):
             schedule_from_json({"version": 1, "steps": [step], "n": MAX_ITERATIONS + 1})
+
+    def test_failed_save_leaves_no_file(self, tmp_path):
+        from exgates.trotter import save_schedule
+
+        path = tmp_path / "schedule.json"
+        with pytest.raises(TypeError):
+            save_schedule(replace(cnot_spin1(2), n=np.int64(2)), path)
+        assert not path.exists()
 
     def test_file_round_trip(self, tmp_path):
         from exgates.trotter import load_schedule, save_schedule
