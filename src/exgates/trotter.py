@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 import math
 import reprlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -160,11 +160,21 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 class PulseSchedule:
     """An ordered pulse sequence with construction metadata.
 
-    Its interned form (``_interned``) and the numeric form of its distinct
-    steps and product plan (``_arrays``, a ``_StepArrays``) are computed on
-    first use and kept on the instance, as ``PulseStep._hash`` is.  They are
-    not fields: equality, hashing and JSON see only the steps and metadata,
-    and ``replace`` makes a schedule that computes its own.
+    Its run form (``_runs``), its interned form (``_interned``) and the
+    numeric form of its distinct steps and product plan (``_arrays``, a
+    ``_StepArrays``) are computed on first use and kept on the instance, as
+    ``PulseStep._hash`` is.  They are not fields: equality, hashing and JSON
+    see only the steps and metadata, and ``replace`` makes a schedule that
+    computes its own.
+
+    The run form ``(head, body, reps, tail)`` spells the steps as
+    ``head + body * reps + tail``.  The builders repeat one cycle n times
+    and keep that structure through ``_repeated``, its only writer; any
+    other schedule has the degenerate form ``((), (), 0, steps)``.  The
+    per-step passes (interning, the product plan, ``consolidate`` and
+    ``cancel_negatives``) read the run form, so on a built schedule they
+    cost O(cycle) or O(cycle log n) rather than O(n) Python steps, and on a
+    degenerate one they walk the steps as before: one code path for both.
     """
 
     steps: tuple[PulseStep, ...]
@@ -175,17 +185,46 @@ class PulseSchedule:
     def __len__(self) -> int:
         return len(self.steps)
 
+    @classmethod
+    def _repeated(cls, head: Sequence, body: Sequence, reps: int, tail: Sequence, **meta) -> "PulseSchedule":
+        """The schedule of steps ``head + body * reps + tail`` with that run form kept.
+
+        An empty body or zero repeats gives the degenerate form.  Repeats
+        are joined as lists: joining tuples grew peak RSS by ~0.6 MB over
+        1600 rebuilds of the CNOT families.
+        """
+        runs = (tuple(head), tuple(body), reps, tuple(tail)) if body and reps else ((), (), 0, (*head, *tail))
+        head, body, reps, tail = runs
+        schedule = cls(tuple(list(head) + list(body) * reps + list(tail)) if reps else tail, **meta)
+        schedule.__dict__["_runs"] = runs
+        return schedule
+
+    @cached_property
+    def _runs(self) -> tuple:
+        """(head, body, reps, tail) with ``steps == head + body * reps + tail``."""
+        return (), (), 0, self.steps
+
     @cached_property
     def _interned(self) -> tuple[tuple[PulseStep, ...], tuple[int, ...]]:
         """(distinct steps, id sequence), with ``distinct[seq[i]] == steps[i]``.
 
         Ids follow first occurrence, and ``distinct`` holds each step's first
-        occurrence.  This is the one place a schedule's steps are hashed; the
-        per-step passes of every layer read the ids.
+        occurrence.  This is the one place a schedule's steps are hashed: the
+        head, one body and the tail, so the id sequence of the repeats is
+        built by tuple repetition.  The per-step passes of every layer read
+        the ids.
         """
+        head, body, reps, tail = self._runs
         ids: dict[PulseStep, int] = {}
-        seq = tuple([ids.setdefault(step, len(ids)) for step in self.steps])
-        return tuple(ids), seq
+        once = tuple([ids.setdefault(step, len(ids)) for step in head + body + tail])
+        nh, nb = len(head), len(body)
+        return tuple(ids), once[:nh] + once[nh : nh + nb] * reps + once[nh + nb :]
+
+    def _id_runs(self) -> tuple:
+        """The run form over interned ids: (head ids, body ids, reps, tail ids)."""
+        head, body, reps, tail = self._runs
+        seq, nh, nb = self._interned[1], len(head), len(body)
+        return seq[:nh], seq[nh : nh + nb], reps, seq[len(seq) - len(tail) :]
 
     @cached_property
     def _arrays(self) -> _StepArrays:
@@ -197,18 +236,37 @@ class PulseSchedule:
         pairs neighbouring ids (0, 1), (2, 3), ... of the one below; each
         distinct pair gets the next id, first occurrence first, and an odd
         last id is carried up as the id after them.
+
+        The levels are planned on the run form, re-bracketed so that head
+        and body have even length and every pair lies inside one part: an
+        odd head takes the body's first id and the body rotates, one repeat
+        fewer; an odd body doubles, and an odd repeat goes to the tail.
+        Fewer than two repeats are written out.  Head pairs, then body
+        pairs, then tail pairs are the pairs in first-occurrence order, so
+        the levels are those of the written-out sequence, in
+        O(cycle log n) rather than O(n) Python steps.
         """
-        distinct, seq = self._interned
+        distinct = self._interned[0]
+        head, body, reps, tail = self._id_runs()
+        # a level's ids as head + one body + tail, with nh and nb the head and body lengths
+        ids, nh, nb = head + body + tail, len(head), len(body)
         levels = []
-        while len(seq) > 1:
+        while len(ids) + nb * (reps - 1) > 1:
+            if nh % 2 and reps:  # head + b0, body[1:] + b0, reps - 1, body[1:] + tail
+                ids, nh, reps = ids[: nh + nb] + ids[nh:], nh + 1, reps - 1
+            if nb % 2 and reps:  # head, body * 2, reps // 2, body * (reps % 2) + tail
+                body = ids[nh : nh + nb]
+                ids, nb, reps = ids[: nh + nb] + body * (1 + reps % 2) + ids[nh + nb :], 2 * nb, reps // 2
+            if reps < 2 and nb:  # written out
+                ids, nh, nb, reps = ids[:nh] + ids[nh : nh + nb] * reps + ids[nh + nb :], 0, 0, 0
             pairs: dict[tuple[int, int], int] = {}
-            level = [pairs.setdefault(pair, len(pairs)) for pair in zip(seq[::2], seq[1::2])]
-            carry = seq[-1] if len(seq) % 2 else None
+            level = [pairs.setdefault(pair, len(pairs)) for pair in zip(ids[::2], ids[1::2])]
+            carry = ids[-1] if len(ids) % 2 else None
             if carry is not None:
                 level.append(len(pairs))
-            left, right = (_read_only(np.array(ids, dtype=np.intp)) for ids in zip(*pairs))
+            left, right = (_read_only(np.array(side, dtype=np.intp)) for side in zip(*pairs))
             levels.append((left, right, carry))
-            seq = level
+            ids, nh, nb = level, nh // 2, nb // 2
         return _StepArrays(
             _read_only(_coefficient_rows(distinct)),
             _read_only(np.array([np.exp(1j * s.phase) for s in distinct], dtype=complex)),
@@ -262,16 +320,13 @@ def trotter_product(
         raise ValueError("need at least one term")
     n = _check_iterations(n)
     order = _check_order(order)
-    steps: list[PulseStep] = []
     terms = [PulseStep.make(t) for t in terms]
     if order == 0:
         cycle = [t.scaled(alpha / n) for t in terms]
     else:
         head = [t.scaled(alpha / (2 * n)) for t in terms[1:]]
         cycle = list(reversed(head)) + [terms[0].scaled(alpha / n)] + head
-    for _ in range(n):
-        steps.extend(cycle)
-    return PulseSchedule(tuple(steps), name="trotter-product", order=order, n=n)
+    return PulseSchedule._repeated((), cycle, n, (), name="trotter-product", order=order, n=n)
 
 
 def _decoupler_step(weight: float, pairs: Iterable[tuple[int, int]]) -> PulseStep:
@@ -290,22 +345,37 @@ _DECOUPLED_CYCLES = {1: (("u'",), _ORDER1_CYCLE, ("u",)), 0: ((), _ORDER0_CYCLE,
 
 def _cycle_steps(
     h: Mapping[tuple[int, int], float], dt: float, decouplers: Mapping[str, tuple],
-    cycle: Sequence, n: int, prefix: Sequence = (), suffix: Sequence = (),
-) -> tuple[PulseStep, ...]:
-    """Steps of ``prefix``, then ``cycle`` n times, then ``suffix``.
+    cycle: Sequence, prefix: Sequence = (), suffix: Sequence = (),
+) -> tuple[list[PulseStep], list[PulseStep], list[PulseStep]]:
+    """The steps of ``prefix``, ``cycle`` and ``suffix``: a run form's head, body and tail.
 
-    ``decouplers`` maps a name to the (weight, pairs) of its ``_decoupler_step``,
-    built only if a factor uses it.  Each distinct factor is one ``PulseStep``
-    object, shared by all its occurrences, so interning never compares copies.
+    The builders repeat the body n times through ``PulseSchedule._repeated``,
+    which keeps this run form for the per-step passes.  ``decouplers`` maps
+    a name to the (weight, pairs) of its ``_decoupler_step``, built only if
+    a factor uses it.  Each distinct factor is one ``PulseStep`` object,
+    shared by all its occurrences, so interning never compares copies.
     """
     h_step = PulseStep.make(h)
     factors = {*prefix, *cycle, *suffix}
     made = {k: _decoupler_step(*spec) for k, spec in decouplers.items() if {k, k + "'"} & factors}
     for f in factors - made.keys():
         made[f] = made[f[:-1]].scaled(-1.0) if isinstance(f, str) else h_step.scaled(dt * f)
-    # joined as lists: joining tuples grew peak RSS by ~0.6 MB over 1600 rebuilds
-    head, body, tail = ([made[f] for f in fs] for fs in (prefix, cycle, suffix))
-    return tuple(head + body * n + tail)
+    return tuple([made[f] for f in fs] for fs in (prefix, cycle, suffix))
+
+
+def _decoupled_cycle(h: Mapping[tuple[int, int], float], alpha: float, n, order, drop_from_decoupler) -> tuple:
+    """The checked n and order, and the head, body and tail of ``decoupled_evolution``.
+
+    ``cnot_spin_independent`` puts its prefactor in front of the head, so it
+    never builds the steps of the decoupled evolution alone.
+    """
+    n = _check_iterations(n)
+    drop = {_normalize_pair(p) for p in drop_from_decoupler}
+    order = _check_order(order)
+    prefix, cycle, suffix = _DECOUPLED_CYCLES[order]
+    pairs = [p for p in BLOCK_A_PAIRS + BLOCK_B_PAIRS if p not in drop]
+    decouplers = {"u": (np.pi / 2, pairs), "u2": (np.pi, pairs)}
+    return n, order, _cycle_steps(h, alpha / (4 * n), decouplers, cycle, prefix, suffix)
 
 
 def decoupled_evolution(
@@ -325,14 +395,8 @@ def decoupled_evolution(
     cycle is ``_DECOUPLED_CYCLES[order]`` with dt = alpha/4n; unless h
     commutes with U, consolidation leaves 12n+3 cycles (order 1) or 8n+1.
     """
-    n = _check_iterations(n)
-    drop = {_normalize_pair(p) for p in drop_from_decoupler}
-    order = _check_order(order)
-    prefix, cycle, suffix = _DECOUPLED_CYCLES[order]
-    pairs = [p for p in BLOCK_A_PAIRS + BLOCK_B_PAIRS if p not in drop]
-    decouplers = {"u": (np.pi / 2, pairs), "u2": (np.pi, pairs)}
-    steps = _cycle_steps(h, alpha / (4 * n), decouplers, cycle, n, prefix, suffix)
-    return PulseSchedule(steps, name="decoupled-evolution", order=order, n=n)
+    n, order, (head, body, tail) = _decoupled_cycle(h, alpha, n, order, drop_from_decoupler)
+    return PulseSchedule._repeated(head, body, n, tail, name="decoupled-evolution", order=order, n=n)
 
 
 _CNOT_PREFACTOR = PulseStep.make({(1, 2): -np.pi / 4}, phase=-np.pi / 4)
@@ -346,10 +410,10 @@ def cnot_spin_independent(n: int, order: int = 1) -> PulseSchedule:
     exp(-i pi/4 (1 + (12))) turns the decoupled evolution into CNOT on the
     computational subspace of both sectors.
     """
-    core = decoupled_evolution(
-        SWAP_GENERATOR_N, np.pi / 2, n, order=order, drop_from_decoupler=[(1, 2)]
+    n, order, (head, body, tail) = _decoupled_cycle(SWAP_GENERATOR_N, np.pi / 2, n, order, [(1, 2)])
+    return PulseSchedule._repeated(
+        [_CNOT_PREFACTOR, *head], body, n, tail, name="cnot-independent", order=order, n=n
     )
-    return replace(core, steps=(_CNOT_PREFACTOR,) + core.steps, name="cnot-independent")
 
 
 def cnot_spin1(n: int) -> PulseSchedule:
@@ -363,8 +427,8 @@ def cnot_spin1(n: int) -> PulseSchedule:
     """
     n = _check_iterations(n)
     decouplers = {"ua": (np.pi, ((1, 3), (2, 3))), "ub": (np.pi, BLOCK_B_PAIRS)}
-    steps = _cycle_steps(SWAP_GENERATOR_N1, np.pi / (8 * n), decouplers, _SPIN1_CYCLE, n)
-    return PulseSchedule((_CNOT_PREFACTOR,) + steps, name="cnot-spin1", order=1, n=n)
+    _, body, _ = _cycle_steps(SWAP_GENERATOR_N1, np.pi / (8 * n), decouplers, _SPIN1_CYCLE)
+    return PulseSchedule._repeated((_CNOT_PREFACTOR,), body, n, (), name="cnot-spin1", order=1, n=n)
 
 
 def _local_step(axis: str, block: int, angle: float) -> PulseStep:
@@ -381,12 +445,22 @@ def _local_step(axis: str, block: int, angle: float) -> PulseStep:
     )
 
 
+def _check_block(block) -> int:
+    """``block`` as a plain int; ``ValueError`` unless it is the integer 1 or 2 (a bool or float is not)."""
+    block = plain_int(block, "block")
+    if block not in (1, 2):
+        raise ValueError(f"block must be 1 or 2, got {reprlib.repr(block)}")
+    return block
+
+
 def _local_factor_steps(factors: Sequence[tuple[str, int, float]]) -> list[PulseStep]:
     """Steps of ("x" | "z", block, angle) factors; zero angles give no step but are checked too."""
-    for axis, block, _ in factors:
-        if axis not in ("x", "z") or block not in (1, 2):
-            raise ValueError(f"local factors must be x or z on block 1 or 2: {axis!r}, {block!r}")
-    return [_local_step(axis, block, angle) for axis, block, angle in factors if angle != 0.0]
+    checked = []
+    for axis, block, angle in factors:
+        if axis not in ("x", "z"):
+            raise ValueError(f"local factors must be x or z, got {axis!r}")
+        checked.append((axis, _check_block(block), angle))
+    return [_local_step(axis, block, angle) for axis, block, angle in checked if angle != 0.0]
 
 
 def single_qubit_schedule(
@@ -398,6 +472,7 @@ def single_qubit_schedule(
     (12),(13) or (45),(46); Z from minus the first local transposition),
     so the action is identical in both sectors.
     """
+    block = _check_block(block)
     steps = _local_factor_steps(
         (("x", block, alpha), ("z", block, beta), ("x", block, gamma))
     )
@@ -542,12 +617,28 @@ def consolidate(schedule: PulseSchedule) -> PulseSchedule:
     once per step.  Unmerged steps are passed through as given.  All
     tables live only for the call, so schedules of fresh steps do not
     grow memory across calls.
+
+    The walk reads the run form (``PulseSchedule._runs``): the head, then
+    the repeats of the body, then the tail.  Past the head, the walk is
+    fixed by its pending (last output) step, since every transition it
+    takes is resolved once and kept.  So when a repeat starts with the same
+    pending step as an earlier one, the output between them is a period:
+    it is repeated (reps - r) // period more times without a walk, and
+    only the rest of the repeats and the tail are walked.  The output keeps
+    that run form.  The pending step is matched by its value id and its
+    object identity: equal steps may differ in the sign of a zero phase
+    (``u.scaled(-1.0)`` has phase -0.0, a merge back to it +0.0), and the
+    JSON of the output shows which object was passed through.
     """
     stacks = [pair_stack(s) for s in SpinSector]
-    distinct, seq = schedule._interned
+    distinct = schedule._interned[0]
+    head, body, reps, tail = schedule._runs
+    head_ids, body_ids, _, tail_ids = schedule._id_runs()
     ids = {step: i for i, step in enumerate(distinct)}
     generators = [row_generators(schedule._arrays.rows, m) for m in stacks]
-    pairs = list(dict.fromkeys(zip(seq, seq[1:])))
+    # two repeats of the body hold every adjacent pair of the schedule
+    short = head_ids + body_ids * min(reps, 2) + tail_ids
+    pairs = list(dict.fromkeys(zip(short, short[1:])))
     left, right = [a for a, _ in pairs], [b for _, b in pairs]
     commuting = dict(zip(pairs, _generators_commute(
         [g[left] for g in generators], [g[right] for g in generators]
@@ -558,27 +649,51 @@ def consolidate(schedule: PulseSchedule) -> PulseSchedule:
     undecided = object()
     out_ids: list[int] = []
     out: list[PulseStep] = []
-    for b, step in zip(seq, schedule.steps):
-        if out:
-            key = (out_ids[-1], b)
-            to = transitions.get(key, undecided)
-            if to is undecided:
-                commute = commuting.get(key)
-                if commute is None:
-                    commute = _generators_commute(rows[key[0]], rows[b])[0]
-                to = None
-                if commute:
-                    merged = _merge_steps(out[-1], step)
-                    to = (ids.setdefault(merged, len(ids)), merged)
-                    if to[0] == len(rows):
-                        rows.append([row_generators(_coefficient_rows((merged,)), m) for m in stacks])
-                transitions[key] = to
-            if to is not None:
-                out_ids[-1], out[-1] = to
+
+    def walk(part_ids: Sequence[int], part: Sequence[PulseStep]) -> None:
+        for b, step in zip(part_ids, part):
+            if out:
+                key = (out_ids[-1], b)
+                to = transitions.get(key, undecided)
+                if to is undecided:
+                    commute = commuting.get(key)
+                    if commute is None:
+                        commute = _generators_commute(rows[key[0]], rows[b])[0]
+                    to = None
+                    if commute:
+                        merged = _merge_steps(out[-1], step)
+                        to = (ids.setdefault(merged, len(ids)), merged)
+                        if to[0] == len(rows):
+                            rows.append([row_generators(_coefficient_rows((merged,)), m) for m in stacks])
+                    transitions[key] = to
+                if to is not None:
+                    out_ids[-1], out[-1] = to
+                    continue
+            out_ids.append(b)
+            out.append(step)
+
+    walk(head_ids, head)
+    # per pending (id, object identity): the repeat it started, the output length, and the
+    # object itself, held so that no other object can take its id() during the call
+    starts: dict[tuple[int, int], tuple[int, int, PulseStep]] = {}
+    # the output's run form: out[:cut] + out[cut:end] * k + out[end:]
+    cut, end, k = 0, 0, 0
+    r = 0
+    while r < reps:
+        if out and not k:
+            state = (out_ids[-1], id(out[-1]))
+            if state in starts:
+                r0, start, _ = starts[state]
+                cut, end, k = start - 1, len(out) - 1, 1 + (reps - r) // (r - r0)
+                r += (k - 1) * (r - r0)
                 continue
-        out_ids.append(b)
-        out.append(step)
-    return replace(schedule, steps=tuple(out))
+            starts[state] = (r, len(out), out[-1])
+        walk(body_ids, body)
+        r += 1
+    walk(tail_ids, tail)
+    return PulseSchedule._repeated(
+        out[:cut], out[cut:end], k, out[end:], name=schedule.name, order=schedule.order, n=schedule.n
+    )
 
 
 def normalized_time(schedule: PulseSchedule) -> float:
@@ -647,13 +762,18 @@ def cancel_negatives(schedule: PulseSchedule, mode: str) -> PulseSchedule:
     Purely local steps (decouplers, prefactors, one-qubit factors) are
     left alone; their negatives are reported rather than rewritten.  Each
     distinct step of the schedule's interned form is rewritten once per
-    call, and the output is read off by id; it interns its own steps anew.
+    call, and the output is read off by id from the run form's head, body
+    and tail, so it keeps the input's run form (``PulseSchedule._runs``,
+    same repeats); it interns its own steps anew.
     """
     if mode not in ("full-sum", "cross-sum"):
         raise ValueError(f"unknown cancellation mode: {mode!r}")
-    distinct, seq = schedule._interned
-    rewritten = [_cancel_step(s, mode) if s.is_cross_block() else s for s in distinct]
-    return replace(schedule, steps=tuple(map(rewritten.__getitem__, seq)))
+    rewritten = [_cancel_step(s, mode) if s.is_cross_block() else s for s in schedule._interned[0]]
+    head, body, reps, tail = schedule._id_runs()
+    head, body, tail = (tuple(map(rewritten.__getitem__, ids)) for ids in (head, body, tail))
+    return PulseSchedule._repeated(
+        head, body, reps, tail, name=schedule.name, order=schedule.order, n=schedule.n
+    )
 
 
 def schedule_to_json(schedule: PulseSchedule) -> dict:

@@ -102,6 +102,37 @@ def _repeating_schedules(draw):
     return PulseSchedule(tuple(pool[k] for k in picks), name="repeats", order=0, n=3)
 
 
+@st.composite
+def _run_forms(draw):
+    """(head, body, reps, tail) over a pool where merges meet equal steps of either zero sign.
+
+    The pool holds single-pair steps on disjoint blocks, which commute and
+    merge, each with its doubles and negatives; ``scaled(-1.0)`` gives a
+    phase of -0.0, and a merge that lands on an equal value gives +0.0.
+    Each step also has a twin, an equal step that is another object, with
+    the other sign where its phase is zero.  Few-pair steps bring
+    cross-block negatives for ``cancel_negatives``.
+    Coefficients lie on a 0.01 grid.
+    """
+    grid = st.integers(-200, 200).map(lambda k: k / 100)
+    single = st.builds(
+        lambda pair, c: PulseStep.make({pair: c}),
+        st.sampled_from([(1, 2), (1, 3), (2, 3), (4, 5), (4, 6), (5, 6)]),
+        grid,
+    )
+    few = st.builds(
+        PulseStep.make,
+        st.dictionaries(st.sampled_from(ALL_PAIRS), grid, min_size=1, max_size=3),
+        st.sampled_from([0.0, -0.0, 0.25]),
+    )
+    pool = []
+    for step in draw(st.lists(st.one_of(single, single, few), min_size=1, max_size=2)):
+        pool += [step, step.scaled(-1.0), step.scaled(2.0), step.scaled(-2.0)]
+        pool.append(replace(step, phase=-step.phase if step.phase == 0.0 else step.phase))
+    part = st.lists(st.sampled_from(pool), max_size=5)
+    return draw(part), draw(part), draw(st.integers(0, 9)), draw(part)
+
+
 def _reference_consolidate(schedule):
     """Left to right, one commutation check per adjacent pair, no tables."""
     stacks = [pair_stack(s) for s in SpinSector]
@@ -252,6 +283,108 @@ class TestInternedForm:
             words = [words[a] + words[b] for a, b in pairs] + carried
         assert (words[0] if seq else ()) == seq
         assert len(sch._arrays.levels) == max(len(seq) - 1, 0).bit_length()
+
+
+class TestRunForm:
+    """``PulseSchedule._runs``: a built schedule keeps its repeat structure, invisibly."""
+
+    @staticmethod
+    def _flat(sch):
+        return PulseSchedule(sch.steps, name=sch.name, order=sch.order, n=sch.n)
+
+    @staticmethod
+    def _dumps(sch):
+        return json.dumps(schedule_to_json(sch))
+
+    def _assert_invisible(self, sch):
+        flat = self._flat(sch)
+        assert flat._runs == ((), (), 0, sch.steps)
+        assert sch._interned == flat._interned
+        assert all(a is b for a, b in zip(sch._interned[0], flat._interned[0]))
+        assert _plan(sch) == _plan(flat)
+        assert self._dumps(consolidate(sch)) == self._dumps(consolidate(flat))
+        for mode in ("full-sum", "cross-sum"):
+            canceled, flat_canceled = cancel_negatives(sch, mode), cancel_negatives(flat, mode)
+            assert self._dumps(canceled) == self._dumps(flat_canceled)
+            assert self._dumps(consolidate(canceled)) == self._dumps(consolidate(flat_canceled))
+
+    @settings(max_examples=300, deadline=None)
+    @given(runs=_run_forms())
+    def test_run_form_is_invisible(self, runs):
+        head, body, reps, tail = runs
+        sch = PulseSchedule._repeated(head, body, reps, tail, name="runs", order=0, n=3)
+        assert sch.steps == tuple(head + body * reps + tail)
+        h, b, r, t = sch._runs
+        assert h + b * r + t == sch.steps
+        self._assert_invisible(sch)
+        out = consolidate(sch)
+        h, b, r, t = out._runs
+        assert h + b * r + t == out.steps
+
+    _BUILDERS = {
+        "order-1": cnot_spin_independent,
+        "order-0": lambda n: cnot_spin_independent(n, order=0),
+        "spin-1": cnot_spin1,
+        "trotter_product": lambda n: trotter_product([{(1, 4): 1.0}, {(2, 5): -0.5}, {(3, 6): 0.25}], 1.0, n),
+        "trotter_product-0": lambda n: trotter_product([{(1, 4): 1.0}, {(2, 5): -0.5}], 1.0, n, 0),
+        "decoupled_evolution": lambda n: decoupled_evolution(SWAP_GENERATOR_N, 1.0, n),
+        "decoupled_evolution-0": lambda n: decoupled_evolution(SWAP_GENERATOR_N, 1.0, n, order=0),
+    }
+
+    @pytest.mark.parametrize("build", _BUILDERS.values(), ids=_BUILDERS.keys())
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 50])
+    def test_builders_keep_n_repeats(self, build, n):
+        sch = build(n)
+        head, body, reps, tail = sch._runs
+        assert reps == n and body
+        assert head + body * reps + tail == sch.steps
+        for mode in ("full-sum", "cross-sum"):
+            canceled = cancel_negatives(sch, mode)
+            h, b, r, t = canceled._runs
+            assert r == n and h + b * r + t == canceled.steps
+        self._assert_invisible(sch)
+
+    @pytest.mark.parametrize("n", [1, 3, 50])
+    def test_order0_consolidated_json_keeps_signed_zeros(self, n):
+        # u' = u.scaled(-1.0) has phase -0.0; the merge u2' + u equals u' with
+        # phase +0.0, so a replay keyed on values alone would print the wrong sign
+        sch = cnot_spin_independent(n, order=0)
+        got = self._dumps(consolidate(sch))
+        assert got == self._dumps(consolidate(self._flat(sch)))
+        assert '"phase": -0.0' in got and '"phase": 0.0' in got
+
+    def test_replay_keys_the_pending_object(self):
+        # the repeats start with pending x, then with its -0.0 twin: equal
+        # values, but the output must pass the twin through, not x
+        x = PulseStep.make({(1, 2): 0.5})
+        twin = replace(x, phase=-0.0)
+        y = PulseStep.make({(2, 3): 0.5})
+        sch = PulseSchedule._repeated((x,), (y, twin), 5, ())
+        out = consolidate(sch)
+        assert out.steps == sch.steps and all(a is b for a, b in zip(out.steps, sch.steps))
+        assert self._dumps(out) == self._dumps(consolidate(self._flat(sch)))
+
+    @pytest.mark.parametrize("build", list(_BUILDERS.values())[:3], ids=list(_BUILDERS)[:3])
+    def test_consolidate_replays_repeats(self, build):
+        # the repeats after the first period are copied, not walked, and the
+        # output keeps them as its own run form
+        for n in (3, 200):
+            out = consolidate(build(n))
+            head, body, reps, tail = out._runs
+            assert reps == n - 1 and len(head) + len(body) + len(tail) <= 30
+
+    def test_derived_schedules_compute_their_own(self):
+        sch = cnot_spin1(4)
+        moved = replace(sch, steps=sch.steps[1:])
+        assert "_runs" not in vars(moved) and moved._runs == ((), (), 0, moved.steps)
+        assert moved._interned == PulseSchedule(moved.steps)._interned
+
+    @pytest.mark.parametrize("reps", [0, 1])
+    def test_empty_body_or_no_repeats_is_degenerate(self, reps):
+        a, b = PulseStep.make({(1, 2): 0.5}), PulseStep.make({(4, 5): 0.5})
+        body = () if reps else (b,)
+        sch = PulseSchedule._repeated((a,), body, reps, (b, a))
+        assert sch._runs == ((), (), 0, (a, b, a))
 
 
 class TestStepArrays:
@@ -590,6 +723,16 @@ class TestSingleQubit:
         with pytest.raises(ValueError):
             single_qubit_schedule(3, 0.1, 0, 0)
 
+    @pytest.mark.parametrize("block", [True, False, 1.0, np.float64(2.0), "1"])
+    def test_bool_or_float_block_rejected(self, block):
+        with pytest.raises(ValueError, match="block must be an integer"):
+            single_qubit_schedule(block, 0.3, 0.2, 0.1)
+
+    def test_numpy_int_block_is_a_plain_int(self):
+        sch = single_qubit_schedule(np.int64(2), 0.3, 0.2, 0.1)
+        assert sch.name == "local-block2"
+        assert sch == single_qubit_schedule(2, 0.3, 0.2, 0.1)
+
 
 class TestCanonicalGate:
     def test_empty_spec_empty_schedule(self):
@@ -626,6 +769,19 @@ class TestCanonicalGate:
     def test_bad_local_factor_rejected(self, factor):
         with pytest.raises(ValueError):
             canonical_two_qubit_schedule(CanonicalGateSpec(k1=(factor,)), n=1)
+
+    @pytest.mark.parametrize("block", [True, 1.0, np.float64(2.0)])
+    def test_bool_or_float_block_rejected(self, block):
+        for angle in (0.2, 0.0):  # a zero angle gives no step but is checked too
+            with pytest.raises(ValueError, match="block must be an integer"):
+                canonical_two_qubit_schedule(CanonicalGateSpec(k1=(("x", block, angle),)), n=1)
+            with pytest.raises(ValueError, match="block must be an integer"):
+                canonical_two_qubit_schedule(CanonicalGateSpec(k2=(("z", block, angle),)), n=1)
+
+    def test_numpy_int_block_accepted(self):
+        spec = CanonicalGateSpec(k1=(("z", np.int64(1), 0.4),), k2=(("x", np.int32(2), -0.2),))
+        plain = CanonicalGateSpec(k1=(("z", 1, 0.4),), k2=(("x", 2, -0.2),))
+        assert canonical_two_qubit_schedule(spec, n=1) == canonical_two_qubit_schedule(plain, n=1)
 
     def test_local_factors_applied(self):
         spec = CanonicalGateSpec(k1=(("z", 1, 0.4),), k2=(("x", 2, -0.2),))
