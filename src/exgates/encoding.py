@@ -218,7 +218,8 @@ def hamiltonian_from_pauli(
     the target matrix.
     Words containing Y are rejected: Y requires conjugation by local
     rotations, which is schedule-level machinery.  Complex coefficients
-    raise ``TypeError`` and NaN or infinite ones ``ValueError``.
+    raise ``TypeError``, and strings, bools, NaN or infinite ones
+    ``ValueError``.
     """
     tau = np.zeros(9)
     for word, c in target.items():

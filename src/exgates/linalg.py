@@ -31,14 +31,19 @@ def max_abs(m: np.ndarray) -> float:
 
 
 def real_coefficient(c) -> float:
-    """``float(c)``, raising ``TypeError`` for any complex value and ``ValueError`` for NaN or an infinity.
+    """``float(c)``, raising ``TypeError`` for any complex value and ``ValueError`` for a string, bool, NaN or infinity.
 
     A Python ``complex`` raises already; ``float`` of a numpy complex scalar
-    or array would drop the imaginary part with only a ``ComplexWarning``.
-    A non-finite value would only fail later, in ``eigh``.
+    or array would drop the imaginary part with only a ``ComplexWarning``,
+    and ``float`` would read ``"1.5"`` as 1.5 and ``True`` as 1.0.  A
+    non-finite value would only fail later, in ``eigh``.  A ``float`` skips
+    the type checks.
     """
-    if type(c) is not float and np.iscomplexobj(c):
-        raise TypeError(f"coefficient must be real, got {c!r}")
+    if type(c) is not float:
+        if isinstance(c, (str, bytes, bool, np.bool_)):
+            raise ValueError(f"coefficient must be a real number, got {reprlib.repr(c)}")
+        if np.iscomplexobj(c):
+            raise TypeError(f"coefficient must be real, got {c!r}")
     value = float(c)
     if not math.isfinite(value):
         raise ValueError(f"coefficient must be finite, got {reprlib.repr(c)}")

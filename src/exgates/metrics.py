@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import accumulate, zip_longest
 from typing import Sequence
 
 import numpy as np
@@ -35,6 +36,7 @@ from .encoding import SpinSector, projector
 from .linalg import expi
 from .trotter import (
     PulseSchedule,
+    _StepArrays,
     cancel_negatives,
     cnot_spin1,
     cnot_spin_independent,
@@ -50,11 +52,13 @@ __all__ = [
     "FONG_WANDZURA_TIME",
     "SynthesisReport",
     "evolve",
+    "evolve_many",
     "simulate",
     "frame_scores",
     "entanglement_fidelity",
     "leakage",
     "report",
+    "report_many",
     "table_rows",
     "render_markdown",
     "render_csv",
@@ -85,49 +89,139 @@ def _chunk(d: int) -> int:
     return max(1, _CHUNK_ENTRIES // (d * d))
 
 
-def evolve(schedule: PulseSchedule, stack: np.ndarray) -> np.ndarray:
-    """Unitary of a schedule on a (15, d, d) transposition stack (rightmost step first).
+# A finished schedule's level in a merged plan: no pairs, its one matrix carried up.
+_FINISHED = (np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp), (0,))
 
-    A pairwise product over the schedule's numeric form
-    (``PulseSchedule._arrays``: coefficient rows, phase factors and product
-    plan as id arrays), computed once per schedule, so for each sector or
-    oracle closure a call only builds and multiplies matrices, with no
-    Python loop over steps or pairs.  Each distinct step's unitary is built
-    once, from its generator and identity phase alone, so the step
-    unitaries do not depend on the rest of the schedule.  The distinct
-    steps go in chunks of ``_chunk(d)`` matrices: one ``row_generators``
-    stack, one batched ``expi`` and one phase multiply a chunk, each
-    unitary bit for bit the one a per-step call gives.  The phase multiply
-    is out of place, ``np.where(phased, f * u, u)``, which rounds as the
-    scalar ``f * u`` does; an in-place ``u *= f`` does not, and a factor
-    of exactly 1 could still flip the sign of a zero.  Each level of the
-    plan multiplies each distinct pair of neighbouring ids once, in chunked
-    batched products into a preallocated stack, so a schedule of n repeats
-    of a few distinct steps takes O(log n) levels of a few products each,
-    not one product per step.  The product is grouped differently from a
-    left-to-right one, which moves F and L by rounding only: at most 5e-14
-    on the CNOT families at n = 200.
+
+def _merged_plan(parts: Sequence[_StepArrays]) -> tuple[_StepArrays, list[int]]:
+    """One numeric form for several schedules' ``_arrays``, and where each gate ends.
+
+    Rows and phase factors are concatenated in batch order, so layer 0 (the
+    ids level 0 reads) is each schedule's ids at an offset.  Level k of the
+    merged plan is level k of every schedule, and its products, the next
+    layer, are all the schedules' pairs in batch order, then all their
+    carried ids in batch order; a schedule whose own plan has ended carries
+    its one matrix up.  So in every layer a schedule's pair products sit at
+    an offset, which its next level's ids take in one array add for the
+    whole plan, and its carried matrix, if any, sits after everyone's
+    pairs.  That matrix is the schedule's last id, so it is read once more:
+    as the next level's carried id or as its last right id, placed one by
+    one.
     """
+    rows, phases, phased = (np.concatenate(column) for column in zip(*(a[:3] for a in parts)))
+    # per schedule, in the current layer: where its pair products start, how many
+    # there are, and where its carried matrix sits (None: it has none)
+    start = list(accumulate([len(a.rows) for a in parts][:-1], initial=0))
+    made = [len(a.rows) for a in parts]
+    held: list[int | None] = [None] * len(parts)
+    lefts, rights, shifts, carried = [], [], [], []
+    moved: dict[int, int] = {}  # flat right position -> batch id, for carried matrices that get paired
+    cuts = [(0, 0)]  # per level, where its pairs and its carried ids end in the flat lists
+    for level in zip_longest(*(a.levels for a in parts), fillvalue=_FINISHED):
+        (flat, kept), pairs, next_start, slots = cuts[-1], 0, [], []
+        for s, (left, right, ids) in enumerate(level):
+            if held[s] is not None and not ids:
+                moved[flat + pairs + len(right) - 1] = held[s]
+            lefts.append(left)
+            rights.append(right)
+            shifts += [start[s]] * len(left)
+            slots.append(len(carried) - kept if ids else None)  # its place among this level's carried
+            carried += [held[s] if i == made[s] else start[s] + i for i in ids]
+            next_start.append(pairs)
+            pairs += len(left)
+        start, made = next_start, [len(left) for left, _, _ in level]
+        held = [None if slot is None else pairs + slot for slot in slots]
+        cuts.append((flat + pairs, len(carried)))
+    finals = [start[s] if made[s] else held[s] for s in range(len(parts))]
+    if len(cuts) == 1:  # single steps only
+        return _StepArrays(rows, phases, phased, ()), finals
+    shifts = np.array(shifts, dtype=np.intp)
+    left, right = np.concatenate(lefts) + shifts, np.concatenate(rights) + shifts
+    right[list(moved)] = list(moved.values())
+    carried = np.array(carried, dtype=np.intp)
+    levels = tuple((left[a:b], right[a:b], carried[i:j]) for (a, i), (b, j) in zip(cuts, cuts[1:]))
+    return _StepArrays(rows, phases, phased, levels), finals
+
+
+def _batch(schedules: Sequence[PulseSchedule]) -> tuple[_StepArrays, list[int]] | None:
+    """What a batch evolves: a lone schedule's own ``_arrays``, else the merged plan of those with steps.
+
+    With the positions of their gates after the last level; None when no
+    schedule has a step.
+    """
+    parts = [s._arrays for s in schedules if s.steps]
+    if not parts:
+        return None
+    return (parts[0], [0]) if len(schedules) == 1 else _merged_plan(parts)
+
+
+def _evolve_batch(schedules: Sequence[PulseSchedule], batch, stack: np.ndarray) -> np.ndarray:
+    """``evolve_many`` on the batch's numeric form from ``_batch``."""
     d = stack.shape[1]
-    if not schedule.steps:
-        return np.eye(d, dtype=complex)
-    rows, phases, phased, levels = schedule._arrays
+    if batch is None:
+        return np.tile(np.eye(d, dtype=complex), (len(schedules), 1, 1))
+    (rows, phases, phased, levels), finals = batch
     chunk = _chunk(d)
     mats = np.empty((len(rows), d, d), dtype=complex)
     for start in range(0, len(rows), chunk):
         part = slice(start, start + chunk)
         u = expi(row_generators(rows[part], stack))
         mats[part] = np.where(phased[part, None, None], phases[part, None, None] * u, u)
-    for left, right, carry in levels:
-        products = np.empty((len(left) + (carry is not None), d, d), dtype=complex)
+    for left, right, carried in levels:
+        products = np.empty((len(left) + len(carried), d, d), dtype=complex)
         paired = products[: len(left)]
         for start in range(0, len(left), chunk):
             part = slice(start, start + chunk)
             np.matmul(mats[left[part]], mats[right[part]], out=paired[part])
-        if carry is not None:
-            products[-1] = mats[carry]
+        if len(carried):
+            products[len(left) :] = mats[carried]
         mats = products
-    return mats[0]
+    if len(finals) == len(schedules):
+        return mats[finals]
+    gates = np.tile(np.eye(d, dtype=complex), (len(schedules), 1, 1))
+    gates[[k for k, s in enumerate(schedules) if s.steps]] = mats[finals]
+    return gates
+
+
+def evolve_many(schedules: Sequence[PulseSchedule], stack: np.ndarray) -> np.ndarray:
+    """Unitaries of a batch of schedules on a (15, d, d) transposition stack, as (S, d, d).
+
+    Gate s is bit for bit ``evolve(schedules[s], stack)``.  The batch runs
+    the single-schedule algorithm below once, on a merged numeric form
+    (``_merged_plan``): its rows are the schedules' distinct steps, and its
+    level k multiplies the pairs of every schedule's level k, then copies
+    the carried ids of all of them, so each level is one chunked product
+    for the whole batch.  Every step unitary and every product is the same
+    per-matrix operation as in a schedule's own evolve.  A batch of one
+    reads the schedule's own ``_arrays``: no merged plan is built.
+
+    The algorithm is a pairwise product over a numeric form
+    (``PulseSchedule._arrays``: coefficient rows, phase factors and product
+    plan as id arrays), computed once per schedule, so for each sector or
+    oracle closure a call only builds and multiplies matrices, with no
+    Python loop over steps or pairs.  Each distinct step's unitary is built
+    once, from its generator and identity phase alone, so the step
+    unitaries do not depend on the rest of the schedule or the batch.  The
+    distinct steps go in chunks of ``_chunk(d)`` matrices: one
+    ``row_generators`` stack, one batched ``expi`` and one phase multiply a
+    chunk, each unitary bit for bit the one a per-step call gives.  The
+    phase multiply is out of place, ``np.where(phased, f * u, u)``, which
+    rounds as the scalar ``f * u`` does; an in-place ``u *= f`` does not,
+    and a factor of exactly 1 could still flip the sign of a zero.  Each
+    level multiplies each distinct pair of neighbouring ids once, in
+    chunked batched products into a preallocated stack, so a schedule of n
+    repeats of a few distinct steps takes O(log n) levels of a few products
+    each, not one product per step.  The product is grouped differently
+    from a left-to-right one, which moves F and L by rounding only: at most
+    5e-14 on the CNOT families at n = 200.  A schedule with no steps gives
+    the identity.
+    """
+    return _evolve_batch(schedules, _batch(schedules), stack)
+
+
+def evolve(schedule: PulseSchedule, stack: np.ndarray) -> np.ndarray:
+    """Unitary of a schedule on a (15, d, d) transposition stack (rightmost step first): a batch of one."""
+    return evolve_many((schedule,), stack)[0]
 
 
 def simulate(schedule: PulseSchedule, sector: SpinSector) -> np.ndarray:
@@ -176,14 +270,8 @@ class SynthesisReport:
     negative_local_steps: int = 0
 
 
-def report(schedule: PulseSchedule, target: np.ndarray | None = None) -> SynthesisReport:
-    if target is None:
-        target = CNOT
-    fid: dict[str, float] = {}
-    leak: dict[str, float] = {}
-    for sector in SpinSector:
-        g = simulate(schedule, sector)
-        fid[sector.name], leak[sector.name] = frame_scores(g, target, projector(sector))
+def _scorecard(schedule: PulseSchedule, scores: dict[str, tuple[float, float]]) -> SynthesisReport:
+    """The report of a schedule from its (F, L) per sector name: adds cycles, time and the flag."""
     distinct, seq = schedule._interned
     flagged = [not s.is_cross_block() and any(c < 0 for c in s.coeffs) for s in distinct]
     return SynthesisReport(
@@ -191,14 +279,52 @@ def report(schedule: PulseSchedule, target: np.ndarray | None = None) -> Synthes
         n=schedule.n,
         cycles=len(consolidate(schedule).steps),
         normalized_time=normalized_time(schedule),
-        fidelity=fid,
-        leakage=leak,
+        fidelity={name: f for name, (f, _) in scores.items()},
+        leakage={name: leak for name, (_, leak) in scores.items()},
         negative_local_steps=sum(map(flagged.__getitem__, seq)),
     )
 
 
+def report(schedule: PulseSchedule, target: np.ndarray | None = None) -> SynthesisReport:
+    """Scorecard of one schedule against a 4 x 4 target (default ``CNOT``).
+
+    F and L in both sectors' irreps (``simulate`` and ``frame_scores``),
+    the consolidated step count as cycles, the normalized time and the
+    negative local steps; see ``SynthesisReport``.  ``report_many`` scores
+    several schedules at once, to the same bits.
+    """
+    if target is None:
+        target = CNOT
+    return _scorecard(schedule, {
+        sector.name: frame_scores(simulate(schedule, sector), target, projector(sector)) for sector in SpinSector
+    })
+
+
+def report_many(
+    schedules: Sequence[PulseSchedule], target: np.ndarray | None = None
+) -> list[SynthesisReport]:
+    """``[report(s, target) for s in schedules]``, equal to the bit, with one batched evolve per sector.
+
+    The batch's merged plan (``_merged_plan``: every schedule's rows, and
+    its levels merged level by level, each schedule's carried ids placed
+    after all the pairs) is built once and evolved in both irreps, as
+    ``evolve_many`` does; each gate is scored with ``frame_scores`` and each
+    schedule consolidated on its own.
+    """
+    if target is None:
+        target = CNOT
+    batch = _batch(schedules)
+    gates = {sector: _evolve_batch(schedules, batch, pair_stack(sector)) for sector in SpinSector}
+    return [
+        _scorecard(schedule, {
+            sector.name: frame_scores(gates[sector][k], target, projector(sector)) for sector in SpinSector
+        })
+        for k, schedule in enumerate(schedules)
+    ]
+
+
 def table_rows(which: int, cancel: bool = False) -> list[SynthesisReport]:
-    """Reports behind the two CNOT benchmark tables.
+    """Reports behind the two CNOT benchmark tables, scored in one batch (``report_many``).
 
     Table 1 is the spin-independent construction at n = 3, 5, 9; table 2
     the spin-1 optimized one at n = 2, 3, 4.  With ``cancel`` the
@@ -213,13 +339,10 @@ def table_rows(which: int, cancel: bool = False) -> list[SynthesisReport]:
         ns, builder = (2, 3, 4), cnot_spin1
     else:
         raise ValueError("table must be 1 or 2")
-    rows = []
-    for n in ns:
-        schedule = builder(n)
-        if cancel:
-            schedule = cancel_negatives(schedule, "full-sum")
-        rows.append(report(schedule))
-    return rows
+    schedules = [builder(n) for n in ns]
+    if cancel:
+        schedules = [cancel_negatives(schedule, "full-sum") for schedule in schedules]
+    return report_many(schedules)
 
 
 def _row_cells(r: SynthesisReport) -> tuple[str, str, str, str, str]:

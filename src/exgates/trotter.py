@@ -93,8 +93,8 @@ class PulseStep:
 
     Coefficients are radians on transpositions; zero coefficients are not
     stored, and pairs are kept sorted so equal steps compare equal.  ``make``
-    rejects complex coefficients and phases (``TypeError``) and NaN or
-    infinite ones (``ValueError``).
+    rejects complex coefficients and phases (``TypeError``) and strings,
+    bools, NaN or infinite ones (``ValueError``).
     """
 
     pairs: tuple[tuple[int, int], ...]
@@ -109,8 +109,20 @@ class PulseStep:
             c = real_coefficient(c)
             # a pair given twice, as (i, j) and (j, i), may sum past the float range
             merged[key] = real_coefficient(merged[key] + c) if key in merged else c
-        items = sorted((p, c) for p, c in merged.items() if c != 0.0)
-        return cls(tuple(p for p, _ in items), tuple(c for _, c in items), real_coefficient(phase))
+        return cls._of(merged, real_coefficient(phase))
+
+    @classmethod
+    def _of(cls, coeffs: Mapping[tuple[int, int], float], phase: float) -> "PulseStep":
+        """``make`` for float values on normalized pairs, each given once, as steps derived from steps have them.
+
+        Only the finite check of each value stays (``ValueError``); zeros are dropped and pairs sorted.
+        """
+        items = sorted([(p, c) for p, c in coeffs.items() if c != 0.0])
+        pairs, values = zip(*items) if items else ((), ())
+        if not (all(map(math.isfinite, values)) and math.isfinite(phase)):
+            bad = next(c for c in (*values, phase) if not math.isfinite(c))
+            raise ValueError(f"coefficient must be finite, got {reprlib.repr(bad)}")
+        return cls(pairs, values, phase)
 
     @cached_property
     def _hash(self) -> int:
@@ -124,9 +136,8 @@ class PulseStep:
         return dict(zip(self.pairs, self.coeffs))
 
     def scaled(self, factor: float) -> "PulseStep":
-        return PulseStep.make(
-            {p: c * factor for p, c in zip(self.pairs, self.coeffs)}, self.phase * factor
-        )
+        factor = real_coefficient(factor)
+        return PulseStep._of({p: c * factor for p, c in zip(self.pairs, self.coeffs)}, self.phase * factor)
 
     def max_coefficient(self) -> float:
         """Largest coefficient magnitude, identity phase excluded."""
@@ -142,13 +153,16 @@ class _StepArrays(NamedTuple):
     ``rows`` is the (k, 15) coefficient matrix in ALL_PAIRS order;
     ``phases[i]`` is the scalar ``np.exp(1j * phase)`` of step i and
     ``phased[i]`` whether that phase is nonzero; ``levels`` is the product
-    plan as (left ids, right ids, carried id) per level.
+    plan as (left ids, right ids, carried ids) per level.  A level's
+    products are its pairs, then its carried ids, a tuple of none or one
+    here; ``metrics.evolve_many`` merges several plans into one of this
+    shape, with id arrays that carry any number.
     """
 
     rows: np.ndarray
     phases: np.ndarray
     phased: np.ndarray
-    levels: tuple[tuple[np.ndarray, np.ndarray, int | None], ...]
+    levels: tuple[tuple[np.ndarray, np.ndarray, Sequence[int]], ...]
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -261,11 +275,11 @@ class PulseSchedule:
                 ids, nh, nb, reps = ids[:nh] + ids[nh : nh + nb] * reps + ids[nh + nb :], 0, 0, 0
             pairs: dict[tuple[int, int], int] = {}
             level = [pairs.setdefault(pair, len(pairs)) for pair in zip(ids[::2], ids[1::2])]
-            carry = ids[-1] if len(ids) % 2 else None
-            if carry is not None:
+            carried = (ids[-1],) if len(ids) % 2 else ()
+            if carried:
                 level.append(len(pairs))
             left, right = (_read_only(np.array(side, dtype=np.intp)) for side in zip(*pairs))
-            levels.append((left, right, carry))
+            levels.append((left, right, carried))
             ids, nh, nb = level, nh // 2, nb // 2
         return _StepArrays(
             _read_only(_coefficient_rows(distinct)),
@@ -277,9 +291,9 @@ class PulseSchedule:
 
 def _merge_steps(a: PulseStep, b: PulseStep) -> PulseStep:
     coeffs = a.coefficients()
-    for p, c in b.coefficients().items():
+    for p, c in zip(b.pairs, b.coeffs):
         coeffs[p] = coeffs.get(p, 0.0) + c
-    return PulseStep.make(coeffs, a.phase + b.phase)
+    return PulseStep._of(coeffs, a.phase + b.phase)
 
 
 # Largest iteration count a builder accepts.  Cost is linear in n: at
@@ -440,9 +454,7 @@ def _local_step(axis: str, block: int, angle: float) -> PulseStep:
     pairs, coeff = LOCAL_TO_PAULI[0]
     offset = 0 if block == 1 else 3
     row = coeff["xz".index(axis)]
-    return PulseStep.make(
-        {(i + offset, j + offset): angle * c for (i, j), c in zip(pairs, row)}
-    )
+    return PulseStep.make({(i + offset, j + offset): angle * c for (i, j), c in zip(pairs, row)})
 
 
 def _check_block(block) -> int:
@@ -473,9 +485,7 @@ def single_qubit_schedule(
     so the action is identical in both sectors.
     """
     block = _check_block(block)
-    steps = _local_factor_steps(
-        (("x", block, alpha), ("z", block, beta), ("x", block, gamma))
-    )
+    steps = _local_factor_steps((("x", block, alpha), ("z", block, beta), ("x", block, gamma)))
     if delta != 0.0:
         if steps:
             steps[0] = PulseStep.make(steps[0].coefficients(), steps[0].phase + delta)
@@ -553,9 +563,7 @@ _PAIR_INDEX = {pair: k for k, pair in enumerate(ALL_PAIRS)}
 @lru_cache(maxsize=None)
 def pair_stack(sector: SpinSector) -> np.ndarray:
     """The 15 transposition matrices of a sector's irrep, (15, dim, dim) in ALL_PAIRS order."""
-    stack = np.stack(
-        [rep_transposition(sector.partition, *pair) for pair in ALL_PAIRS]
-    )
+    stack = np.stack([rep_transposition(sector.partition, *pair) for pair in ALL_PAIRS])
     stack.setflags(write=False)
     return stack
 
@@ -721,7 +729,7 @@ def _cancel_step(step: PulseStep, mode: str) -> PulseStep:
         # single exchange interaction: shift by full periods
         (pair, c), = coeffs.items()
         shift = 2 * np.pi * math.ceil(-c / (2 * np.pi))
-        return PulseStep.make({pair: c + shift}, step.phase)
+        return PulseStep._of({pair: c + shift}, step.phase)
     if mode == "full-sum":
         m = max(-c for c in negatives.values())
         for p in ALL_PAIRS:
@@ -738,7 +746,7 @@ def _cancel_step(step: PulseStep, mode: str) -> PulseStep:
                 m = max(block_neg)
                 for p in block:
                     coeffs[p] = coeffs.get(p, 0.0) + m
-    out = PulseStep.make(coeffs, step.phase)
+    out = PulseStep._of(coeffs, step.phase)
     if any(c < 0.0 for c in out.coeffs):
         raise AssertionError("cancellation left a negative coefficient")
     return out
@@ -777,20 +785,8 @@ def cancel_negatives(schedule: PulseSchedule, mode: str) -> PulseSchedule:
 
 
 def schedule_to_json(schedule: PulseSchedule) -> dict:
-    return {
-        "version": 1,
-        "name": schedule.name,
-        "order": schedule.order,
-        "n": schedule.n,
-        "steps": [
-            {
-                "pairs": [list(p) for p in s.pairs],
-                "coeffs": list(s.coeffs),
-                "phase": s.phase,
-            }
-            for s in schedule.steps
-        ],
-    }
+    steps = [{"pairs": [list(p) for p in s.pairs], "coeffs": list(s.coeffs), "phase": s.phase} for s in schedule.steps]
+    return {"version": 1, "name": schedule.name, "order": schedule.order, "n": schedule.n, "steps": steps}
 
 
 # Largest coefficient magnitude (radians) a schedule file may carry.  The

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from swap_blocks import MAGNETIZATION_BLOCKS
 
-from exgates.encoding import SpinSector, projected_rep
+from exgates.encoding import SpinSector, hamiltonian_from_pauli, projected_rep
 from exgates.linalg import expi
 from exgates.oracle import oracle_projected_rep
 from exgates.symrep import rep_element
@@ -71,3 +71,27 @@ def test_numpy_integer_pairs_accepted(take):
     want = take({(2, 5): 0.7, (1, 4): -0.3})
     got = take({(np.int64(2), np.uint8(5)): 0.7, (np.int32(1), 4): -0.3})
     assert np.array_equal(got, want)
+
+
+# The callers of ``real_coefficient``, each taking a coefficient ``c``.
+_COEFFICIENT_TAKERS = {
+    "PulseStep.make": lambda c: PulseStep.make({(1, 2): c}),
+    "PulseStep.make-phase": lambda c: PulseStep.make({(1, 2): 1.0}, phase=c),
+    "rep_element": lambda c: rep_element(SpinSector.SPIN1.partition, {(1, 2): c}),
+    "oracle_projected_rep": lambda c: oracle_projected_rep({(1, 2): c}, SpinSector.SPIN0),
+    "hamiltonian_from_pauli": lambda c: hamiltonian_from_pauli({"XZ": c}, SpinSector.SPIN1),
+}
+
+
+@pytest.mark.parametrize("take", _COEFFICIENT_TAKERS.values(), ids=_COEFFICIENT_TAKERS.keys())
+@pytest.mark.parametrize("c", ["1.5", b"1.5", np.str_("2"), True, False, np.True_], ids=repr)
+def test_strings_and_bools_are_not_coefficients(take, c):
+    with pytest.raises(ValueError, match=re.escape(f"coefficient must be a real number, got {reprlib.repr(c)}")):
+        take(c)
+
+
+@pytest.mark.parametrize("take", _COEFFICIENT_TAKERS.values(), ids=_COEFFICIENT_TAKERS.keys())
+def test_real_numbers_of_other_types_accepted(take):
+    want = take(1.5)
+    for c in (np.float64(1.5), np.float32(1.5), np.array(1.5)):
+        assert np.array_equal(np.asarray(take(c), dtype=object), np.asarray(want, dtype=object))

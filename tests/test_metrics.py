@@ -1,5 +1,6 @@
 import tracemalloc
 from collections import Counter
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from exgates.symrep import rep_element
 from exgates.trotter import (
     PulseSchedule,
     PulseStep,
+    cancel_negatives,
     cnot_spin1,
     cnot_spin_independent,
     normalized_time,
@@ -277,11 +279,8 @@ def _reference_evolve(schedule, stack):
             coeffs[ALL_PAIRS.index(pair)] += c
         u = expi((coeffs @ flat).reshape(stack.shape[1:]))
         mats.append(np.exp(1j * step.phase) * u if step.phase else u)
-    for left, right, carry in schedule._arrays.levels:
-        products = [mats[a] @ mats[b] for a, b in zip(left, right)]
-        if carry is not None:
-            products.append(mats[carry])
-        mats = products
+    for left, right, carried in schedule._arrays.levels:
+        mats = [mats[a] @ mats[b] for a, b in zip(left, right)] + [mats[c] for c in carried]
     return mats[0]
 
 
@@ -349,6 +348,94 @@ class TestBatchedEvolve:
             # consolidation builds rows only for the merged steps it makes
             rows_per_step = Counter(step for steps in built for step in steps)
             assert all(rows_per_step[step] == 1 for step in distinct)
+
+
+def _batch_pool():
+    """Schedules of every plan depth: empty, one step, CNOT families plain and canceled, wide flat ones."""
+    rng = np.random.default_rng(19)
+    pool = [PulseSchedule(()), PulseSchedule((PulseStep.make({(2, 5): 0.4}, 0.3),))]
+    for sch in (cnot_spin_independent(1), cnot_spin_independent(2, order=0), cnot_spin_independent(3), cnot_spin1(2)):
+        pool += [sch, cancel_negatives(sch, "full-sum"), cancel_negatives(sch, "cross-sum")]
+    # more distinct steps than one chunk holds at d = 5 (163), with repeats
+    for k in (60, 170):
+        steps = _random_steps(rng, k, phased=True)
+        pool.append(PulseSchedule(tuple(steps[j] for j in [*range(k), *rng.integers(0, k, size=k // 3)])))
+    return pool
+
+
+_POOL = _batch_pool()
+# the oracle's two closures and the two irreps
+_BATCH_STACKS = {name: _EVOLVE_STACKS[name] for name in ("irrep-SPIN0", "irrep-SPIN1", "closure-SPIN1", "closure-SPIN0")}
+
+
+@lru_cache(maxsize=None)
+def _single(name, k):
+    return evolve(_POOL[k], _BATCH_STACKS[name])
+
+
+class TestEvolveMany:
+    """``evolve_many``: a batch's gates are bit for bit the per-schedule ``evolve``."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(picks=st.lists(st.integers(0, len(_POOL) - 1), min_size=1, max_size=5), name=st.sampled_from(list(_BATCH_STACKS)))
+    def test_batch_equals_per_schedule_evolve(self, picks, name):
+        gates = metrics.evolve_many([_POOL[k] for k in picks], _BATCH_STACKS[name])
+        d = _BATCH_STACKS[name].shape[1]
+        assert gates.shape == (len(picks), d, d)
+        for gate, k in zip(gates, picks):
+            assert np.array_equal(gate, _single(name, k))
+
+    def test_pool_plans_differ_in_depth(self):
+        depths = {len(sch._arrays.levels) for sch in _POOL}
+        assert {0, 5, 7, 8} <= depths
+        assert max(len(sch._arrays.rows) for sch in _POOL) > metrics._chunk(5)
+
+    def test_batch_of_one_builds_no_merged_plan(self, monkeypatch):
+        def refuse(parts):
+            raise AssertionError("a batch of one must read its own arrays")
+
+        stack = _BATCH_STACKS["irrep-SPIN1"]
+        want = [evolve(sch, stack) for sch in _POOL]
+        monkeypatch.setattr(metrics, "_merged_plan", refuse)
+        for sch, gate in zip(_POOL, want):
+            got = metrics.evolve_many((sch,), stack)
+            assert got.shape == (1, *gate.shape) and np.array_equal(got[0], gate)
+            report(sch)
+            oracle_fidelity(sch, SpinSector.SPIN0, CNOT)
+        with pytest.raises(AssertionError, match="its own arrays"):
+            metrics.evolve_many(_POOL[2:4], stack)
+
+    def test_empty_batch_and_all_empty_schedules(self):
+        stack = _BATCH_STACKS["irrep-SPIN0"]
+        assert metrics.evolve_many((), stack).shape == (0, 5, 5)
+        gates = metrics.evolve_many([PulseSchedule(())] * 3, stack)
+        assert np.array_equal(gates, np.tile(np.eye(5, dtype=complex), (3, 1, 1)))
+
+
+def _report_bits(r):
+    scores = {s: (r.fidelity[s].hex(), r.leakage[s].hex()) for s in r.fidelity}
+    return r.name, r.n, r.cycles, r.normalized_time.hex(), r.negative_local_steps, list(r.fidelity), scores
+
+
+class TestReportMany:
+    @pytest.mark.parametrize("target", [None, np.diag([1, 1j, -1, 1]).astype(complex)], ids=["cnot", "phase-gate"])
+    def test_equals_per_schedule_report(self, target):
+        batch = [*_POOL, _POOL[3]]
+        got = metrics.report_many(batch, target)
+        assert [_report_bits(r) for r in got] == [_report_bits(report(s, target)) for s in batch]
+
+    @pytest.mark.parametrize("which", [1, 2])
+    @pytest.mark.parametrize("cancel", [False, True])
+    def test_table_rows_equal_per_schedule_reports(self, which, cancel):
+        builder, ns = {1: (cnot_spin_independent, (3, 5, 9)), 2: (cnot_spin1, (2, 3, 4))}[which]
+        schedules = [builder(n) for n in ns]
+        if cancel:
+            schedules = [cancel_negatives(s, "full-sum") for s in schedules]
+        got = table_rows(which, cancel=cancel)
+        assert [_report_bits(r) for r in got] == [_report_bits(report(s)) for s in schedules]
+
+    def test_empty_batch(self):
+        assert metrics.report_many([]) == []
 
 
 class TestRendering:

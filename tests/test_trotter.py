@@ -150,8 +150,8 @@ def _reference_consolidate(schedule):
 
 
 def _plan(schedule):
-    """A schedule's product plan as plain (left ids, right ids, carried id) per level."""
-    return [(left.tolist(), right.tolist(), carry) for left, right, carry in schedule._arrays.levels]
+    """A schedule's product plan as plain (left ids, right ids, carried ids) per level."""
+    return [(left.tolist(), right.tolist(), list(carried)) for left, right, carried in schedule._arrays.levels]
 
 
 def computational_block(schedule, sector):
@@ -199,6 +199,31 @@ class TestPulseStep:
             PulseStep.make({(1, 2): 1e300}).scaled(1e10)
         with pytest.raises(ValueError, match="must be finite, got inf"):
             PulseStep.make({(1, 2): 1e308, (2, 1): 1e308})
+
+    def test_derived_steps_keep_the_finite_check(self):
+        # scaled, merges and cancellation skip make's pair checks, not this one
+        with pytest.raises(ValueError, match="must be finite, got inf"):
+            PulseStep.make({(1, 2): 1e308}).scaled(10.0)
+        with pytest.raises(ValueError, match="must be finite, got inf"):
+            PulseStep.make({(1, 2): 1.0}, phase=1e308).scaled(10.0)
+        with pytest.raises(ValueError, match="must be finite, got inf"):
+            trotter._merge_steps(PulseStep.make({(1, 2): 1e308}), PulseStep.make({(1, 2): 1e308}))
+        with pytest.raises(ValueError, match="must be finite, got -inf"):
+            trotter._merge_steps(PulseStep.make({}, -1e308), PulseStep.make({(1, 2): 1.0}, -1e308))
+        with pytest.raises(TypeError, match="must be real"):
+            PulseStep.make({(1, 2): 1.0}).scaled(1j)
+
+    @settings(max_examples=200, deadline=None)
+    @given(a=_COEFF_MAPS, b=_COEFF_MAPS, phase=st.floats(-4.0, 4.0), factor=st.floats(-3.0, 3.0))
+    def test_derived_steps_equal_made_ones(self, a, b, phase, factor):
+        sa, sb = PulseStep.make(a, phase), PulseStep.make(b, -phase)
+        made = PulseStep.make({p: c * factor for p, c in zip(sa.pairs, sa.coeffs)}, phase * factor)
+        scaled = sa.scaled(np.float64(factor))
+        assert scaled == made and repr(scaled) == repr(made)
+        assert all(type(c) is float for c in (*scaled.coeffs, scaled.phase))
+        summed = {p: sa.coefficients().get(p, 0.0) + sb.coefficients().get(p, 0.0) for p in {*sa.pairs, *sb.pairs}}
+        merged = trotter._merge_steps(sa, sb)
+        assert repr(merged) == repr(PulseStep.make(summed, phase - phase))
 
     def test_real_numbers_of_any_type_become_floats(self):
         s = PulseStep.make({(1, 2): 1, (3, 4): np.float32(0.5), (5, 6): np.int64(-2)}, phase=np.float64(0.25))
@@ -276,11 +301,10 @@ class TestInternedForm:
         """With concatenation as the product, the plan spells out the id sequence."""
         distinct, seq = sch._interned
         words = [(k,) for k in range(len(distinct))]
-        for left, right, carry in sch._arrays.levels:
+        for left, right, carried in sch._arrays.levels:
             pairs = list(zip(left.tolist(), right.tolist()))
             assert len(set(pairs)) == len(pairs)
-            carried = [] if carry is None else [words[carry]]
-            words = [words[a] + words[b] for a, b in pairs] + carried
+            words = [words[a] + words[b] for a, b in pairs] + [words[c] for c in carried]
         assert (words[0] if seq else ()) == seq
         assert len(sch._arrays.levels) == max(len(seq) - 1, 0).bit_length()
 
