@@ -4,7 +4,8 @@ Simulation and scoring work on plain arrays, so the 5- and 9-dim irreps
 and the oracle's 9- and 5-dim frame closures share one code path: a
 schedule is evolved on a (15, d, d) stack of transposition matrices
 (``evolve``, a pairwise product that multiplies each distinct adjacent pair
-once per level, so repeated cycles cost O(log n) levels), and a gate is
+once per level, so repeated cycles cost O(log n) levels; ``evolve_many``
+runs it for a batch of schedules at once, to the same bits), and a gate is
 scored through a 4 x d frame Pi whose rows are the computational states
 (``frame_scores``).  With the frame compression
 
