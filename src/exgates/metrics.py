@@ -28,15 +28,16 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import accumulate, zip_longest
 from typing import Sequence
 
 import numpy as np
 
 from .encoding import SpinSector, projector
-from .linalg import expi
+from .linalg import expi, plain_int
 from .trotter import (
     PulseSchedule,
+    PulseStep,
+    _plan,
     _StepArrays,
     cancel_negatives,
     cnot_spin1,
@@ -90,78 +91,34 @@ def _chunk(d: int) -> int:
     return max(1, _CHUNK_ENTRIES // (d * d))
 
 
-# A finished schedule's level in a merged plan: no pairs, its one matrix carried up.
-_FINISHED = (np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp), (0,))
+def _batch(schedules: Sequence[PulseSchedule]) -> tuple[_StepArrays, tuple, list]:
+    """What a batch evolves: the numeric form of its distinct steps, its product plan and its finals.
 
-
-def _merged_plan(parts: Sequence[_StepArrays]) -> tuple[_StepArrays, list[int]]:
-    """One numeric form for several schedules' ``_arrays``, and where each gate ends.
-
-    Rows and phase factors are concatenated in batch order, so layer 0 (the
-    ids level 0 reads) is each schedule's ids at an offset.  Level k of the
-    merged plan is level k of every schedule, and its products, the next
-    layer, are all the schedules' pairs in batch order, then all their
-    carried ids in batch order; a schedule whose own plan has ended carries
-    its one matrix up.  So in every layer a schedule's pair products sit at
-    an offset, which its next level's ids take in one array add for the
-    whole plan, and its carried matrix, if any, sits after everyone's
-    pairs.  That matrix is the schedule's last id, so it is read once more:
-    as the next level's carried id or as its last right id, placed one by
-    one.
+    A lone schedule brings its own ``_arrays`` and ``_product_plan``.
+    Otherwise the batch's distinct steps are interned as ``_interned``
+    interns one schedule's, first occurrence first, their rows and phase
+    factors are gathered from each schedule's ``_arrays``, and the run
+    forms over batch ids are planned together by one ``_plan`` call.
     """
-    rows, phases, phased = (np.concatenate(column) for column in zip(*(a[:3] for a in parts)))
-    # per schedule, in the current layer: where its pair products start, how many
-    # there are, and where its carried matrix sits (None: it has none)
-    start = list(accumulate([len(a.rows) for a in parts][:-1], initial=0))
-    made = [len(a.rows) for a in parts]
-    held: list[int | None] = [None] * len(parts)
-    lefts, rights, shifts, carried = [], [], [], []
-    moved: dict[int, int] = {}  # flat right position -> batch id, for carried matrices that get paired
-    cuts = [(0, 0)]  # per level, where its pairs and its carried ids end in the flat lists
-    for level in zip_longest(*(a.levels for a in parts), fillvalue=_FINISHED):
-        (flat, kept), pairs, next_start, slots = cuts[-1], 0, [], []
-        for s, (left, right, ids) in enumerate(level):
-            if held[s] is not None and not ids:
-                moved[flat + pairs + len(right) - 1] = held[s]
-            lefts.append(left)
-            rights.append(right)
-            shifts += [start[s]] * len(left)
-            slots.append(len(carried) - kept if ids else None)  # its place among this level's carried
-            carried += [held[s] if i == made[s] else start[s] + i for i in ids]
-            next_start.append(pairs)
-            pairs += len(left)
-        start, made = next_start, [len(left) for left, _, _ in level]
-        held = [None if slot is None else pairs + slot for slot in slots]
-        cuts.append((flat + pairs, len(carried)))
-    finals = [start[s] if made[s] else held[s] for s in range(len(parts))]
-    if len(cuts) == 1:  # single steps only
-        return _StepArrays(rows, phases, phased, ()), finals
-    shifts = np.array(shifts, dtype=np.intp)
-    left, right = np.concatenate(lefts) + shifts, np.concatenate(rights) + shifts
-    right[list(moved)] = list(moved.values())
-    carried = np.array(carried, dtype=np.intp)
-    levels = tuple((left[a:b], right[a:b], carried[i:j]) for (a, i), (b, j) in zip(cuts, cuts[1:]))
-    return _StepArrays(rows, phases, phased, levels), finals
+    if len(schedules) == 1:
+        return (schedules[0]._arrays, *schedules[0]._product_plan)
+    ids: dict[PulseStep, int] = {}
+    parts, runs = [PulseSchedule(())._arrays], []  # no rows, so that an empty batch has the arrays' shapes
+    for schedule in schedules:
+        known = len(ids)
+        to_batch = [ids.setdefault(step, len(ids)) for step in schedule._interned[0]]
+        fresh = [i for i, k in enumerate(to_batch) if k >= known]
+        parts.append([column[fresh] for column in schedule._arrays])
+        head, body, reps, tail = schedule._id_runs()
+        head, body, tail = ([to_batch[i] for i in part] for part in (head, body, tail))
+        runs.append((head, body, reps, tail))
+    return (_StepArrays(*map(np.concatenate, zip(*parts))), *_plan(runs))
 
 
-def _batch(schedules: Sequence[PulseSchedule]) -> tuple[_StepArrays, list[int]] | None:
-    """What a batch evolves: a lone schedule's own ``_arrays``, else the merged plan of those with steps.
-
-    With the positions of their gates after the last level; None when no
-    schedule has a step.
-    """
-    parts = [s._arrays for s in schedules if s.steps]
-    if not parts:
-        return None
-    return (parts[0], [0]) if len(schedules) == 1 else _merged_plan(parts)
-
-
-def _evolve_batch(schedules: Sequence[PulseSchedule], batch, stack: np.ndarray) -> np.ndarray:
-    """``evolve_many`` on the batch's numeric form from ``_batch``."""
+def _evolve_batch(batch, stack: np.ndarray) -> np.ndarray:
+    """``evolve_many`` on the batch's numeric form and plan from ``_batch``."""
     d = stack.shape[1]
-    if batch is None:
-        return np.tile(np.eye(d, dtype=complex), (len(schedules), 1, 1))
-    (rows, phases, phased, levels), finals = batch
+    (rows, phases, phased), levels, finals = batch
     chunk = _chunk(d)
     mats = np.empty((len(rows), d, d), dtype=complex)
     for start in range(0, len(rows), chunk):
@@ -174,13 +131,14 @@ def _evolve_batch(schedules: Sequence[PulseSchedule], batch, stack: np.ndarray) 
         for start in range(0, len(left), chunk):
             part = slice(start, start + chunk)
             np.matmul(mats[left[part]], mats[right[part]], out=paired[part])
-        if len(carried):
-            products[len(left) :] = mats[carried]
+        for k, c in enumerate(carried):  # one by one: indexing by a list costs more than the copies
+            products[len(left) + k] = mats[c]
         mats = products
-    if len(finals) == len(schedules):
+    if None not in finals:
         return mats[finals]
-    gates = np.tile(np.eye(d, dtype=complex), (len(schedules), 1, 1))
-    gates[[k for k, s in enumerate(schedules) if s.steps]] = mats[finals]
+    gates = np.tile(np.eye(d, dtype=complex), (len(finals), 1, 1))
+    done = [k for k, final in enumerate(finals) if final is not None]
+    gates[done] = mats[[finals[k] for k in done]]
     return gates
 
 
@@ -188,19 +146,21 @@ def evolve_many(schedules: Sequence[PulseSchedule], stack: np.ndarray) -> np.nda
     """Unitaries of a batch of schedules on a (15, d, d) transposition stack, as (S, d, d).
 
     Gate s is bit for bit ``evolve(schedules[s], stack)``.  The batch runs
-    the single-schedule algorithm below once, on a merged numeric form
-    (``_merged_plan``): its rows are the schedules' distinct steps, and its
-    level k multiplies the pairs of every schedule's level k, then copies
-    the carried ids of all of them, so each level is one chunked product
-    for the whole batch.  Every step unitary and every product is the same
-    per-matrix operation as in a schedule's own evolve.  A batch of one
-    reads the schedule's own ``_arrays``: no merged plan is built.
+    the single-schedule algorithm below once, on the batch's distinct steps
+    and one product plan of all its schedules (``_batch``, which interns
+    the steps and plans the schedules' run forms together with
+    ``trotter._plan``), so each level is one chunked product for the whole
+    batch and a step repeated across schedules is exponentiated once.
+    Every step unitary and every product is the same per-matrix operation
+    as in a schedule's own evolve.  A batch of one reads the schedule's own
+    ``_arrays`` and ``_product_plan``.
 
     The algorithm is a pairwise product over a numeric form
-    (``PulseSchedule._arrays``: coefficient rows, phase factors and product
-    plan as id arrays), computed once per schedule, so for each sector or
-    oracle closure a call only builds and multiplies matrices, with no
-    Python loop over steps or pairs.  Each distinct step's unitary is built
+    (``PulseSchedule._arrays``: coefficient rows and phase factors) and a
+    product plan (``PulseSchedule._product_plan``: per level, left and
+    right id arrays and the carried ids), computed once per schedule, so
+    for each sector or oracle closure a call only builds and multiplies
+    matrices, with no Python loop over steps or pairs.  Each distinct step's unitary is built
     once, from its generator and identity phase alone, so the step
     unitaries do not depend on the rest of the schedule or the batch.  The
     distinct steps go in chunks of ``_chunk(d)`` matrices: one
@@ -217,7 +177,7 @@ def evolve_many(schedules: Sequence[PulseSchedule], stack: np.ndarray) -> np.nda
     5e-14 on the CNOT families at n = 200.  A schedule with no steps gives
     the identity.
     """
-    return _evolve_batch(schedules, _batch(schedules), stack)
+    return _evolve_batch(_batch(schedules), stack)
 
 
 def evolve(schedule: PulseSchedule, stack: np.ndarray) -> np.ndarray:
@@ -306,16 +266,14 @@ def report_many(
 ) -> list[SynthesisReport]:
     """``[report(s, target) for s in schedules]``, equal to the bit, with one batched evolve per sector.
 
-    The batch's merged plan (``_merged_plan``: every schedule's rows, and
-    its levels merged level by level, each schedule's carried ids placed
-    after all the pairs) is built once and evolved in both irreps, as
-    ``evolve_many`` does; each gate is scored with ``frame_scores`` and each
-    schedule consolidated on its own.
+    The batch's distinct steps and product plan (``_batch``) are built
+    once and evolved in both irreps, as ``evolve_many`` does; each gate is
+    scored with ``frame_scores`` and each schedule consolidated on its own.
     """
     if target is None:
         target = CNOT
     batch = _batch(schedules)
-    gates = {sector: _evolve_batch(schedules, batch, pair_stack(sector)) for sector in SpinSector}
+    gates = {sector: _evolve_batch(batch, pair_stack(sector)) for sector in SpinSector}
     return [
         _scorecard(schedule, {
             sector.name: frame_scores(gates[sector][k], target, projector(sector)) for sector in SpinSector
@@ -334,6 +292,7 @@ def table_rows(which: int, cancel: bool = False) -> list[SynthesisReport]:
     changes the simulated unitary by a pure per-sector phase: time grows
     by the canceled magnitude, fidelity and leakage stay put.
     """
+    which = plain_int(which, "table")
     if which == 1:
         ns, builder = (3, 5, 9), cnot_spin_independent
     elif which == 2:

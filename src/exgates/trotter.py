@@ -152,17 +152,12 @@ class _StepArrays(NamedTuple):
 
     ``rows`` is the (k, 15) coefficient matrix in ALL_PAIRS order;
     ``phases[i]`` is the scalar ``np.exp(1j * phase)`` of step i and
-    ``phased[i]`` whether that phase is nonzero; ``levels`` is the product
-    plan as (left ids, right ids, carried ids) per level.  A level's
-    products are its pairs, then its carried ids, a tuple of none or one
-    here; ``metrics.evolve_many`` merges several plans into one of this
-    shape, with id arrays that carry any number.
+    ``phased[i]`` whether that phase is nonzero.
     """
 
     rows: np.ndarray
     phases: np.ndarray
     phased: np.ndarray
-    levels: tuple[tuple[np.ndarray, np.ndarray, Sequence[int]], ...]
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -170,16 +165,65 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _plan(runs: Sequence[tuple]) -> tuple[tuple, list]:
+    """The pairwise product plan of id sequences over one id space: (levels, finals).
+
+    ``runs`` holds one run form (head, body, reps, tail) of ids per
+    sequence; layer 0 is the ids.  A level gives each distinct pair (0, 1),
+    (2, 3), ... of each sequence's ids, sequences in order, the next id of
+    the layer above, then carries up each odd layer's last id (a finished
+    sequence's one id too) in sequence order: ceil(log2 L) levels of (left
+    ids, right ids) as read-only arrays and carried ids as a list, L the
+    longest length.  ``finals`` is each sequence's id in the last layer,
+    None for an empty one.
+
+    A sequence is planned on its run form, re-bracketed so that head and
+    body have even length and every pair lies inside one part: an odd head
+    takes the body's first id and the body rotates, one repeat fewer; an
+    odd body doubles, and an odd repeat goes to the tail.  Fewer than two
+    repeats are written out.  Head, body and tail pairs come in
+    first-occurrence order, so the levels are those of the written-out
+    sequences, in O(cycle log n) rather than O(n) Python steps.
+    """
+    # per sequence: its layer's ids as head + one body + tail, the head and body lengths, the repeats
+    states = [[h + b + t, len(h), len(b), r] for h, b, r, t in runs]
+    depth = max([max(len(h) + len(b) * r + len(t) - 1, 0).bit_length() for h, b, r, t in runs], default=0)
+    levels = []
+    for _ in range(depth):
+        pairs: dict[tuple[int, int], int] = {}
+        odd = []  # per sequence whose layer has odd length: its ids above and the last id, carried up
+        for state in states:
+            ids, nh, nb, reps = state
+            if nh % 2 and reps:  # head + b0, body[1:] + b0, reps - 1, body[1:] + tail
+                ids, nh, reps = ids[: nh + nb] + ids[nh:], nh + 1, reps - 1
+            if nb % 2 and reps:  # head, body * 2, reps // 2, body * (reps % 2) + tail
+                body = ids[nh : nh + nb]
+                ids, nb, reps = ids[: nh + nb] + body * (1 + reps % 2) + ids[nh + nb :], 2 * nb, reps // 2
+            if reps < 2 and nb:  # written out
+                ids, nh, nb, reps = ids[:nh] + ids[nh : nh + nb] * reps + ids[nh + nb :], 0, 0, 0
+            above = [pairs.setdefault(pair, len(pairs)) for pair in zip(ids[::2], ids[1::2])]
+            state[:] = above, nh // 2, nb // 2, reps
+            if len(ids) % 2:
+                odd.append((above, ids[-1]))
+        carried = []
+        for above, last in odd:
+            above.append(len(pairs) + len(carried))
+            carried.append(last)
+        ends = _read_only(np.array(list(zip(*pairs)), dtype=np.intp))  # left ids, right ids
+        levels.append((ends[0], ends[1], carried))
+    return tuple(levels), [ids[0] if ids else None for ids, _, _, _ in states]
+
+
 @dataclass(frozen=True)
 class PulseSchedule:
     """An ordered pulse sequence with construction metadata.
 
-    Its run form (``_runs``), its interned form (``_interned``) and the
-    numeric form of its distinct steps and product plan (``_arrays``, a
-    ``_StepArrays``) are computed on first use and kept on the instance, as
-    ``PulseStep._hash`` is.  They are not fields: equality, hashing and JSON
-    see only the steps and metadata, and ``replace`` makes a schedule that
-    computes its own.
+    Its run form (``_runs``), its interned form (``_interned``), the
+    numeric form of its distinct steps (``_arrays``, a ``_StepArrays``) and
+    its product plan (``_product_plan``, from ``_plan``) are computed on
+    first use and kept on the instance, as ``PulseStep._hash`` is.  They
+    are not fields: equality, hashing and JSON see only the steps and
+    metadata, and ``replace`` makes a schedule that computes its own.
 
     The run form ``(head, body, reps, tail)`` spells the steps as
     ``head + body * reps + tail``.  The builders repeat one cycle n times
@@ -242,51 +286,22 @@ class PulseSchedule:
 
     @cached_property
     def _arrays(self) -> _StepArrays:
-        """The distinct steps' coefficient rows, phase factors and pairwise product plan.
+        """The distinct steps' coefficient rows and phase factors, built once per schedule.
 
-        Built once per schedule, so both irreps, both oracle closures and
-        ``consolidate`` read the same arrays.  Each phase factor is its own
-        scalar ``np.exp``, the value a per-step multiply used.  A plan level
-        pairs neighbouring ids (0, 1), (2, 3), ... of the one below; each
-        distinct pair gets the next id, first occurrence first, and an odd
-        last id is carried up as the id after them.
-
-        The levels are planned on the run form, re-bracketed so that head
-        and body have even length and every pair lies inside one part: an
-        odd head takes the body's first id and the body rotates, one repeat
-        fewer; an odd body doubles, and an odd repeat goes to the tail.
-        Fewer than two repeats are written out.  Head pairs, then body
-        pairs, then tail pairs are the pairs in first-occurrence order, so
-        the levels are those of the written-out sequence, in
-        O(cycle log n) rather than O(n) Python steps.
+        Irreps, oracle closures, ``consolidate`` and batches share them; each
+        phase factor is its own scalar ``np.exp``, as a per-step multiply had.
         """
         distinct = self._interned[0]
-        head, body, reps, tail = self._id_runs()
-        # a level's ids as head + one body + tail, with nh and nb the head and body lengths
-        ids, nh, nb = head + body + tail, len(head), len(body)
-        levels = []
-        while len(ids) + nb * (reps - 1) > 1:
-            if nh % 2 and reps:  # head + b0, body[1:] + b0, reps - 1, body[1:] + tail
-                ids, nh, reps = ids[: nh + nb] + ids[nh:], nh + 1, reps - 1
-            if nb % 2 and reps:  # head, body * 2, reps // 2, body * (reps % 2) + tail
-                body = ids[nh : nh + nb]
-                ids, nb, reps = ids[: nh + nb] + body * (1 + reps % 2) + ids[nh + nb :], 2 * nb, reps // 2
-            if reps < 2 and nb:  # written out
-                ids, nh, nb, reps = ids[:nh] + ids[nh : nh + nb] * reps + ids[nh + nb :], 0, 0, 0
-            pairs: dict[tuple[int, int], int] = {}
-            level = [pairs.setdefault(pair, len(pairs)) for pair in zip(ids[::2], ids[1::2])]
-            carried = (ids[-1],) if len(ids) % 2 else ()
-            if carried:
-                level.append(len(pairs))
-            left, right = (_read_only(np.array(side, dtype=np.intp)) for side in zip(*pairs))
-            levels.append((left, right, carried))
-            ids, nh, nb = level, nh // 2, nb // 2
         return _StepArrays(
             _read_only(_coefficient_rows(distinct)),
             _read_only(np.array([np.exp(1j * s.phase) for s in distinct], dtype=complex)),
             _read_only(np.array([s.phase != 0.0 for s in distinct], dtype=bool)),
-            tuple(levels),
         )
+
+    @cached_property
+    def _product_plan(self) -> tuple[tuple, list]:
+        """``_plan`` of the interned run form ``_id_runs``: (levels, [final id or None])."""
+        return _plan([self._id_runs()])
 
 
 def _merge_steps(a: PulseStep, b: PulseStep) -> PulseStep:
@@ -334,12 +349,13 @@ def trotter_product(
         raise ValueError("need at least one term")
     n = _check_iterations(n)
     order = _check_order(order)
+    dt = real_coefficient(alpha) / n
     terms = [PulseStep.make(t) for t in terms]
     if order == 0:
-        cycle = [t.scaled(alpha / n) for t in terms]
+        cycle = [t.scaled(dt) for t in terms]
     else:
-        head = [t.scaled(alpha / (2 * n)) for t in terms[1:]]
-        cycle = list(reversed(head)) + [terms[0].scaled(alpha / n)] + head
+        head = [t.scaled(dt / 2) for t in terms[1:]]
+        cycle = list(reversed(head)) + [terms[0].scaled(dt)] + head
     return PulseSchedule._repeated((), cycle, n, (), name="trotter-product", order=order, n=n)
 
 
@@ -389,7 +405,7 @@ def _decoupled_cycle(h: Mapping[tuple[int, int], float], alpha: float, n, order,
     prefix, cycle, suffix = _DECOUPLED_CYCLES[order]
     pairs = [p for p in BLOCK_A_PAIRS + BLOCK_B_PAIRS if p not in drop]
     decouplers = {"u": (np.pi / 2, pairs), "u2": (np.pi, pairs)}
-    return n, order, _cycle_steps(h, alpha / (4 * n), decouplers, cycle, prefix, suffix)
+    return n, order, _cycle_steps(h, real_coefficient(alpha) / (4 * n), decouplers, cycle, prefix, suffix)
 
 
 def decoupled_evolution(
@@ -471,7 +487,7 @@ def _local_factor_steps(factors: Sequence[tuple[str, int, float]]) -> list[Pulse
     for axis, block, angle in factors:
         if axis not in ("x", "z"):
             raise ValueError(f"local factors must be x or z, got {axis!r}")
-        checked.append((axis, _check_block(block), angle))
+        checked.append((axis, _check_block(block), real_coefficient(angle)))
     return [_local_step(axis, block, angle) for axis, block, angle in checked if angle != 0.0]
 
 
@@ -486,7 +502,7 @@ def single_qubit_schedule(
     """
     block = _check_block(block)
     steps = _local_factor_steps((("x", block, alpha), ("z", block, beta), ("x", block, gamma)))
-    if delta != 0.0:
+    if (delta := real_coefficient(delta)) != 0.0:
         if steps:
             steps[0] = PulseStep.make(steps[0].coefficients(), steps[0].phase + delta)
         else:
@@ -533,10 +549,11 @@ def canonical_two_qubit_schedule(
     exp(i pi/4 (XI + IX)).
     """
     n = _check_iterations(n)
+    angles = [real_coefficient(angle) for angle in (gate.alpha, gate.beta, gate.gamma)]
     independent = sector is None
     basis_sector = SpinSector.SPIN1 if independent else sector
     if independent:
-        for angle in (gate.alpha, gate.beta, gate.gamma):
+        for angle in angles:
             if not any(abs(angle - v) <= 1e-12 for v in _INDEPENDENT_ANGLES):
                 raise ValueError(
                     "sector-independent mode requires canonical angles in "
@@ -544,9 +561,7 @@ def canonical_two_qubit_schedule(
                 )
 
     steps = _local_factor_steps(gate.k1)
-    for angle, word, conjugated in (
-        (gate.alpha, "XX", False), (gate.beta, "ZZ", True), (gate.gamma, "ZZ", False)
-    ):
+    for angle, word, conjugated in zip(angles, ("XX", "ZZ", "ZZ"), (False, True, False)):
         if angle != 0.0:
             h = hamiltonian_from_pauli({word: 1.0}, basis_sector)
             core = decoupled_evolution(h, angle, n).steps

@@ -279,7 +279,7 @@ def _reference_evolve(schedule, stack):
             coeffs[ALL_PAIRS.index(pair)] += c
         u = expi((coeffs @ flat).reshape(stack.shape[1:]))
         mats.append(np.exp(1j * step.phase) * u if step.phase else u)
-    for left, right, carried in schedule._arrays.levels:
+    for left, right, carried in schedule._product_plan[0]:
         mats = [mats[a] @ mats[b] for a, b in zip(left, right)] + [mats[c] for c in carried]
     return mats[0]
 
@@ -386,23 +386,25 @@ class TestEvolveMany:
             assert np.array_equal(gate, _single(name, k))
 
     def test_pool_plans_differ_in_depth(self):
-        depths = {len(sch._arrays.levels) for sch in _POOL}
+        depths = {len(sch._product_plan[0]) for sch in _POOL}
         assert {0, 5, 7, 8} <= depths
         assert max(len(sch._arrays.rows) for sch in _POOL) > metrics._chunk(5)
 
     def test_batch_of_one_builds_no_merged_plan(self, monkeypatch):
-        def refuse(parts):
-            raise AssertionError("a batch of one must read its own arrays")
+        def refuse(runs):
+            raise AssertionError("a batch of one must read its own plan")
 
         stack = _BATCH_STACKS["irrep-SPIN1"]
         want = [evolve(sch, stack) for sch in _POOL]
-        monkeypatch.setattr(metrics, "_merged_plan", refuse)
+        monkeypatch.setattr(metrics, "_plan", refuse)
         for sch, gate in zip(_POOL, want):
-            got = metrics.evolve_many((sch,), stack)
-            assert got.shape == (1, *gate.shape) and np.array_equal(got[0], gate)
-            report(sch)
-            oracle_fidelity(sch, SpinSector.SPIN0, CNOT)
-        with pytest.raises(AssertionError, match="its own arrays"):
+            # a fresh copy plans itself, through trotter._plan, while the batch's planner refuses
+            for one in (sch, PulseSchedule(sch.steps, name=sch.name, order=sch.order, n=sch.n)):
+                got = metrics.evolve_many((one,), stack)
+                assert got.shape == (1, *gate.shape) and np.array_equal(got[0], gate)
+                report(one)
+                oracle_fidelity(one, SpinSector.SPIN0, CNOT)
+        with pytest.raises(AssertionError, match="its own plan"):
             metrics.evolve_many(_POOL[2:4], stack)
 
     def test_empty_batch_and_all_empty_schedules(self):
@@ -436,6 +438,26 @@ class TestReportMany:
 
     def test_empty_batch(self):
         assert metrics.report_many([]) == []
+
+    @pytest.mark.parametrize("cancel", [False, True])
+    @pytest.mark.parametrize(("which", "distinct"), [(1, 9), (2, 10)])
+    def test_table_exponentiates_each_distinct_step_once(self, monkeypatch, which, distinct, cancel):
+        """A table's batch interns its steps: 9 and 10 rows a sector, where its schedules hold 15 and 21 distinct steps."""
+        built = Counter()
+        original = metrics.row_generators
+
+        def counting(rows, stack):
+            built[stack.shape[1]] += len(rows)
+            return original(rows, stack)
+
+        monkeypatch.setattr(metrics, "row_generators", counting)
+        table_rows(which, cancel=cancel)
+        assert built == {5: distinct, 9: distinct}
+
+    @pytest.mark.parametrize("which", [True, 1.0, "1", np.float64(2.0)])
+    def test_table_number_must_be_an_integer(self, which):
+        with pytest.raises(ValueError, match="table must be an integer"):
+            table_rows(which)
 
 
 class TestRendering:

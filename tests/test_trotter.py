@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from swap_blocks import MAGNETIZATION_BLOCKS
 
-from exgates import trotter
+from exgates import metrics, oracle, trotter
 from exgates.decouple import decouple_map
 from exgates.encoding import (
     ALL_PAIRS,
@@ -151,7 +151,7 @@ def _reference_consolidate(schedule):
 
 def _plan(schedule):
     """A schedule's product plan as plain (left ids, right ids, carried ids) per level."""
-    return [(left.tolist(), right.tolist(), list(carried)) for left, right, carried in schedule._arrays.levels]
+    return [(left.tolist(), right.tolist(), list(carried)) for left, right, carried in schedule._product_plan[0]]
 
 
 def computational_block(schedule, sector):
@@ -272,7 +272,7 @@ class TestInternedForm:
     @given(sch=_repeating_schedules())
     def test_filled_cache_is_invisible(self, sch):
         fresh = PulseSchedule(sch.steps, name=sch.name, order=sch.order, n=sch.n)
-        sch._interned, sch._arrays
+        sch._interned, sch._arrays, sch._product_plan
         assert "_interned" in vars(sch) and "_interned" not in vars(fresh)
         assert sch == fresh and hash(sch) == hash(fresh)
         assert schedule_to_json(sch) == schedule_to_json(fresh)
@@ -281,7 +281,7 @@ class TestInternedForm:
     @settings(max_examples=100, deadline=None)
     @given(sch=_repeating_schedules())
     def test_derived_schedules_intern_their_own_steps(self, sch):
-        sch._interned, sch._arrays
+        sch._interned, sch._arrays, sch._product_plan
         derived = [
             replace(sch, steps=sch.steps[::-1] + sch.steps[:1]),
             consolidate(sch),
@@ -301,12 +301,12 @@ class TestInternedForm:
         """With concatenation as the product, the plan spells out the id sequence."""
         distinct, seq = sch._interned
         words = [(k,) for k in range(len(distinct))]
-        for left, right, carried in sch._arrays.levels:
+        for left, right, carried in sch._product_plan[0]:
             pairs = list(zip(left.tolist(), right.tolist()))
             assert len(set(pairs)) == len(pairs)
             words = [words[a] + words[b] for a, b in pairs] + [words[c] for c in carried]
         assert (words[0] if seq else ()) == seq
-        assert len(sch._arrays.levels) == max(len(seq) - 1, 0).bit_length()
+        assert len(sch._product_plan[0]) == max(len(seq) - 1, 0).bit_length()
 
 
 class TestRunForm:
@@ -424,8 +424,41 @@ class TestStepArrays:
         for step, row, phase, phased in zip(distinct, arrays.rows, arrays.phases, arrays.phased):
             assert {ALL_PAIRS[k]: c for k, c in enumerate(row) if c} == step.coefficients()
             assert phase == np.exp(1j * step.phase) and phased == (step.phase != 0.0)
-        for a in (arrays.rows, arrays.phases, arrays.phased, *(a for lv in arrays.levels for a in lv[:2])):
+        for a in (arrays.rows, arrays.phases, arrays.phased, *(a for lv in sch._product_plan[0] for a in lv[:2])):
             assert not a.flags.writeable
+
+
+class TestBatchPlan:
+    """``trotter._plan`` on several run forms at once, as ``metrics.evolve_many`` plans a batch."""
+
+    _STACKS = [pair_stack(s) for s in SpinSector] + [oracle._closure_block(s)[0] for s in SpinSector]
+
+    @settings(max_examples=100, deadline=None)
+    @given(batch=st.lists(
+        st.one_of(_run_forms().map(lambda form: PulseSchedule._repeated(*form)), st.just(PulseSchedule(()))),
+        max_size=4,
+    ))
+    def test_batch_plan_spells_each_schedule_and_evolves_to_its_bits(self, batch):
+        """With concatenation as the product, each final spells its schedule's ids in batch ids."""
+        ids = {}
+        for sch in batch:
+            for step in sch.steps:
+                ids.setdefault(step, len(ids))
+        arrays, levels, finals = metrics._batch(batch)
+        assert np.array_equal(arrays.rows, trotter._coefficient_rows(list(ids)))
+        assert arrays.phased.tolist() == [step.phase != 0.0 for step in ids]
+        words = [(k,) for k in range(len(ids))]
+        for left, right, carried in levels:
+            pairs = list(zip(left.tolist(), right.tolist()))
+            assert len(set(pairs)) == len(pairs)  # one pair table for the whole batch
+            words = [words[a] + words[b] for a, b in pairs] + [words[c] for c in carried]
+        assert len(finals) == len(batch)
+        for sch, final in zip(batch, finals):
+            assert (words[final] if final is not None else ()) == tuple(ids[step] for step in sch.steps)
+        for stack in self._STACKS:
+            gates = metrics.evolve_many(batch, stack)
+            assert gates.shape == (len(batch), *stack.shape[1:])
+            assert all(np.array_equal(gate, metrics.evolve(sch, stack)) for gate, sch in zip(gates, batch))
 
 
 class TestStepGenerator:
@@ -819,6 +852,33 @@ class TestCanonicalGate:
             canonical_two_qubit_schedule(CanonicalGateSpec(alpha=0.3), n=2)
         # fine when a sector is fixed
         canonical_two_qubit_schedule(CanonicalGateSpec(alpha=0.3), n=2, sector=SpinSector.SPIN1)
+
+
+_ANGLE_CALLS = {
+    "single-qubit-alpha": lambda a: single_qubit_schedule(1, a, 0, 0),
+    "single-qubit-beta": lambda a: single_qubit_schedule(1, 0, a, 0),
+    "single-qubit-gamma": lambda a: single_qubit_schedule(1, 0, 0, a),
+    "single-qubit-delta": lambda a: single_qubit_schedule(1, 0.3, 0, 0, a),
+    "canonical-alpha": lambda a: canonical_two_qubit_schedule(CanonicalGateSpec(alpha=a), 1, SpinSector.SPIN1),
+    "canonical-beta": lambda a: canonical_two_qubit_schedule(CanonicalGateSpec(beta=a), 1, SpinSector.SPIN1),
+    "canonical-gamma": lambda a: canonical_two_qubit_schedule(CanonicalGateSpec(gamma=a), 1),
+    "canonical-k1": lambda a: canonical_two_qubit_schedule(CanonicalGateSpec(k1=(("x", 1, a),)), 1),
+    "canonical-k2": lambda a: canonical_two_qubit_schedule(CanonicalGateSpec(k2=(("z", 2, a),)), 1),
+    "trotter-product": lambda a: trotter_product([SWAP_GENERATOR_N, {(1, 2): 0.5}], a, 1),
+    "decoupled-evolution": lambda a: decoupled_evolution(SWAP_GENERATOR_N, a, 1),
+}
+
+
+@pytest.mark.parametrize(
+    ("angle", "error"),
+    [(True, ValueError), (False, ValueError), ("0.5", ValueError), (np.complex128(0.5), TypeError)],
+    ids=["true", "false", "str", "numpy-complex"],
+)
+@pytest.mark.parametrize("call", list(_ANGLE_CALLS))
+def test_builder_angles_must_be_real_numbers(call, angle, error):
+    """Every builder angle is checked on entry, so True is not read as 1.0 nor a string as a sequence."""
+    with pytest.raises(error, match="must be (a )?real"):
+        _ANGLE_CALLS[call](angle)
 
 
 class TestConsolidate:
