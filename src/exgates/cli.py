@@ -218,7 +218,7 @@ def _cmd_synthesize(args) -> int:
     else:
         schedule = trotter.cnot_spin1(args.n)
     if args.cancel_negatives:
-        schedule = trotter.cancel_negatives(schedule, args.cancel_negatives)
+        schedule = trotter.cancel_negatives(schedule)
     out = args.out or f"cnot-{args.mode}-n{args.n}.json"
     try:
         trotter.save_schedule(schedule, out)
@@ -307,10 +307,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", type=int, choices=[0, 1], default=1)
     p.add_argument(
         "--cancel-negatives",
-        nargs="?",
-        const="full-sum",
-        choices=["full-sum", "cross-sum"],
-        help="remove negative Hamiltonian coefficients (bare flag: full-sum)",
+        action="store_true",
+        help="remove negative Hamiltonian coefficients with the all-transposition sum",
     )
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_synthesize)

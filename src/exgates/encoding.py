@@ -227,7 +227,7 @@ def hamiltonian_from_pauli(
             raise ValueError(f"Pauli target may not contain Y: {word!r}")
         if word not in PAULI_ORDER:
             raise ValueError(f"not a Pauli word over {{I,X,Z}}^2: {word!r}")
-        tau[PAULI_ORDER.index(word)] += real_coefficient(c)
+        tau[PAULI_ORDER.index(word)] += real_coefficient(c, "coefficient")
     tau[0] /= sector.identity_scale
     v = SWAP_TO_PAULI.T @ tau / sector.cross_scale
     return {pair: v[k] for k, pair in enumerate(CROSS_PAIRS) if v[k] != 0}

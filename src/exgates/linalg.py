@@ -30,8 +30,10 @@ def max_abs(m: np.ndarray) -> float:
     return float(np.max(np.abs(m))) if m.size else 0.0
 
 
-def real_coefficient(c) -> float:
+def real_coefficient(c, what: str) -> float:
     """``float(c)``, raising ``TypeError`` for any complex value and ``ValueError`` for a string, bool, NaN or infinity.
+
+    Each message names ``what``, the caller's name for the value.
 
     A Python ``complex`` raises already; ``float`` of a numpy complex scalar
     or array would drop the imaginary part with only a ``ComplexWarning``,
@@ -41,12 +43,12 @@ def real_coefficient(c) -> float:
     """
     if type(c) is not float:
         if isinstance(c, (str, bytes, bool, np.bool_)):
-            raise ValueError(f"coefficient must be a real number, got {reprlib.repr(c)}")
+            raise ValueError(f"{what} must be a real number, got {reprlib.repr(c)}")
         if np.iscomplexobj(c):
-            raise TypeError(f"coefficient must be real, got {c!r}")
+            raise TypeError(f"{what} must be real, got {c!r}")
     value = float(c)
     if not math.isfinite(value):
-        raise ValueError(f"coefficient must be finite, got {reprlib.repr(c)}")
+        raise ValueError(f"{what} must be finite, got {reprlib.repr(c)}")
     return value
 
 

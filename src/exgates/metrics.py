@@ -301,7 +301,7 @@ def table_rows(which: int, cancel: bool = False) -> list[SynthesisReport]:
         raise ValueError("table must be 1 or 2")
     schedules = [builder(n) for n in ns]
     if cancel:
-        schedules = [cancel_negatives(schedule, "full-sum") for schedule in schedules]
+        schedules = [cancel_negatives(schedule) for schedule in schedules]
     return report_many(schedules)
 
 

@@ -123,7 +123,7 @@ def oracle_projected_rep(pairs: Mapping[tuple[int, int], float], sector: SpinSec
     phi = logical_frame(sector)
     m = np.zeros((DIM, DIM))
     for pair, c in pairs.items():
-        m += real_coefficient(c) * physical_swap(*sorted(integer_pair(pair)))
+        m += real_coefficient(c, "coefficient") * physical_swap(*sorted(integer_pair(pair)))
     return phi @ m @ phi.T
 
 

@@ -201,9 +201,6 @@ class Permutation:
             inv[img - 1] = i
         return Permutation(tuple(inv))
 
-    def is_identity(self) -> bool:
-        return all(self(i) == i for i in range(1, self.degree + 1))
-
     def adjacent_word(self) -> tuple[int, ...]:
         """Indices (a_1, ..., a_k) with self = s_{a_1} * ... * s_{a_k}.
 
@@ -273,5 +270,5 @@ def rep_element(shape: Partition, pairs: Mapping[tuple[int, int], float]) -> np.
     """Real combination sum c (i j) of transpositions, pair (i, j) to c, summed in map order."""
     m = np.zeros((len(standard_tableaux(shape)),) * 2)
     for pair, c in pairs.items():
-        m += real_coefficient(c) * rep_transposition(shape, *integer_pair(pair))
+        m += real_coefficient(c, "coefficient") * rep_transposition(shape, *integer_pair(pair))
     return m

@@ -106,10 +106,10 @@ class PulseStep:
         merged: dict[tuple[int, int], float] = {}
         for p, c in coeffs.items():
             key = _normalize_pair(p)
-            c = real_coefficient(c)
+            c = real_coefficient(c, "coefficient")
             # a pair given twice, as (i, j) and (j, i), may sum past the float range
-            merged[key] = real_coefficient(merged[key] + c) if key in merged else c
-        return cls._of(merged, real_coefficient(phase))
+            merged[key] = real_coefficient(merged[key] + c, "coefficient") if key in merged else c
+        return cls._of(merged, real_coefficient(phase, "phase"))
 
     @classmethod
     def _of(cls, coeffs: Mapping[tuple[int, int], float], phase: float) -> "PulseStep":
@@ -136,7 +136,7 @@ class PulseStep:
         return dict(zip(self.pairs, self.coeffs))
 
     def scaled(self, factor: float) -> "PulseStep":
-        factor = real_coefficient(factor)
+        factor = real_coefficient(factor, "scale factor")
         return PulseStep._of({p: c * factor for p, c in zip(self.pairs, self.coeffs)}, self.phase * factor)
 
     def max_coefficient(self) -> float:
@@ -349,7 +349,7 @@ def trotter_product(
         raise ValueError("need at least one term")
     n = _check_iterations(n)
     order = _check_order(order)
-    dt = real_coefficient(alpha) / n
+    dt = real_coefficient(alpha, "alpha") / n
     terms = [PulseStep.make(t) for t in terms]
     if order == 0:
         cycle = [t.scaled(dt) for t in terms]
@@ -405,7 +405,7 @@ def _decoupled_cycle(h: Mapping[tuple[int, int], float], alpha: float, n, order,
     prefix, cycle, suffix = _DECOUPLED_CYCLES[order]
     pairs = [p for p in BLOCK_A_PAIRS + BLOCK_B_PAIRS if p not in drop]
     decouplers = {"u": (np.pi / 2, pairs), "u2": (np.pi, pairs)}
-    return n, order, _cycle_steps(h, real_coefficient(alpha) / (4 * n), decouplers, cycle, prefix, suffix)
+    return n, order, _cycle_steps(h, real_coefficient(alpha, "alpha") / (4 * n), decouplers, cycle, prefix, suffix)
 
 
 def decoupled_evolution(
@@ -487,7 +487,7 @@ def _local_factor_steps(factors: Sequence[tuple[str, int, float]]) -> list[Pulse
     for axis, block, angle in factors:
         if axis not in ("x", "z"):
             raise ValueError(f"local factors must be x or z, got {axis!r}")
-        checked.append((axis, _check_block(block), real_coefficient(angle)))
+        checked.append((axis, _check_block(block), real_coefficient(angle, "angle")))
     return [_local_step(axis, block, angle) for axis, block, angle in checked if angle != 0.0]
 
 
@@ -502,7 +502,7 @@ def single_qubit_schedule(
     """
     block = _check_block(block)
     steps = _local_factor_steps((("x", block, alpha), ("z", block, beta), ("x", block, gamma)))
-    if (delta := real_coefficient(delta)) != 0.0:
+    if (delta := real_coefficient(delta, "delta")) != 0.0:
         if steps:
             steps[0] = PulseStep.make(steps[0].coefficients(), steps[0].phase + delta)
         else:
@@ -549,7 +549,7 @@ def canonical_two_qubit_schedule(
     exp(i pi/4 (XI + IX)).
     """
     n = _check_iterations(n)
-    angles = [real_coefficient(angle) for angle in (gate.alpha, gate.beta, gate.gamma)]
+    angles = [real_coefficient(getattr(gate, name), name) for name in ("alpha", "beta", "gamma")]
     independent = sector is None
     basis_sector = SpinSector.SPIN1 if independent else sector
     if independent:
@@ -735,9 +735,9 @@ def normalized_time(schedule: PulseSchedule) -> float:
     return sum(map(widths.__getitem__, seq)) / (np.pi / 2)
 
 
-def _cancel_step(step: PulseStep, mode: str) -> PulseStep:
+def _cancel_step(step: PulseStep) -> PulseStep:
     coeffs = step.coefficients()
-    negatives = {p: c for p, c in coeffs.items() if c < 0.0}
+    negatives = [-c for c in coeffs.values() if c < 0.0]
     if not negatives:
         return step
     if len(coeffs) == 1:
@@ -745,43 +745,25 @@ def _cancel_step(step: PulseStep, mode: str) -> PulseStep:
         (pair, c), = coeffs.items()
         shift = 2 * np.pi * math.ceil(-c / (2 * np.pi))
         return PulseStep._of({pair: c + shift}, step.phase)
-    if mode == "full-sum":
-        m = max(-c for c in negatives.values())
-        for p in ALL_PAIRS:
-            coeffs[p] = coeffs.get(p, 0.0) + m
-    else:  # cross-sum
-        cross_neg = [-c for p, c in negatives.items() if p in CROSS_PAIRS]
-        if cross_neg:
-            m = max(cross_neg)
-            for p in CROSS_PAIRS:
-                coeffs[p] = coeffs.get(p, 0.0) + m
-        for block in (BLOCK_A_PAIRS, BLOCK_B_PAIRS):
-            block_neg = [-coeffs[p] for p in block if coeffs.get(p, 0.0) < 0.0]
-            if block_neg:
-                m = max(block_neg)
-                for p in block:
-                    coeffs[p] = coeffs.get(p, 0.0) + m
+    m = max(negatives)
+    for p in ALL_PAIRS:
+        coeffs[p] = coeffs.get(p, 0.0) + m
     out = PulseStep._of(coeffs, step.phase)
     if any(c < 0.0 for c in out.coeffs):
         raise AssertionError("cancellation left a negative coefficient")
     return out
 
 
-def cancel_negatives(schedule: PulseSchedule, mode: str) -> PulseSchedule:
+def cancel_negatives(schedule: PulseSchedule) -> PulseSchedule:
     """Remove negative coefficients from Hamiltonian-bearing steps.
 
     A step is Hamiltonian-bearing when it involves a cross-block
-    transposition.  ``full-sum`` adds the all-transposition sum, which is
-    central: it acts as a constant in each irrep, so each step, and the
-    logical action, changes by a global phase per sector only.
-    ``cross-sum`` adds the cross and block sums, which act as a constant
-    and as zero on the computational subspace only; they do not commute
-    with the rest of the step, so the finite-n product changes.  For
-    ``cnot_spin_independent(3)`` it moves F from 0.99136 to 0.97343
-    (SPIN1) and from 0.99946 to 0.93609 (SPIN0); at n = 200 both still
-    print 1.00000.  A Hamiltonian step holding a single exchange
-    interaction is instead shifted by a full period, which leaves its
-    unitary untouched.
+    transposition.  Such a step gets the all-transposition sum, scaled by
+    its largest negative magnitude.  The sum is central: it acts as a
+    constant in each irrep, so each step, and the logical action, changes
+    by a global phase per sector only.  A Hamiltonian step holding a
+    single exchange interaction is instead shifted by a full period, which
+    leaves its unitary untouched.
     Purely local steps (decouplers, prefactors, one-qubit factors) are
     left alone; their negatives are reported rather than rewritten.  Each
     distinct step of the schedule's interned form is rewritten once per
@@ -789,9 +771,7 @@ def cancel_negatives(schedule: PulseSchedule, mode: str) -> PulseSchedule:
     and tail, so it keeps the input's run form (``PulseSchedule._runs``,
     same repeats); it interns its own steps anew.
     """
-    if mode not in ("full-sum", "cross-sum"):
-        raise ValueError(f"unknown cancellation mode: {mode!r}")
-    rewritten = [_cancel_step(s, mode) if s.is_cross_block() else s for s in schedule._interned[0]]
+    rewritten = [_cancel_step(s) if s.is_cross_block() else s for s in schedule._interned[0]]
     head, body, reps, tail = schedule._id_runs()
     head, body, tail = (tuple(map(rewritten.__getitem__, ids)) for ids in (head, body, tail))
     return PulseSchedule._repeated(

@@ -154,21 +154,14 @@ def test_criterion_6_negative_cancellation():
         for n in ns:
             base = builder(n)
             r0 = report(base)
-            # cross-sum mode: all Hamiltonian-step coefficients nonnegative,
-            # time up by the canceled magnitude
-            crossed = cancel_negatives(base, "cross-sum")
-            for step in crossed.steps:
-                if step.is_cross_block():
-                    assert min(step.coeffs) >= 0.0
-            worst_dt = max(worst_dt, abs(normalized_time(crossed) - r0.normalized_time - 1.3))
-            # fidelity/leakage invariance: the central all-transposition sum
-            # (a pure per-sector phase; the cross sum alone shifts the finite-n
-            # product, see the decisions notes)
-            full = cancel_negatives(base, "full-sum")
+            # all Hamiltonian-step coefficients nonnegative, time up by the
+            # canceled magnitude, and fidelity/leakage invariant: the
+            # all-transposition sum is central, a pure per-sector phase
+            full = cancel_negatives(base)
             for step in full.steps:
                 if step.is_cross_block():
                     assert min(step.coeffs) >= 0.0
-            assert abs(normalized_time(full) - r0.normalized_time - 1.3) <= 0.05
+            worst_dt = max(worst_dt, abs(normalized_time(full) - r0.normalized_time - 1.3))
             r1 = report(full)
             for sector in ("SPIN0", "SPIN1"):
                 worst_df = max(worst_df, abs(r1.fidelity[sector] - r0.fidelity[sector]))

@@ -136,26 +136,28 @@ class TestSynthesizeSimulate:
         assert "cycles 63" in out
         assert "SPIN1: fidelity 0.99888" in out
 
-    @pytest.mark.parametrize("flags, mode", [
-        (["--cancel-negatives"], "full-sum"),
-        (["--cancel-negatives", "full-sum"], "full-sum"),
-        (["--cancel-negatives", "cross-sum"], "cross-sum"),
-    ])
-    def test_synthesize_cancel_negatives_mode(self, capsys, tmp_path, flags, mode):
+    @pytest.mark.parametrize("args", [
+        ["cnot", "--n", "3", "--cancel-negatives"],
+        ["--cancel-negatives", "cnot", "--n", "3"],
+    ], ids=["flag-after-gate", "flag-before-gate"])
+    def test_synthesize_cancel_negatives_mode(self, capsys, tmp_path, args):
+        """A bare flag: it takes no value, so it cannot swallow the gate name."""
         from exgates.trotter import cancel_negatives, cnot_spin_independent, schedule_to_json
 
         out_path = tmp_path / "c.json"
-        code, _, _ = run(capsys, "synthesize", "cnot", "--n", "3", *flags, "--out", str(out_path))
+        code, _, _ = run(capsys, "synthesize", *args, "--out", str(out_path))
         assert code == 0
-        want = schedule_to_json(cancel_negatives(cnot_spin_independent(3), mode))
+        want = schedule_to_json(cancel_negatives(cnot_spin_independent(3)))
         assert json.loads(out_path.read_text()) == want
 
     def test_cancel_mode_option_removed(self, capsys, tmp_path):
         out_path = tmp_path / "c.json"
-        with pytest.raises(SystemExit) as exc:
-            main(["synthesize", "cnot", "--n", "3", "--cancel-mode", "cross-sum", "--out", str(out_path)])
-        assert exc.value.code == 2
-        assert not out_path.exists()
+        for option in (["--cancel-mode", "cross-sum"], ["--cancel-negatives", "full-sum"], ["--cancel-negatives", "cross-sum"]):
+            with pytest.raises(SystemExit) as exc:
+                main(["synthesize", "cnot", "--n", "3", *option, "--out", str(out_path)])
+            assert exc.value.code == 2, option
+            assert capsys.readouterr().err.count("usage:") == 1, option
+            assert not out_path.exists(), option
 
     def test_simulate_both_sectors_worst_case(self, capsys, tmp_path):
         out_path = tmp_path / "c.json"

@@ -1,5 +1,7 @@
 """Golden digests of the CNOT schedules: a builder change that moves any pulse fails here.
 
+The ``-canceled`` families are the same schedules passed through
+``cancel_negatives``, so a change to cancellation that moves a pulse fails too.
 Each digest is the sha256 of ``json.dumps(schedule_to_json(schedule), sort_keys=True)``.
 The builders use Python float arithmetic only, so the digests do not depend on
 the platform's linear-algebra libraries.
@@ -10,12 +12,15 @@ import json
 
 import pytest
 
-from exgates.trotter import cnot_spin1, cnot_spin_independent, schedule_to_json
+from exgates.trotter import cancel_negatives, cnot_spin1, cnot_spin_independent, schedule_to_json
 
 _BUILDERS = {
     "independent-0": lambda n: cnot_spin_independent(n, order=0),
     "independent-1": lambda n: cnot_spin_independent(n, order=1),
     "spin1": cnot_spin1,
+    "independent-0-canceled": lambda n: cancel_negatives(cnot_spin_independent(n, order=0)),
+    "independent-1-canceled": lambda n: cancel_negatives(cnot_spin_independent(n, order=1)),
+    "spin1-canceled": lambda n: cancel_negatives(cnot_spin1(n)),
 }
 
 _DIGESTS = {
@@ -66,6 +71,54 @@ _DIGESTS = {
         12: "263b583b2825ea6dc30c7725ff90b15fa10af126cd958e6f9bc3fcb7e907828e",
         50: "99297f0b3bd3516d63e0e195c4f5c3a0f56f52802b665c8f595dad369929eb16",
         200: "0d926a4b9bd69decaaa8a9185d69a37b795c0b466dedb8b6c111a60ae6ac82a9",
+    },
+    "independent-0-canceled": {
+        1: "ed52e08f80c462a0e93a4f4d425f598be7f22387037a356018fa8416efc273c2",
+        2: "fa351e81da6c96d6a3e6e3313a89326a6483012de31019cee7c9d4ae5e0cf0ee",
+        3: "6d09f49ac6970965b93aaed2b0553b621ab1b984ff67f893a43d1ee36a4b1fb2",
+        4: "6415c04be20dbda719aba2ed4ef844151d492f6034029c93da8a07e15406bee2",
+        5: "c25163369c646e458f3645a315d42038548bafc24bef0aafdafbc8816673ffe9",
+        6: "7f72fbec3e12b180670c41fbb92270c9df8be1defdaf52a6df8f64b14a95df35",
+        7: "dd233ada79ebb5cff12d53b0662b92110ba662337da563a422e9965894c76559",
+        8: "5dfe8dfb0f5a86eb2bd5cd54d63e22e1e261bb05868531e8b63c30c3433a6249",
+        9: "619f3253d7a361d4af68c3c7eea45839010cb76b635bd0e7950343160ab29cfb",
+        10: "79ca70819d993a0234460a2cab82352cb7e8f12cf6590d8fc2d558a1fd82a703",
+        11: "280f701118a1b133a958ca4ed421a4c63653b5983e7e414ba02d16be42d0a52d",
+        12: "542ff3656036a12cb811ebdde642cff5acb3ba443995c9a23edd7b05f7299f35",
+        50: "0e0c86464c6c1ab149751ed1d7e4b51055c35c8b85cd933d09a643d1d8995480",
+        200: "a769f4536685f93f6398e4b49030521736fe723d271a5ad4fc598b5b8f03850b",
+    },
+    "independent-1-canceled": {
+        1: "d5a959f93f3460cb261a202631e5aafea59c4e8346b0847eebd134c7962d058b",
+        2: "aef70a1641d2d7176e50808e5b5e87051089805e681773034866da6516655890",
+        3: "3f7b6273db615234a460e7b9ba23aa96876a669e2ede494aadf5c7803d2f8281",
+        4: "ac13d2442687817976b06ebf23cabe640622048263a79cfac8de0c30efeba833",
+        5: "67247b3557fa308621ef855ce10c20eee2a0abba06bff65751b4e93eaeaf3e85",
+        6: "d5db74879e2da5ac795ded3214c5dd585b12282582b508476890bc8ab2b95127",
+        7: "8102f3cb9e89c34283ef7463902e89e50df84c0e278eb6bc6f59a3240055fdb2",
+        8: "ef08ac16eaf5e5253c60f61c88450431f2a9a77022fee90cfdb33c5bb421fd04",
+        9: "3f5c5be62f53b81649d453235b386da8c5231770a43d44c808fbdbf247e7fafa",
+        10: "e0d5bb68a579730f9a78e68d7321f7a100190b7f26523caab9486e953f6d8268",
+        11: "451c3db27bc648422664e1367dae7ae96d79267b24b7bc23338eec23dc5f00e9",
+        12: "a4ba99a9cd3009ca55d2e26fa922a2f0ab8394dc6b9680e79a9cf3fdbf6e64c4",
+        50: "80c08b1703bfc98c265d3b76947c26913cc14d0a2de61be5bfb3c5f2b53d96b7",
+        200: "8d5486fcbe48997868b3d8ef99f2ffef0988f730c297e57a98beb221b283d117",
+    },
+    "spin1-canceled": {
+        1: "b555ae470960d74b02625f9e2d8ebdd6deeb793d9d94b8542d42de65e8b4b0c2",
+        2: "4baa82523145ff7ce3ac23f4a170ccdf6537bec5f3dcbde4f958661ff8285b39",
+        3: "3ae9ac4a7d3e393ddf25e7ca81ab85c806362430339adae158f12820154f6561",
+        4: "cbb7904472874330628ed5d6c17c3809fcccf9c5488943dd9304227470926ccb",
+        5: "5c06b2873a10a642c6053f8c7b58b4699f8959ece0691a78c4221be36f3b19d3",
+        6: "b322e2d2dd2667103aad924516f0127d11c89be0e7952a1f0243fd131a23ffb2",
+        7: "e1a861c10417c90d51bcffe3b895c8cb9f3166d0618a1bdda7cf8917ba368fa7",
+        8: "97ef59a51f776428929096d4664c8cb7bfa1121250877769e14e6841c14e49cc",
+        9: "05454978adc9ad5704d157d03ee432a062b1c2221a7c487a28f0c4231028d3b0",
+        10: "10efaa9fe19a50197018a3e217cde07303dfa030585a6e0f0245202ed7c3a84f",
+        11: "4e4ee303177c8e8eae2728426c22be08f98e95757ff89e96e51461ced5bc9b42",
+        12: "ade547b1b25ad12526e3be42535e5ab57125e9bc76e7e437bb9f5fee47e89441",
+        50: "cfbea7cd33180397d9f881cf5c509a7624bfe5ed050ab2dd6acd869f28d68821",
+        200: "74b480752202f781eb033bd6b741918e96a67bb6b79100ebcc397863acb9b5b8",
     },
 }
 

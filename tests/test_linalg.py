@@ -73,25 +73,28 @@ def test_numpy_integer_pairs_accepted(take):
     assert np.array_equal(got, want)
 
 
-# The callers of ``real_coefficient``, each taking a coefficient ``c``.
+# The callers of ``real_coefficient``, each taking a coefficient ``c``, with
+# the name their error message gives it.
 _COEFFICIENT_TAKERS = {
-    "PulseStep.make": lambda c: PulseStep.make({(1, 2): c}),
-    "PulseStep.make-phase": lambda c: PulseStep.make({(1, 2): 1.0}, phase=c),
-    "rep_element": lambda c: rep_element(SpinSector.SPIN1.partition, {(1, 2): c}),
-    "oracle_projected_rep": lambda c: oracle_projected_rep({(1, 2): c}, SpinSector.SPIN0),
-    "hamiltonian_from_pauli": lambda c: hamiltonian_from_pauli({"XZ": c}, SpinSector.SPIN1),
+    "PulseStep.make": ("coefficient", lambda c: PulseStep.make({(1, 2): c})),
+    "PulseStep.make-phase": ("phase", lambda c: PulseStep.make({(1, 2): 1.0}, phase=c)),
+    "rep_element": ("coefficient", lambda c: rep_element(SpinSector.SPIN1.partition, {(1, 2): c})),
+    "oracle_projected_rep": ("coefficient", lambda c: oracle_projected_rep({(1, 2): c}, SpinSector.SPIN0)),
+    "hamiltonian_from_pauli": ("coefficient", lambda c: hamiltonian_from_pauli({"XZ": c}, SpinSector.SPIN1)),
 }
 
 
-@pytest.mark.parametrize("take", _COEFFICIENT_TAKERS.values(), ids=_COEFFICIENT_TAKERS.keys())
+@pytest.mark.parametrize("taker", _COEFFICIENT_TAKERS.values(), ids=_COEFFICIENT_TAKERS.keys())
 @pytest.mark.parametrize("c", ["1.5", b"1.5", np.str_("2"), True, False, np.True_], ids=repr)
-def test_strings_and_bools_are_not_coefficients(take, c):
-    with pytest.raises(ValueError, match=re.escape(f"coefficient must be a real number, got {reprlib.repr(c)}")):
+def test_strings_and_bools_are_not_coefficients(taker, c):
+    what, take = taker
+    with pytest.raises(ValueError, match=re.escape(f"{what} must be a real number, got {reprlib.repr(c)}")):
         take(c)
 
 
-@pytest.mark.parametrize("take", _COEFFICIENT_TAKERS.values(), ids=_COEFFICIENT_TAKERS.keys())
-def test_real_numbers_of_other_types_accepted(take):
+@pytest.mark.parametrize("taker", _COEFFICIENT_TAKERS.values(), ids=_COEFFICIENT_TAKERS.keys())
+def test_real_numbers_of_other_types_accepted(taker):
+    _, take = taker
     want = take(1.5)
     for c in (np.float64(1.5), np.float32(1.5), np.array(1.5)):
         assert np.array_equal(np.asarray(take(c), dtype=object), np.asarray(want, dtype=object))

@@ -355,7 +355,7 @@ def _batch_pool():
     rng = np.random.default_rng(19)
     pool = [PulseSchedule(()), PulseSchedule((PulseStep.make({(2, 5): 0.4}, 0.3),))]
     for sch in (cnot_spin_independent(1), cnot_spin_independent(2, order=0), cnot_spin_independent(3), cnot_spin1(2)):
-        pool += [sch, cancel_negatives(sch, "full-sum"), cancel_negatives(sch, "cross-sum")]
+        pool += [sch, cancel_negatives(sch)]
     # more distinct steps than one chunk holds at d = 5 (163), with repeats
     for k in (60, 170):
         steps = _random_steps(rng, k, phased=True)
@@ -432,7 +432,7 @@ class TestReportMany:
         builder, ns = {1: (cnot_spin_independent, (3, 5, 9)), 2: (cnot_spin1, (2, 3, 4))}[which]
         schedules = [builder(n) for n in ns]
         if cancel:
-            schedules = [cancel_negatives(s, "full-sum") for s in schedules]
+            schedules = [cancel_negatives(s) for s in schedules]
         got = table_rows(which, cancel=cancel)
         assert [_report_bits(r) for r in got] == [_report_bits(report(s)) for s in schedules]
 

@@ -277,7 +277,7 @@ class TestMagnetizationBlock:
         rng = np.random.default_rng(2024)
         schedules = [cnot_spin_independent(n) for n in (3, 5, 9)]
         schedules += [cnot_spin1(n) for n in (2, 3, 4)]
-        schedules += [cancel_negatives(s, "full-sum") for s in schedules]
+        schedules += [cancel_negatives(s) for s in schedules]
         schedules += [random_schedule(rng, int(rng.integers(5, 60))) for _ in range(20)]
         for schedule in schedules:
             reference = frame_scores(

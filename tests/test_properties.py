@@ -142,7 +142,7 @@ def test_leakage_does_not_depend_on_target(sch, sector):
 @given(sch=_SCHEDULES, sector=_SECTORS)
 def test_full_sum_cancellation_is_a_phase_per_sector(sch, sector):
     g0 = simulate(sch, sector)
-    g1 = simulate(cancel_negatives(sch, "full-sum"), sector)
+    g1 = simulate(cancel_negatives(sch), sector)
     ratio = g1 @ g0.conj().T
     phase = ratio[0, 0]
     assert abs(abs(phase) - 1.0) <= 1e-12

@@ -226,7 +226,7 @@ class TestPermutation:
 
     def test_inverse(self):
         p = Permutation((3, 1, 4, 2))
-        assert (p * p.inverse()).is_identity()
+        assert p * p.inverse() == Permutation.identity(4)
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -285,8 +285,7 @@ class TestInternedForm:
         derived = [
             replace(sch, steps=sch.steps[::-1] + sch.steps[:1]),
             consolidate(sch),
-            cancel_negatives(sch, "full-sum"),
-            cancel_negatives(sch, "cross-sum"),
+            cancel_negatives(sch),
         ]
         for out in derived:
             fresh = PulseSchedule(out.steps)
@@ -327,10 +326,9 @@ class TestRunForm:
         assert all(a is b for a, b in zip(sch._interned[0], flat._interned[0]))
         assert _plan(sch) == _plan(flat)
         assert self._dumps(consolidate(sch)) == self._dumps(consolidate(flat))
-        for mode in ("full-sum", "cross-sum"):
-            canceled, flat_canceled = cancel_negatives(sch, mode), cancel_negatives(flat, mode)
-            assert self._dumps(canceled) == self._dumps(flat_canceled)
-            assert self._dumps(consolidate(canceled)) == self._dumps(consolidate(flat_canceled))
+        canceled, flat_canceled = cancel_negatives(sch), cancel_negatives(flat)
+        assert self._dumps(canceled) == self._dumps(flat_canceled)
+        assert self._dumps(consolidate(canceled)) == self._dumps(consolidate(flat_canceled))
 
     @settings(max_examples=300, deadline=None)
     @given(runs=_run_forms())
@@ -362,10 +360,9 @@ class TestRunForm:
         head, body, reps, tail = sch._runs
         assert reps == n and body
         assert head + body * reps + tail == sch.steps
-        for mode in ("full-sum", "cross-sum"):
-            canceled = cancel_negatives(sch, mode)
-            h, b, r, t = canceled._runs
-            assert r == n and h + b * r + t == canceled.steps
+        canceled = cancel_negatives(sch)
+        h, b, r, t = canceled._runs
+        assert r == n and h + b * r + t == canceled.steps
         self._assert_invisible(sch)
 
     @pytest.mark.parametrize("n", [1, 3, 50])
@@ -854,18 +851,19 @@ class TestCanonicalGate:
         canonical_two_qubit_schedule(CanonicalGateSpec(alpha=0.3), n=2, sector=SpinSector.SPIN1)
 
 
+# Each builder angle, with the name its error message gives it.
 _ANGLE_CALLS = {
-    "single-qubit-alpha": lambda a: single_qubit_schedule(1, a, 0, 0),
-    "single-qubit-beta": lambda a: single_qubit_schedule(1, 0, a, 0),
-    "single-qubit-gamma": lambda a: single_qubit_schedule(1, 0, 0, a),
-    "single-qubit-delta": lambda a: single_qubit_schedule(1, 0.3, 0, 0, a),
-    "canonical-alpha": lambda a: canonical_two_qubit_schedule(CanonicalGateSpec(alpha=a), 1, SpinSector.SPIN1),
-    "canonical-beta": lambda a: canonical_two_qubit_schedule(CanonicalGateSpec(beta=a), 1, SpinSector.SPIN1),
-    "canonical-gamma": lambda a: canonical_two_qubit_schedule(CanonicalGateSpec(gamma=a), 1),
-    "canonical-k1": lambda a: canonical_two_qubit_schedule(CanonicalGateSpec(k1=(("x", 1, a),)), 1),
-    "canonical-k2": lambda a: canonical_two_qubit_schedule(CanonicalGateSpec(k2=(("z", 2, a),)), 1),
-    "trotter-product": lambda a: trotter_product([SWAP_GENERATOR_N, {(1, 2): 0.5}], a, 1),
-    "decoupled-evolution": lambda a: decoupled_evolution(SWAP_GENERATOR_N, a, 1),
+    "single-qubit-alpha": ("angle", lambda a: single_qubit_schedule(1, a, 0, 0)),
+    "single-qubit-beta": ("angle", lambda a: single_qubit_schedule(1, 0, a, 0)),
+    "single-qubit-gamma": ("angle", lambda a: single_qubit_schedule(1, 0, 0, a)),
+    "single-qubit-delta": ("delta", lambda a: single_qubit_schedule(1, 0.3, 0, 0, a)),
+    "canonical-alpha": ("alpha", lambda a: canonical_two_qubit_schedule(CanonicalGateSpec(alpha=a), 1, SpinSector.SPIN1)),
+    "canonical-beta": ("beta", lambda a: canonical_two_qubit_schedule(CanonicalGateSpec(beta=a), 1, SpinSector.SPIN1)),
+    "canonical-gamma": ("gamma", lambda a: canonical_two_qubit_schedule(CanonicalGateSpec(gamma=a), 1)),
+    "canonical-k1": ("angle", lambda a: canonical_two_qubit_schedule(CanonicalGateSpec(k1=(("x", 1, a),)), 1)),
+    "canonical-k2": ("angle", lambda a: canonical_two_qubit_schedule(CanonicalGateSpec(k2=(("z", 2, a),)), 1)),
+    "trotter-product": ("alpha", lambda a: trotter_product([SWAP_GENERATOR_N, {(1, 2): 0.5}], a, 1)),
+    "decoupled-evolution": ("alpha", lambda a: decoupled_evolution(SWAP_GENERATOR_N, a, 1)),
 }
 
 
@@ -877,8 +875,9 @@ _ANGLE_CALLS = {
 @pytest.mark.parametrize("call", list(_ANGLE_CALLS))
 def test_builder_angles_must_be_real_numbers(call, angle, error):
     """Every builder angle is checked on entry, so True is not read as 1.0 nor a string as a sequence."""
-    with pytest.raises(error, match="must be (a )?real"):
-        _ANGLE_CALLS[call](angle)
+    what, build = _ANGLE_CALLS[call]
+    with pytest.raises(error, match=f"^{what} must be (a )?real"):
+        build(angle)
 
 
 class TestConsolidate:
@@ -951,21 +950,20 @@ class TestConsolidate:
 class TestCancelNegatives:
     def test_all_nonnegative_unchanged(self):
         sch = PulseSchedule((PulseStep.make({(1, 4): 0.7, (3, 5): 0.2}),))
-        assert cancel_negatives(sch, "cross-sum").steps == sch.steps
+        assert cancel_negatives(sch).steps == sch.steps
 
     def test_single_transposition_two_pi_shift(self):
         theta = 0.7
         sch = PulseSchedule((PulseStep.make({(1, 4): -theta}),))
-        out = cancel_negatives(sch, "cross-sum")
+        out = cancel_negatives(sch)
         assert out.steps[0].coefficients()[(1, 4)] == pytest.approx(-theta + 2 * np.pi)
         for sector in SpinSector:
             assert np.max(np.abs(simulate(sch, sector) - simulate(out, sector))) <= 1e-12
 
-    @pytest.mark.parametrize("mode", ["cross-sum", "full-sum"])
     @pytest.mark.parametrize("builder", [cnot_spin_independent, cnot_spin1])
-    def test_nonneg_and_time_increase(self, mode, builder):
+    def test_nonneg_and_time_increase(self, builder):
         sch = builder(3)
-        out = cancel_negatives(sch, mode)
+        out = cancel_negatives(sch)
         for step in out.steps:
             if step.is_cross_block():
                 assert min(step.coeffs) >= 0.0
@@ -976,7 +974,7 @@ class TestCancelNegatives:
     @pytest.mark.parametrize("builder", [cnot_spin_independent, cnot_spin1])
     def test_full_sum_preserves_fidelity_and_leakage(self, builder):
         sch = builder(3)
-        out = cancel_negatives(sch, "full-sum")
+        out = cancel_negatives(sch)
         r0, r1 = report(sch), report(out)
         for sector in ("SPIN0", "SPIN1"):
             assert abs(r0.fidelity[sector] - r1.fidelity[sector]) <= 1e-5
@@ -984,7 +982,7 @@ class TestCancelNegatives:
 
     def test_full_sum_is_exact_phase_per_sector(self):
         sch = cnot_spin_independent(2)
-        out = cancel_negatives(sch, "full-sum")
+        out = cancel_negatives(sch)
         for sector in SpinSector:
             g0 = simulate(sch, sector)
             g1 = simulate(out, sector)
@@ -995,31 +993,22 @@ class TestCancelNegatives:
 
     def test_local_steps_left_alone(self):
         sch = cnot_spin_independent(2)
-        out = cancel_negatives(sch, "cross-sum")
+        out = cancel_negatives(sch)
         assert out.steps[0] == sch.steps[0]  # prefactor untouched
 
-    def test_unknown_mode(self):
-        with pytest.raises(ValueError):
-            cancel_negatives(cnot_spin1(1), "other")
-
-    @pytest.mark.parametrize("mode", ["cross-sum", "full-sum"])
-    def test_each_distinct_step_rewritten_once(self, monkeypatch, mode):
+    def test_each_distinct_step_rewritten_once(self, monkeypatch):
         rewritten = []
         original = trotter._cancel_step
 
-        def counting(step, mode):
+        def counting(step):
             rewritten.append(step)
-            return original(step, mode)
+            return original(step)
 
         monkeypatch.setattr(trotter, "_cancel_step", counting)
         sch = cnot_spin_independent(50)
-        cancel_negatives(sch, mode)
+        cancel_negatives(sch)
         assert len(rewritten) == len(set(rewritten))
         assert set(rewritten) == {s for s in sch.steps if s.is_cross_block()}
-
-    def test_unknown_mode_rejected_without_negatives(self):
-        with pytest.raises(ValueError):
-            cancel_negatives(PulseSchedule(()), "local-sum")
 
 
 class TestScheduleJson:
