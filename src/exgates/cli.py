@@ -37,9 +37,9 @@ def _suite_symrep() -> list[CheckResult]:
         dim = len(standard_tableaux(shape))
         checks.append(_check(f"dim {shape} = {want}", abs(dim - want), 0))
         worst = 0.0
-        for _ in range(50):
-            a = Permutation(tuple(int(v) for v in rng.permutation(6) + 1))
-            b = Permutation(tuple(int(v) for v in rng.permutation(6) + 1))
+        # 50 random pairs (a, b) as the rows of one batch, the same stream as 100 rng.permutation(6) calls
+        perms = [Permutation(tuple(map(int, p))) for p in rng.permuted(np.tile(np.arange(1, 7), (100, 1)), axis=1)]
+        for a, b in zip(perms[::2], perms[1::2]):
             lhs = rep_permutation(shape, a * b)
             rhs = rep_permutation(shape, a) @ rep_permutation(shape, b)
             worst = max(worst, max_abs(lhs - rhs))
@@ -65,6 +65,7 @@ def _suite_symrep() -> list[CheckResult]:
 
 def _suite_encoding() -> list[CheckResult]:
     checks = []
+    y_words = [encoding.pauli_word(w).conj().T for w in ("YI", "IY", "YX", "XY", "YZ", "ZY", "YY")]
     for sector in SpinSector:
         pi = encoding.projector(sector)
         checks.append(
@@ -75,10 +76,8 @@ def _suite_encoding() -> list[CheckResult]:
         worst_y = 0.0
         for pair in encoding.CROSS_PAIRS:
             p = encoding.projected_rep({pair: 1.0}, sector)
-            for first, second in (("Y", "I"), ("I", "Y"), ("Y", "X"), ("X", "Y"),
-                                  ("Y", "Z"), ("Z", "Y"), ("Y", "Y")):
-                comp = np.trace(encoding.pauli_word(first + second).conj().T @ p) / 4
-                worst_y = max(worst_y, abs(comp))
+            for y in y_words:
+                worst_y = max(worst_y, abs(np.trace(y @ p) / 4))
         checks.append(_check(f"{sector.name} cross projections have no Y component", worst_y))
     return checks
 
@@ -89,12 +88,7 @@ def _suite_decouple() -> list[CheckResult]:
     sigma_a, sigma_b = decouple.local_sums()
     for sector in SpinSector:
         for name, sig in (("sigma_a", sigma_a), ("sigma_b", sigma_b)):
-            checks.append(
-                _check(
-                    f"{sector.name} projected {name} = 0",
-                    max_abs(encoding.projected_rep(sig, sector)),
-                )
-            )
+            checks.append(_check(f"{sector.name} projected {name} = 0", max_abs(encoding.projected_rep(sig, sector))))
         basis = decouple.joint_eigenbasis(sector)
         pair = decouple.decoupler(sector, "pair")[1:3]
         for name, u, diag in zip(("Ua", "Ub"), pair, _DECOUPLER_DIAGONALS[sector]):
@@ -110,18 +104,17 @@ def _suite_decouple() -> list[CheckResult]:
         checks.append(_check(f"{sector.name} U acts as identity on computational subspace",
                              max_abs(pi @ u @ pi.T - np.eye(4))))
         pi_perp = np.eye(sector.dim) - pi.T @ pi
-        worst_cross = 0.0
-        worst_block = 0.0
-        worst_idem = 0.0
-        for _ in range(100):
-            coeffs = {p: rng.normal() for p in encoding.ALL_PAIRS}
-            h = rep_element(sector.partition, coeffs)
-            dp = decouple.decouple_map(h, sector, "pair")
-            dw = decouple.decouple_map(h, sector, "power")
-            for d in (dp, dw):
-                worst_cross = max(worst_cross, max_abs(pi @ d @ pi_perp))
-            worst_block = max(worst_block, max_abs(pi @ (dp - dw) @ pi.T))
-            worst_idem = max(worst_idem, max_abs(decouple.decouple_map(dp, sector, "pair") - dp))
+        # 100 random H as one stack, each summed from zero in ALL_PAIRS order as rep_element sums,
+        # one transposition at a time so no (100, 15, dim, dim) product is held
+        c = rng.normal(size=(100, len(encoding.ALL_PAIRS)))
+        h = np.zeros((100, sector.dim, sector.dim))
+        for ck, pk in zip(c.T, trotter.pair_stack(sector)):
+            h += ck[:, None, None] * pk
+        dp = decouple.decouple_map(h, sector, "pair")
+        dw = decouple.decouple_map(h, sector, "power")
+        worst_cross = max(max_abs(pi @ d @ pi_perp) for d in (dp, dw))
+        worst_block = max_abs(pi @ (dp - dw) @ pi.T)
+        worst_idem = max_abs(decouple.decouple_map(dp, sector, "pair") - dp)
         checks.append(_check(f"{sector.name} D(H) computational cross terms vanish (100 random H)", worst_cross))
         checks.append(_check(f"{sector.name} pair/power agree on computational block", worst_block))
         checks.append(_check(f"{sector.name} D idempotent", worst_idem))

@@ -4,7 +4,8 @@ The symmetric sums of within-block transpositions vanish on the
 computational subspace and generate unitaries that are identity there but
 flip signs on the complement.  Averaging a Hamiltonian over conjugations
 by four such unitaries removes its matrix elements between the
-computational subspace and the rest of the irrep.
+computational subspace and the rest of the irrep.  ``decouple_map`` averages
+one Hamiltonian or a stack of them, each matrix with its own 2-d call's bits.
 
 Two decoupler families are supported: the pair set {1, Ua, Ub, Ub Ua} and
 the power set {1, U, U^dag, U^2} with U generated by the sum of both block
@@ -73,12 +74,15 @@ def decouple_map(h: np.ndarray, sector: SpinSector, variant: str = "pair") -> np
 
     The result has no matrix elements between the computational subspace
     and its complement, and its computational block equals that of h.
+    ``h`` is one (dim, dim) matrix or a (k, dim, dim) stack, every matrix
+    Hermitian; each matrix of a stack comes out bit for bit as its own 2-d
+    call would.
     """
     h = np.asarray(h, dtype=complex)
-    if h.shape != (sector.dim, sector.dim):
-        raise ValueError(f"expected a {sector.dim} x {sector.dim} matrix, got {h.shape}")
+    if h.ndim not in (2, 3) or h.shape[-2:] != (sector.dim, sector.dim):
+        raise ValueError(f"expected a {sector.dim} x {sector.dim} matrix or a stack of them, got {h.shape}")
     if not is_hermitian(h):
-        raise ValueError("decouple_map requires a Hermitian matrix")
+        raise ValueError("decouple_map requires Hermitian matrices")
     out = np.zeros_like(h)
     for u in decoupler(sector, variant):
         out += u @ h @ u.conj().T

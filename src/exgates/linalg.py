@@ -23,7 +23,9 @@ def expi(h: np.ndarray) -> np.ndarray:
 
 
 def is_hermitian(m: np.ndarray) -> bool:
-    return bool(np.max(np.abs(m - m.conj().T)) <= 1e-12 * max(1.0, float(np.max(np.abs(m)))))
+    """Whether ``m``, one (d, d) matrix or a (k, d, d) stack, is Hermitian to 1e-12 of each matrix's own scale."""
+    dev = np.abs(m - m.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+    return bool(np.all(dev <= 1e-12 * np.maximum(1.0, np.abs(m).max(axis=(-2, -1)))))
 
 
 def max_abs(m: np.ndarray) -> float:

@@ -24,7 +24,7 @@ import math
 import reprlib
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -481,13 +481,13 @@ def _check_block(block) -> int:
     return block
 
 
-def _local_factor_steps(factors: Sequence[tuple[str, int, float]]) -> list[PulseStep]:
-    """Steps of ("x" | "z", block, angle) factors; zero angles give no step but are checked too."""
+def _local_factor_steps(factors: Sequence[tuple[str, int, float]], what: Callable[[int], str]) -> list[PulseStep]:
+    """Steps of ("x" | "z", block, angle) factors, angle i named what(i); zero angles give no step but are checked."""
     checked = []
-    for axis, block, angle in factors:
+    for i, (axis, block, angle) in enumerate(factors):
         if axis not in ("x", "z"):
             raise ValueError(f"local factors must be x or z, got {axis!r}")
-        checked.append((axis, _check_block(block), real_coefficient(angle, "angle")))
+        checked.append((axis, _check_block(block), real_coefficient(angle, what(i))))
     return [_local_step(axis, block, angle) for axis, block, angle in checked if angle != 0.0]
 
 
@@ -501,7 +501,8 @@ def single_qubit_schedule(
     so the action is identical in both sectors.
     """
     block = _check_block(block)
-    steps = _local_factor_steps((("x", block, alpha), ("z", block, beta), ("x", block, gamma)))
+    factors = (("x", block, alpha), ("z", block, beta), ("x", block, gamma))
+    steps = _local_factor_steps(factors, ("alpha", "beta", "gamma").__getitem__)
     if (delta := real_coefficient(delta, "delta")) != 0.0:
         if steps:
             steps[0] = PulseStep.make(steps[0].coefficients(), steps[0].phase + delta)
@@ -560,7 +561,7 @@ def canonical_two_qubit_schedule(
                     f"{{-pi/2, 0, pi/2}}; got {angle}"
                 )
 
-    steps = _local_factor_steps(gate.k1)
+    steps = _local_factor_steps(gate.k1, "k1[{}] angle".format)
     for angle, word, conjugated in zip(angles, ("XX", "ZZ", "ZZ"), (False, True, False)):
         if angle != 0.0:
             h = hamiltonian_from_pauli({word: 1.0}, basis_sector)
@@ -568,7 +569,7 @@ def canonical_two_qubit_schedule(
             if conjugated:
                 core = (_xx_conjugator(+1.0), *core, _xx_conjugator(-1.0))
             steps.extend(core)
-    steps.extend(_local_factor_steps(gate.k2))
+    steps.extend(_local_factor_steps(gate.k2, "k2[{}] angle".format))
     return PulseSchedule(tuple(steps), name="canonical-gate", order=1, n=n)
 
 

@@ -1,13 +1,19 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import exgates
+from exgates import cli, decouple, encoding
 from exgates.cli import main
+from exgates.encoding import SpinSector
+from exgates.linalg import max_abs
+from exgates.symrep import rep_element
 from exgates.trotter import MAX_COEFFICIENT, MAX_ITERATIONS
 
 HEADER = ["n", "cycles", "time", "fidelity", "leakage"]
@@ -23,6 +29,102 @@ PINNED_ROWS = {
         ["2,21,11.1,0.99849,0.00067", "3,31,15.1,0.99970,0.00014", "4,41,19.1,0.99990,0.00005"],
     ),
 }
+
+# `exgates verify` with each "max dev ..., " cut: the 86 check names in order
+# and their tolerances, none of which depends on the LAPACK build.
+VERIFY_LINES = """\
+[suite symrep]
+  PASS  dim (3,3) = 5  (tol 0e+00)
+  PASS  homomorphism on (3,3) (50 random pairs)  (tol 1e-12)
+  PASS  adjacent reps on (3,3) are symmetric involutions  (tol 1e-12)
+  PASS  all-transposition sum on (3,3) = 3 I  (tol 1e-12)
+  PASS  dim (4,2) = 9  (tol 0e+00)
+  PASS  homomorphism on (4,2) (50 random pairs)  (tol 1e-12)
+  PASS  adjacent reps on (4,2) are symmetric involutions  (tol 1e-12)
+  PASS  all-transposition sum on (4,2) = 5 I  (tol 1e-12)
+[suite encoding]
+  PASS  SPIN0 computational basis orthonormal  (tol 1e-12)
+  PASS  SPIN0 block1 (1, 2)/(1, 3) -> XI  (tol 1e-12)
+  PASS  SPIN0 block1 (1, 2)/(1, 3) -> ZI  (tol 1e-12)
+  PASS  SPIN0 block1 (1, 2)/(2, 3) -> XI  (tol 1e-12)
+  PASS  SPIN0 block1 (1, 2)/(2, 3) -> ZI  (tol 1e-12)
+  PASS  SPIN0 block1 (1, 3)/(2, 3) -> XI  (tol 1e-12)
+  PASS  SPIN0 block1 (1, 3)/(2, 3) -> ZI  (tol 1e-12)
+  PASS  SPIN0 block2 (4, 5)/(4, 6) -> IX  (tol 1e-12)
+  PASS  SPIN0 block2 (4, 5)/(4, 6) -> IZ  (tol 1e-12)
+  PASS  SPIN0 block2 (4, 5)/(5, 6) -> IX  (tol 1e-12)
+  PASS  SPIN0 block2 (4, 5)/(5, 6) -> IZ  (tol 1e-12)
+  PASS  SPIN0 block2 (4, 6)/(5, 6) -> IX  (tol 1e-12)
+  PASS  SPIN0 block2 (4, 6)/(5, 6) -> IZ  (tol 1e-12)
+  PASS  SPIN0 row 1 -> II  (tol 1e-12)
+  PASS  SPIN0 row 2 -> IX  (tol 1e-12)
+  PASS  SPIN0 row 3 -> IZ  (tol 1e-12)
+  PASS  SPIN0 row 4 -> XI  (tol 1e-12)
+  PASS  SPIN0 row 5 -> ZI  (tol 1e-12)
+  PASS  SPIN0 row 6 -> XX  (tol 1e-12)
+  PASS  SPIN0 row 7 -> XZ  (tol 1e-12)
+  PASS  SPIN0 row 8 -> ZX  (tol 1e-12)
+  PASS  SPIN0 row 9 -> ZZ  (tol 1e-12)
+  PASS  SPIN0 cross projections have no Y component  (tol 1e-12)
+  PASS  SPIN1 computational basis orthonormal  (tol 1e-12)
+  PASS  SPIN1 block1 (1, 2)/(1, 3) -> XI  (tol 1e-12)
+  PASS  SPIN1 block1 (1, 2)/(1, 3) -> ZI  (tol 1e-12)
+  PASS  SPIN1 block1 (1, 2)/(2, 3) -> XI  (tol 1e-12)
+  PASS  SPIN1 block1 (1, 2)/(2, 3) -> ZI  (tol 1e-12)
+  PASS  SPIN1 block1 (1, 3)/(2, 3) -> XI  (tol 1e-12)
+  PASS  SPIN1 block1 (1, 3)/(2, 3) -> ZI  (tol 1e-12)
+  PASS  SPIN1 block2 (4, 5)/(4, 6) -> IX  (tol 1e-12)
+  PASS  SPIN1 block2 (4, 5)/(4, 6) -> IZ  (tol 1e-12)
+  PASS  SPIN1 block2 (4, 5)/(5, 6) -> IX  (tol 1e-12)
+  PASS  SPIN1 block2 (4, 5)/(5, 6) -> IZ  (tol 1e-12)
+  PASS  SPIN1 block2 (4, 6)/(5, 6) -> IX  (tol 1e-12)
+  PASS  SPIN1 block2 (4, 6)/(5, 6) -> IZ  (tol 1e-12)
+  PASS  SPIN1 row 1 -> II  (tol 1e-12)
+  PASS  SPIN1 row 2 -> IX  (tol 1e-12)
+  PASS  SPIN1 row 3 -> IZ  (tol 1e-12)
+  PASS  SPIN1 row 4 -> XI  (tol 1e-12)
+  PASS  SPIN1 row 5 -> ZI  (tol 1e-12)
+  PASS  SPIN1 row 6 -> XX  (tol 1e-12)
+  PASS  SPIN1 row 7 -> XZ  (tol 1e-12)
+  PASS  SPIN1 row 8 -> ZX  (tol 1e-12)
+  PASS  SPIN1 row 9 -> ZZ  (tol 1e-12)
+  PASS  SPIN1 cross projections have no Y component  (tol 1e-12)
+[suite decouple]
+  PASS  SPIN0 projected sigma_a = 0  (tol 1e-12)
+  PASS  SPIN0 projected sigma_b = 0  (tol 1e-12)
+  PASS  SPIN0 Ua = diag(1,1,1,1,-1)  (tol 1e-12)
+  PASS  SPIN0 Ub = diag(1,1,1,1,-1)  (tol 1e-12)
+  PASS  SPIN0 U^4 = 1  (tol 1e-12)
+  PASS  SPIN0 U acts as identity on computational subspace  (tol 1e-12)
+  PASS  SPIN0 D(H) computational cross terms vanish (100 random H)  (tol 1e-12)
+  PASS  SPIN0 pair/power agree on computational block  (tol 1e-12)
+  PASS  SPIN0 D idempotent  (tol 1e-12)
+  PASS  SPIN1 projected sigma_a = 0  (tol 1e-12)
+  PASS  SPIN1 projected sigma_b = 0  (tol 1e-12)
+  PASS  SPIN1 Ua = diag(1,1,1,1,-1,-1,1,1,-1)  (tol 1e-12)
+  PASS  SPIN1 Ub = diag(1,1,1,1,1,1,-1,-1,-1)  (tol 1e-12)
+  PASS  SPIN1 U^4 = 1  (tol 1e-12)
+  PASS  SPIN1 U acts as identity on computational subspace  (tol 1e-12)
+  PASS  SPIN1 D(H) computational cross terms vanish (100 random H)  (tol 1e-12)
+  PASS  SPIN1 pair/power agree on computational block  (tol 1e-12)
+  PASS  SPIN1 D idempotent  (tol 1e-12)
+[suite oracle]
+  PASS  SPIN0 oracle vs irrep, all 15 transpositions  (tol 1e-10)
+  PASS  SPIN0 frame orthonormal  (tol 1e-12)
+  PASS  SPIN0 frame annihilated by sigma_a  (tol 1e-12)
+  PASS  SPIN0 frame annihilated by sigma_b  (tol 1e-12)
+  PASS  SPIN0 frame central constant 3  (tol 1e-12)
+  PASS  SPIN1 oracle vs irrep, all 15 transpositions  (tol 1e-10)
+  PASS  SPIN1 frame orthonormal  (tol 1e-12)
+  PASS  SPIN1 frame annihilated by sigma_a  (tol 1e-12)
+  PASS  SPIN1 frame annihilated by sigma_b  (tol 1e-12)
+  PASS  SPIN1 frame central constant 5  (tol 1e-12)
+  PASS  cnot-independent(n=3) SPIN0 oracle F/L match  (tol 1e-08)
+  PASS  cnot-independent(n=3) SPIN1 oracle F/L match  (tol 1e-08)
+  PASS  cnot-spin1(n=2) SPIN0 oracle F/L match  (tol 1e-08)
+  PASS  cnot-spin1(n=2) SPIN1 oracle F/L match  (tol 1e-08)
+all checks passed
+"""
 
 
 def run(capsys, *argv):
@@ -375,6 +477,47 @@ class TestSynthesizeSimulate:
             assert not out_path.exists()
 
 
+def _per_matrix_suite_decouple():
+    """Reference for ``cli._suite_decouple``: the same checks one random H at a time,
+    each from 15 scalar draws, one ``rep_element`` and three 2-d ``decouple_map`` calls."""
+    checks = []
+    rng = np.random.default_rng(99)
+    sigma_a, sigma_b = decouple.local_sums()
+    for sector in SpinSector:
+        for name, sig in (("sigma_a", sigma_a), ("sigma_b", sigma_b)):
+            checks.append(cli._check(f"{sector.name} projected {name} = 0", max_abs(encoding.projected_rep(sig, sector))))
+        basis = decouple.joint_eigenbasis(sector)
+        pair = decouple.decoupler(sector, "pair")[1:3]
+        for name, u, diag in zip(("Ua", "Ub"), pair, cli._DECOUPLER_DIAGONALS[sector]):
+            checks.append(
+                cli._check(
+                    f"{sector.name} {name} = diag({','.join(map(str, diag))})",
+                    max_abs(basis.T @ u @ basis - np.diag(diag)),
+                )
+            )
+        u = decouple.decoupler(sector, "power")[1]
+        checks.append(cli._check(f"{sector.name} U^4 = 1", max_abs(np.linalg.matrix_power(u, 4) - np.eye(sector.dim))))
+        pi = encoding.projector(sector)
+        checks.append(cli._check(f"{sector.name} U acts as identity on computational subspace",
+                                 max_abs(pi @ u @ pi.T - np.eye(4))))
+        pi_perp = np.eye(sector.dim) - pi.T @ pi
+        worst_cross = 0.0
+        worst_block = 0.0
+        worst_idem = 0.0
+        for _ in range(100):
+            coeffs = {p: rng.normal() for p in encoding.ALL_PAIRS}
+            h = rep_element(sector.partition, coeffs)
+            dp = decouple.decouple_map(h, sector, "pair")
+            dw = decouple.decouple_map(h, sector, "power")
+            for d in (dp, dw):
+                worst_cross = max(worst_cross, max_abs(pi @ d @ pi_perp))
+            worst_block = max(worst_block, max_abs(pi @ (dp - dw) @ pi.T))
+            worst_idem = max(worst_idem, max_abs(decouple.decouple_map(dp, sector, "pair") - dp))
+        checks.append(cli._check(f"{sector.name} D(H) computational cross terms vanish (100 random H)", worst_cross))
+        checks.append(cli._check(f"{sector.name} pair/power agree on computational block", worst_block))
+        checks.append(cli._check(f"{sector.name} D idempotent", worst_idem))
+    return checks
+
 class TestVerify:
     @pytest.mark.parametrize("suite", ["symrep", "encoding", "decouple", "oracle"])
     def test_single_suite_passes(self, capsys, suite):
@@ -382,6 +525,22 @@ class TestVerify:
         assert code == 0
         assert "FAIL" not in out
         assert "all checks passed" in out
+
+    def test_checks_pinned_without_deviations(self, capsys):
+        code, out, _ = run(capsys, "verify")
+        assert code == 0
+        assert re.sub(r"\(max dev [^,]+, ", "(", out) == VERIFY_LINES
+        assert out.count("  PASS  ") == 86
+
+    def test_decouple_suite_equals_per_matrix_loop(self):
+        assert cli._suite_decouple() == _per_matrix_suite_decouple()
+
+    def test_symrep_batch_is_the_per_sample_stream(self):
+        # the symrep suite's one batched draw per sector stands for 100 rng.permutation(6) calls
+        batch, single = np.random.default_rng(2024), np.random.default_rng(2024)
+        for _ in range(2):
+            rows = batch.permuted(np.tile(np.arange(1, 7), (100, 1)), axis=1)
+            assert np.array_equal(rows, [single.permutation(6) + 1 for _ in range(100)])
 
     def test_unknown_flag_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

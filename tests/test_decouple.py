@@ -229,3 +229,37 @@ class TestDecoupleMap:
     def test_wrong_shape_rejected(self):
         with pytest.raises(ValueError):
             decouple_map(np.eye(5), SpinSector.SPIN1)
+
+
+class TestDecoupleMapStack:
+    @staticmethod
+    def _stack(sector, k, seed):
+        rng = np.random.default_rng(seed)
+        return np.stack([random_swap_hermitian(sector, rng) for _ in range(k)])
+
+    @pytest.mark.parametrize("k", [1, 2, 100])
+    @pytest.mark.parametrize("sector", list(SpinSector))
+    @pytest.mark.parametrize("variant", ["pair", "power"])
+    def test_stack_equals_per_matrix_calls(self, sector, variant, k):
+        hs = self._stack(sector, k, RNG_SEED + k)
+        got = decouple_map(hs, sector, variant)
+        assert got.shape == hs.shape
+        for h, d in zip(hs, got):
+            assert np.array_equal(d, decouple_map(h, sector, variant))
+
+    @pytest.mark.parametrize("sector", list(SpinSector))
+    def test_one_non_hermitian_member_rejected(self, sector):
+        hs = self._stack(sector, 5, RNG_SEED + 6).astype(complex)
+        hs[3, 0, 1] += 1e-6j
+        decouple_map(np.delete(hs, 3, axis=0), sector)
+        with pytest.raises(ValueError, match="Hermitian"):
+            decouple_map(hs, sector)
+
+    @pytest.mark.parametrize(
+        "shape",
+        [(5,), (2, 2, 5, 5), (3, 9, 9), (3, 5, 9), (0, 5)],
+        ids=["1-d", "4-d", "wrong-d", "not-square", "empty-2-d"],
+    )
+    def test_other_shapes_rejected(self, shape):
+        with pytest.raises(ValueError, match="expected a 5 x 5 matrix"):
+            decouple_map(np.zeros(shape), SpinSector.SPIN0)

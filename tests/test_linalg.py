@@ -8,7 +8,7 @@ import pytest
 from swap_blocks import MAGNETIZATION_BLOCKS
 
 from exgates.encoding import SpinSector, hamiltonian_from_pauli, projected_rep
-from exgates.linalg import expi
+from exgates.linalg import expi, is_hermitian
 from exgates.oracle import oracle_projected_rep
 from exgates.symrep import rep_element
 from exgates.trotter import PulseStep, pair_stack
@@ -45,6 +45,29 @@ def test_matrix_call_is_the_spectral_formula(stack):
         h = hs[0]
         w, v = np.linalg.eigh(h)
         assert np.array_equal(expi(h), (v * np.exp(1j * w)) @ v.conj().T)
+
+
+def test_is_hermitian_on_one_matrix_and_a_stack():
+    rng = np.random.default_rng(7)
+    real, hermitian = _hermitian_stacks(pair_stack(SpinSector.SPIN1), 4, rng)
+    for hs in (real, hermitian):
+        assert is_hermitian(hs)
+        assert all(is_hermitian(h) for h in hs)
+    skewed = hermitian.copy()
+    skewed[2, 0, 1] += 1e-6
+    assert not is_hermitian(skewed)
+    assert not is_hermitian(skewed[2])
+    assert is_hermitian(skewed[[0, 1, 3]])
+
+
+def test_is_hermitian_judges_each_matrix_by_its_own_scale():
+    big = 1e6 * pair_stack(SpinSector.SPIN0)[0]
+    tiny = 1e-3 * pair_stack(SpinSector.SPIN0)[1]
+    tiny[0, 1] += 1e-9
+    # 1e-9 off is within 1e-12 of the big matrix's scale, not of the tiny one's
+    assert is_hermitian(big) and is_hermitian(big + tiny) and not is_hermitian(tiny)
+    assert not is_hermitian(np.stack([big, tiny]))
+    assert not is_hermitian(np.stack([tiny, big]))
 
 
 # The four functions that take a pair map, each returning something comparable.

@@ -853,15 +853,18 @@ class TestCanonicalGate:
 
 # Each builder angle, with the name its error message gives it.
 _ANGLE_CALLS = {
-    "single-qubit-alpha": ("angle", lambda a: single_qubit_schedule(1, a, 0, 0)),
-    "single-qubit-beta": ("angle", lambda a: single_qubit_schedule(1, 0, a, 0)),
-    "single-qubit-gamma": ("angle", lambda a: single_qubit_schedule(1, 0, 0, a)),
+    "single-qubit-alpha": ("alpha", lambda a: single_qubit_schedule(1, a, 0, 0)),
+    "single-qubit-beta": ("beta", lambda a: single_qubit_schedule(1, 0, a, 0)),
+    "single-qubit-gamma": ("gamma", lambda a: single_qubit_schedule(1, 0, 0, a)),
     "single-qubit-delta": ("delta", lambda a: single_qubit_schedule(1, 0.3, 0, 0, a)),
     "canonical-alpha": ("alpha", lambda a: canonical_two_qubit_schedule(CanonicalGateSpec(alpha=a), 1, SpinSector.SPIN1)),
     "canonical-beta": ("beta", lambda a: canonical_two_qubit_schedule(CanonicalGateSpec(beta=a), 1, SpinSector.SPIN1)),
     "canonical-gamma": ("gamma", lambda a: canonical_two_qubit_schedule(CanonicalGateSpec(gamma=a), 1)),
-    "canonical-k1": ("angle", lambda a: canonical_two_qubit_schedule(CanonicalGateSpec(k1=(("x", 1, a),)), 1)),
-    "canonical-k2": ("angle", lambda a: canonical_two_qubit_schedule(CanonicalGateSpec(k2=(("z", 2, a),)), 1)),
+    "canonical-k1": ("k1[0] angle", lambda a: canonical_two_qubit_schedule(CanonicalGateSpec(k1=(("x", 1, a),)), 1)),
+    "canonical-k2": (
+        "k2[1] angle",
+        lambda a: canonical_two_qubit_schedule(CanonicalGateSpec(k2=(("x", 1, 0.5), ("z", 2, a))), 1),
+    ),
     "trotter-product": ("alpha", lambda a: trotter_product([SWAP_GENERATOR_N, {(1, 2): 0.5}], a, 1)),
     "decoupled-evolution": ("alpha", lambda a: decoupled_evolution(SWAP_GENERATOR_N, a, 1)),
 }
@@ -876,7 +879,7 @@ _ANGLE_CALLS = {
 def test_builder_angles_must_be_real_numbers(call, angle, error):
     """Every builder angle is checked on entry, so True is not read as 1.0 nor a string as a sequence."""
     what, build = _ANGLE_CALLS[call]
-    with pytest.raises(error, match=f"^{what} must be (a )?real"):
+    with pytest.raises(error, match=f"^{re.escape(what)} must be (a )?real"):
         build(angle)
 
 
