@@ -121,6 +121,13 @@ def _suite_decouple() -> list[CheckResult]:
     return checks
 
 
+def _oracle_deltas(schedule, rep: metrics.SynthesisReport, sectors, target: np.ndarray):
+    """Per sector, (sector, |dF|, |dL|) of the oracle's scores against the irrep scores in ``rep``."""
+    for sector in sectors:
+        f, leak = oracle.oracle_fidelity(schedule, sector, target)
+        yield sector, abs(f - rep.fidelity[sector.name]), abs(leak - rep.leakage[sector.name])
+
+
 def _suite_oracle() -> list[CheckResult]:
     checks = []
     sigma_a, sigma_b = decouple.local_sums()
@@ -155,13 +162,9 @@ def _suite_oracle() -> list[CheckResult]:
         )
     for schedule in (trotter.cnot_spin_independent(3), trotter.cnot_spin1(2)):
         rep = metrics.report(schedule)
-        for sector in SpinSector:
-            f, leak = oracle.oracle_fidelity(schedule, sector, metrics.CNOT)
-            dev = max(
-                abs(f - rep.fidelity[sector.name]), abs(leak - rep.leakage[sector.name])
-            )
+        for sector, df, dl in _oracle_deltas(schedule, rep, SpinSector, metrics.CNOT):
             checks.append(
-                _check(f"{schedule.name}(n={schedule.n}) {sector.name} oracle F/L match", dev, _ORACLE_TOL)
+                _check(f"{schedule.name}(n={schedule.n}) {sector.name} oracle F/L match", max(df, dl), _ORACLE_TOL)
             )
     return checks
 
@@ -258,10 +261,7 @@ def _cmd_simulate(args) -> int:
     if not args.oracle:
         return 0
     worst = 0.0
-    for sector in sectors:
-        f, leak = oracle.oracle_fidelity(schedule, sector, target)
-        df = abs(f - rep.fidelity[sector.name])
-        dl = abs(leak - rep.leakage[sector.name])
+    for sector, df, dl in _oracle_deltas(schedule, rep, sectors, target):
         print(f"  oracle {sector.name}: |dF| = {df:.2e}, |dL| = {dl:.2e}")
         worst = max(worst, df, dl)
     if worst >= _ORACLE_TOL:

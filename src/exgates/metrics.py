@@ -2,12 +2,14 @@
 
 Simulation and scoring work on plain arrays, so the 5- and 9-dim irreps
 and the oracle's 9- and 5-dim frame closures share one code path: a
-schedule is evolved on a (15, d, d) stack of transposition matrices
-(``evolve``, a pairwise product that multiplies each distinct adjacent pair
-once per level, so repeated cycles cost O(log n) levels; ``evolve_many``
-runs it for a batch of schedules at once, to the same bits), and a gate is
-scored through a 4 x d frame Pi whose rows are the computational states
-(``frame_scores``).  With the frame compression
+schedule is evolved on a (15, d, d) stack of transposition matrices, and a
+gate is scored through a 4 x d frame Pi whose rows are the computational
+states (``frame_scores``).  ``evolve_many`` evolves a batch of schedules
+and ``evolve`` a batch of one, both on the one numeric form
+``trotter._evolve_form`` builds: the distinct steps' coefficient rows and
+a pairwise product plan that multiplies each distinct adjacent pair once
+per level, so repeated cycles cost O(log n) levels.  A schedule keeps its
+own form as ``PulseSchedule._form``.  With the frame compression
 
     v = G Pi^T,    g = Pi v    (a 4 x 4 matrix),
 
@@ -36,9 +38,8 @@ from .encoding import SpinSector, projector
 from .linalg import expi, plain_int
 from .trotter import (
     PulseSchedule,
-    PulseStep,
-    _plan,
-    _StepArrays,
+    _evolve_form,
+    _negative_local_steps,
     cancel_negatives,
     cnot_spin1,
     cnot_spin_independent,
@@ -91,34 +92,10 @@ def _chunk(d: int) -> int:
     return max(1, _CHUNK_ENTRIES // (d * d))
 
 
-def _batch(schedules: Sequence[PulseSchedule]) -> tuple[_StepArrays, tuple, list]:
-    """What a batch evolves: the numeric form of its distinct steps, its product plan and its finals.
-
-    A lone schedule brings its own ``_arrays`` and ``_product_plan``.
-    Otherwise the batch's distinct steps are interned as ``_interned``
-    interns one schedule's, first occurrence first, their rows and phase
-    factors are gathered from each schedule's ``_arrays``, and the run
-    forms over batch ids are planned together by one ``_plan`` call.
-    """
-    if len(schedules) == 1:
-        return (schedules[0]._arrays, *schedules[0]._product_plan)
-    ids: dict[PulseStep, int] = {}
-    parts, runs = [PulseSchedule(())._arrays], []  # no rows, so that an empty batch has the arrays' shapes
-    for schedule in schedules:
-        known = len(ids)
-        to_batch = [ids.setdefault(step, len(ids)) for step in schedule._interned[0]]
-        fresh = [i for i, k in enumerate(to_batch) if k >= known]
-        parts.append([column[fresh] for column in schedule._arrays])
-        head, body, reps, tail = schedule._id_runs()
-        head, body, tail = ([to_batch[i] for i in part] for part in (head, body, tail))
-        runs.append((head, body, reps, tail))
-    return (_StepArrays(*map(np.concatenate, zip(*parts))), *_plan(runs))
-
-
-def _evolve_batch(batch, stack: np.ndarray) -> np.ndarray:
-    """``evolve_many`` on the batch's numeric form and plan from ``_batch``."""
+def _evolved(form, stack: np.ndarray) -> np.ndarray:
+    """The gates of an ``_evolve_form`` on a (15, d, d) stack, one per schedule, as (S, d, d)."""
     d = stack.shape[1]
-    (rows, phases, phased), levels, finals = batch
+    rows, phases, phased, levels, finals = form
     chunk = _chunk(d)
     mats = np.empty((len(rows), d, d), dtype=complex)
     for start in range(0, len(rows), chunk):
@@ -145,44 +122,33 @@ def _evolve_batch(batch, stack: np.ndarray) -> np.ndarray:
 def evolve_many(schedules: Sequence[PulseSchedule], stack: np.ndarray) -> np.ndarray:
     """Unitaries of a batch of schedules on a (15, d, d) transposition stack, as (S, d, d).
 
-    Gate s is bit for bit ``evolve(schedules[s], stack)``.  The batch runs
-    the single-schedule algorithm below once, on the batch's distinct steps
-    and one product plan of all its schedules (``_batch``, which interns
-    the steps and plans the schedules' run forms together with
-    ``trotter._plan``), so each level is one chunked product for the whole
-    batch and a step repeated across schedules is exponentiated once.
-    Every step unitary and every product is the same per-matrix operation
-    as in a schedule's own evolve.  A batch of one reads the schedule's own
-    ``_arrays`` and ``_product_plan``.
+    Gate s is bit for bit ``evolve(schedules[s], stack)``: the batch is
+    evolved as one schedule is, on ``trotter._evolve_form(schedules)``, so a
+    step repeated across schedules is exponentiated once and each level is
+    one chunked product for the whole batch.
 
-    The algorithm is a pairwise product over a numeric form
-    (``PulseSchedule._arrays``: coefficient rows and phase factors) and a
-    product plan (``PulseSchedule._product_plan``: per level, left and
-    right id arrays and the carried ids), computed once per schedule, so
-    for each sector or oracle closure a call only builds and multiplies
-    matrices, with no Python loop over steps or pairs.  Each distinct step's unitary is built
-    once, from its generator and identity phase alone, so the step
-    unitaries do not depend on the rest of the schedule or the batch.  The
-    distinct steps go in chunks of ``_chunk(d)`` matrices: one
-    ``row_generators`` stack, one batched ``expi`` and one phase multiply a
-    chunk, each unitary bit for bit the one a per-step call gives.  The
-    phase multiply is out of place, ``np.where(phased, f * u, u)``, which
-    rounds as the scalar ``f * u`` does; an in-place ``u *= f`` does not,
-    and a factor of exactly 1 could still flip the sign of a zero.  Each
-    level multiplies each distinct pair of neighbouring ids once, in
-    chunked batched products into a preallocated stack, so a schedule of n
-    repeats of a few distinct steps takes O(log n) levels of a few products
-    each, not one product per step.  The product is grouped differently
+    A call only builds and multiplies matrices, with no Python loop over
+    steps or pairs.  Each distinct step's unitary is built once, from its
+    generator and identity phase alone, in chunks of ``_chunk(d)``
+    matrices: one ``row_generators`` stack, one batched ``expi`` and one
+    phase multiply a chunk, each unitary bit for bit the one a per-step
+    call gives.  The phase multiply is out of place,
+    ``np.where(phased, f * u, u)``, which rounds as the scalar ``f * u``
+    does; an in-place ``u *= f`` does not, and a factor of exactly 1 could
+    still flip the sign of a zero.  Each level multiplies each distinct
+    pair of neighbouring ids once, in chunked batched products into a
+    preallocated stack, so n repeats of a few distinct steps take O(log n)
+    levels of a few products each.  The product is grouped differently
     from a left-to-right one, which moves F and L by rounding only: at most
     5e-14 on the CNOT families at n = 200.  A schedule with no steps gives
     the identity.
     """
-    return _evolve_batch(_batch(schedules), stack)
+    return _evolved(_evolve_form(schedules), stack)
 
 
 def evolve(schedule: PulseSchedule, stack: np.ndarray) -> np.ndarray:
-    """Unitary of a schedule on a (15, d, d) transposition stack (rightmost step first): a batch of one."""
-    return evolve_many((schedule,), stack)[0]
+    """Unitary of a schedule on a (15, d, d) transposition stack (rightmost step first): a batch of one, its ``_form``."""
+    return _evolved(schedule._form, stack)[0]
 
 
 def simulate(schedule: PulseSchedule, sector: SpinSector) -> np.ndarray:
@@ -233,8 +199,6 @@ class SynthesisReport:
 
 def _scorecard(schedule: PulseSchedule, scores: dict[str, tuple[float, float]]) -> SynthesisReport:
     """The report of a schedule from its (F, L) per sector name: adds cycles, time and the flag."""
-    distinct, seq = schedule._interned
-    flagged = [not s.is_cross_block() and any(c < 0 for c in s.coeffs) for s in distinct]
     return SynthesisReport(
         name=schedule.name,
         n=schedule.n,
@@ -242,7 +206,7 @@ def _scorecard(schedule: PulseSchedule, scores: dict[str, tuple[float, float]]) 
         normalized_time=normalized_time(schedule),
         fidelity={name: f for name, (f, _) in scores.items()},
         leakage={name: leak for name, (_, leak) in scores.items()},
-        negative_local_steps=sum(map(flagged.__getitem__, seq)),
+        negative_local_steps=_negative_local_steps(schedule),
     )
 
 
@@ -266,14 +230,14 @@ def report_many(
 ) -> list[SynthesisReport]:
     """``[report(s, target) for s in schedules]``, equal to the bit, with one batched evolve per sector.
 
-    The batch's distinct steps and product plan (``_batch``) are built
-    once and evolved in both irreps, as ``evolve_many`` does; each gate is
-    scored with ``frame_scores`` and each schedule consolidated on its own.
+    The batch's ``_evolve_form`` is built once and evolved in both irreps,
+    as ``evolve_many`` evolves it; each gate is scored with
+    ``frame_scores`` and each schedule consolidated on its own.
     """
     if target is None:
         target = CNOT
-    batch = _batch(schedules)
-    gates = {sector: _evolve_batch(batch, pair_stack(sector)) for sector in SpinSector}
+    form = _evolve_form(schedules)
+    gates = {sector: _evolved(form, pair_stack(sector)) for sector in SpinSector}
     return [
         _scorecard(schedule, {
             sector.name: frame_scores(gates[sector][k], target, projector(sector)) for sector in SpinSector

@@ -147,17 +147,19 @@ class PulseStep:
         return any(p in CROSS_PAIRS for p in self.pairs)
 
 
-class _StepArrays(NamedTuple):
-    """Numeric form of a schedule's distinct steps, read-only.
+class _EvolveForm(NamedTuple):
+    """A batch's distinct steps and product plan, read-only, from ``_evolve_form``.
 
-    ``rows`` is the (k, 15) coefficient matrix in ALL_PAIRS order;
-    ``phases[i]`` is the scalar ``np.exp(1j * phase)`` of step i and
-    ``phased[i]`` whether that phase is nonzero.
+    ``rows`` holds the (k, 15) coefficients in ALL_PAIRS order, ``phases[i]``
+    the scalar ``np.exp(1j * phase)`` of step i and ``phased[i]`` whether
+    that phase is nonzero; ``levels`` and ``finals`` are ``_plan``'s.
     """
 
     rows: np.ndarray
     phases: np.ndarray
     phased: np.ndarray
+    levels: tuple
+    finals: list
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -218,12 +220,11 @@ def _plan(runs: Sequence[tuple]) -> tuple[tuple, list]:
 class PulseSchedule:
     """An ordered pulse sequence with construction metadata.
 
-    Its run form (``_runs``), its interned form (``_interned``), the
-    numeric form of its distinct steps (``_arrays``, a ``_StepArrays``) and
-    its product plan (``_product_plan``, from ``_plan``) are computed on
-    first use and kept on the instance, as ``PulseStep._hash`` is.  They
-    are not fields: equality, hashing and JSON see only the steps and
-    metadata, and ``replace`` makes a schedule that computes its own.
+    Its run form (``_runs``), its interned form (``_interned``) and its
+    evolve form (``_form``, ``_evolve_form`` of the schedule alone) are
+    computed on first use and kept on the instance, as ``PulseStep._hash``
+    is.  They are not fields: equality, hashing and JSON see only the steps
+    and metadata, and ``replace`` makes a schedule that computes its own.
 
     The run form ``(head, body, reps, tail)`` spells the steps as
     ``head + body * reps + tail``.  The builders repeat one cycle n times
@@ -285,23 +286,9 @@ class PulseSchedule:
         return seq[:nh], seq[nh : nh + nb], reps, seq[len(seq) - len(tail) :]
 
     @cached_property
-    def _arrays(self) -> _StepArrays:
-        """The distinct steps' coefficient rows and phase factors, built once per schedule.
-
-        Irreps, oracle closures, ``consolidate`` and batches share them; each
-        phase factor is its own scalar ``np.exp``, as a per-step multiply had.
-        """
-        distinct = self._interned[0]
-        return _StepArrays(
-            _read_only(_coefficient_rows(distinct)),
-            _read_only(np.array([np.exp(1j * s.phase) for s in distinct], dtype=complex)),
-            _read_only(np.array([s.phase != 0.0 for s in distinct], dtype=bool)),
-        )
-
-    @cached_property
-    def _product_plan(self) -> tuple[tuple, list]:
-        """``_plan`` of the interned run form ``_id_runs``: (levels, [final id or None])."""
-        return _plan([self._id_runs()])
+    def _form(self) -> _EvolveForm:
+        """``_evolve_form((self,))``, built once per schedule: both irreps and both oracle closures read it."""
+        return _evolve_form((self,))
 
 
 def _merge_steps(a: PulseStep, b: PulseStep) -> PulseStep:
@@ -593,6 +580,31 @@ def _coefficient_rows(steps: Sequence[PulseStep]) -> np.ndarray:
     return rows
 
 
+def _evolve_form(schedules: Sequence[PulseSchedule]) -> _EvolveForm:
+    """The numeric form of a batch's distinct steps and one product plan of all its schedules.
+
+    The steps are interned as ``_interned`` interns one schedule's, first
+    occurrence first, and each run form ``_id_runs`` renumbered to batch
+    ids; one ``_plan`` call plans them all.  Each phase factor is its own
+    scalar ``np.exp``, as a per-step multiply had.  A schedule's ``_form``
+    is this for a batch of one.
+    """
+    ids: dict[PulseStep, int] = {}
+    runs = []
+    for schedule in schedules:
+        to_batch = [ids.setdefault(step, len(ids)) for step in schedule._interned[0]]
+        head, body, reps, tail = schedule._id_runs()
+        head, body, tail = ([to_batch[i] for i in part] for part in (head, body, tail))
+        runs.append((head, body, reps, tail))
+    distinct = list(ids)
+    return _EvolveForm(
+        _read_only(_coefficient_rows(distinct)),
+        _read_only(np.array([np.exp(1j * s.phase) for s in distinct], dtype=complex)),
+        _read_only(np.array([s.phase != 0.0 for s in distinct], dtype=bool)),
+        *_plan(runs),
+    )
+
+
 def row_generators(rows: np.ndarray, stack: np.ndarray) -> np.ndarray:
     """Generators sum_c c_ij P_ij of (k, 15) coefficient rows as a (k, d, d) stack.
 
@@ -659,7 +671,8 @@ def consolidate(schedule: PulseSchedule) -> PulseSchedule:
     head, body, reps, tail = schedule._runs
     head_ids, body_ids, _, tail_ids = schedule._id_runs()
     ids = {step: i for i, step in enumerate(distinct)}
-    generators = [row_generators(schedule._arrays.rows, m) for m in stacks]
+    coefficients = _coefficient_rows(distinct)
+    generators = [row_generators(coefficients, m) for m in stacks]
     # two repeats of the body hold every adjacent pair of the schedule
     short = head_ids + body_ids * min(reps, 2) + tail_ids
     pairs = list(dict.fromkeys(zip(short, short[1:])))
@@ -734,6 +747,13 @@ def normalized_time(schedule: PulseSchedule) -> float:
     distinct, seq = schedule._interned
     widths = [step.max_coefficient() for step in distinct]
     return sum(map(widths.__getitem__, seq)) / (np.pi / 2)
+
+
+def _negative_local_steps(schedule: PulseSchedule) -> int:
+    """Steps with no cross-block pair that carry a negative coefficient; each distinct step checked once."""
+    distinct, seq = schedule._interned
+    flagged = [not s.is_cross_block() and any(c < 0 for c in s.coeffs) for s in distinct]
+    return sum(map(flagged.__getitem__, seq))
 
 
 def _cancel_step(step: PulseStep) -> PulseStep:

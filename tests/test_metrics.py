@@ -279,7 +279,7 @@ def _reference_evolve(schedule, stack):
             coeffs[ALL_PAIRS.index(pair)] += c
         u = expi((coeffs @ flat).reshape(stack.shape[1:]))
         mats.append(np.exp(1j * step.phase) * u if step.phase else u)
-    for left, right, carried in schedule._product_plan[0]:
+    for left, right, carried in schedule._form.levels:
         mats = [mats[a] @ mats[b] for a, b in zip(left, right)] + [mats[c] for c in carried]
     return mats[0]
 
@@ -340,12 +340,17 @@ class TestBatchedEvolve:
             PulseSchedule(tuple(_random_steps(rng, 60, True))),
         ):
             built.clear()
-            report(sch)
             for sector in SpinSector:
+                simulate(sch, sector)
                 oracle_fidelity(sch, sector, CNOT)
             distinct = sch._interned[0]
+            # one build, the schedule's _form, for both irreps and both oracle closures
+            assert built == [distinct]
+            built.clear()
+            report(sch)
+            # report reads the same _form; consolidate builds the distinct steps' rows
+            # once for both irreps, then rows only for the merged steps it makes
             assert built.count(distinct) == 1
-            # consolidation builds rows only for the merged steps it makes
             rows_per_step = Counter(step for steps in built for step in steps)
             assert all(rows_per_step[step] == 1 for step in distinct)
 
@@ -386,26 +391,35 @@ class TestEvolveMany:
             assert np.array_equal(gate, _single(name, k))
 
     def test_pool_plans_differ_in_depth(self):
-        depths = {len(sch._product_plan[0]) for sch in _POOL}
+        depths = {len(sch._form.levels) for sch in _POOL}
         assert {0, 5, 7, 8} <= depths
-        assert max(len(sch._arrays.rows) for sch in _POOL) > metrics._chunk(5)
+        assert max(len(sch._form.rows) for sch in _POOL) > metrics._chunk(5)
 
     def test_batch_of_one_builds_no_merged_plan(self, monkeypatch):
-        def refuse(runs):
-            raise AssertionError("a batch of one must read its own plan")
+        """``evolve`` reads the schedule's own ``_form``: planned once per schedule, never again."""
+        planned = []
+        original = trotter._plan
+
+        def counting(runs):
+            planned.append(len(runs))
+            return original(runs)
 
         stack = _BATCH_STACKS["irrep-SPIN1"]
         want = [evolve(sch, stack) for sch in _POOL]
-        monkeypatch.setattr(metrics, "_plan", refuse)
+        monkeypatch.setattr(trotter, "_plan", counting)
         for sch, gate in zip(_POOL, want):
-            # a fresh copy plans itself, through trotter._plan, while the batch's planner refuses
-            for one in (sch, PulseSchedule(sch.steps, name=sch.name, order=sch.order, n=sch.n)):
-                got = metrics.evolve_many((one,), stack)
-                assert got.shape == (1, *gate.shape) and np.array_equal(got[0], gate)
+            # a fresh copy plans itself once, as a batch of one; consolidation plans nothing
+            for one, plans in ((sch, []), (PulseSchedule(sch.steps, name=sch.name, order=sch.order, n=sch.n), [1])):
+                planned.clear()
+                assert np.array_equal(evolve(one, stack), gate)
                 report(one)
                 oracle_fidelity(one, SpinSector.SPIN0, CNOT)
-        with pytest.raises(AssertionError, match="its own plan"):
-            metrics.evolve_many(_POOL[2:4], stack)
+                assert planned == plans
+                got = metrics.evolve_many((one,), stack)
+                assert got.shape == (1, *gate.shape) and np.array_equal(got[0], gate)
+        planned.clear()
+        metrics.evolve_many(_POOL[2:4], stack)
+        assert planned == [2]  # one merged plan for the batch
 
     def test_empty_batch_and_all_empty_schedules(self):
         stack = _BATCH_STACKS["irrep-SPIN0"]

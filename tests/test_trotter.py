@@ -133,6 +133,19 @@ def _run_forms(draw):
     return draw(part), draw(part), draw(st.integers(0, 9)), draw(part)
 
 
+def _random_schedule(k):
+    """A seeded k-step schedule over 30 distinct three-pair steps, every other one phased."""
+    rng = np.random.default_rng(100)
+    pool = [
+        PulseStep.make(
+            {ALL_PAIRS[p]: rng.uniform(-np.pi, np.pi) for p in rng.choice(15, 3, replace=False)},
+            rng.uniform(-1.0, 1.0) if j % 2 else 0.0,
+        )
+        for j in range(30)
+    ]
+    return PulseSchedule(tuple(pool[j] for j in rng.integers(0, len(pool), size=k)))
+
+
 def _reference_consolidate(schedule):
     """Left to right, one commutation check per adjacent pair, no tables."""
     stacks = [pair_stack(s) for s in SpinSector]
@@ -151,7 +164,7 @@ def _reference_consolidate(schedule):
 
 def _plan(schedule):
     """A schedule's product plan as plain (left ids, right ids, carried ids) per level."""
-    return [(left.tolist(), right.tolist(), list(carried)) for left, right, carried in schedule._product_plan[0]]
+    return [(left.tolist(), right.tolist(), list(carried)) for left, right, carried in schedule._form.levels]
 
 
 def computational_block(schedule, sector):
@@ -272,7 +285,7 @@ class TestInternedForm:
     @given(sch=_repeating_schedules())
     def test_filled_cache_is_invisible(self, sch):
         fresh = PulseSchedule(sch.steps, name=sch.name, order=sch.order, n=sch.n)
-        sch._interned, sch._arrays, sch._product_plan
+        sch._interned, sch._form
         assert "_interned" in vars(sch) and "_interned" not in vars(fresh)
         assert sch == fresh and hash(sch) == hash(fresh)
         assert schedule_to_json(sch) == schedule_to_json(fresh)
@@ -281,7 +294,7 @@ class TestInternedForm:
     @settings(max_examples=100, deadline=None)
     @given(sch=_repeating_schedules())
     def test_derived_schedules_intern_their_own_steps(self, sch):
-        sch._interned, sch._arrays, sch._product_plan
+        sch._interned, sch._form
         derived = [
             replace(sch, steps=sch.steps[::-1] + sch.steps[:1]),
             consolidate(sch),
@@ -300,12 +313,12 @@ class TestInternedForm:
         """With concatenation as the product, the plan spells out the id sequence."""
         distinct, seq = sch._interned
         words = [(k,) for k in range(len(distinct))]
-        for left, right, carried in sch._product_plan[0]:
+        for left, right, carried in sch._form.levels:
             pairs = list(zip(left.tolist(), right.tolist()))
             assert len(set(pairs)) == len(pairs)
             words = [words[a] + words[b] for a, b in pairs] + [words[c] for c in carried]
         assert (words[0] if seq else ()) == seq
-        assert len(sch._product_plan[0]) == max(len(seq) - 1, 0).bit_length()
+        assert len(sch._form.levels) == max(len(seq) - 1, 0).bit_length()
 
 
 class TestRunForm:
@@ -409,24 +422,50 @@ class TestRunForm:
 
 
 class TestStepArrays:
-    """``PulseSchedule._arrays``: the distinct steps' numeric form, built once per schedule."""
+    """``PulseSchedule._form``: the distinct steps' numeric form and product plan, built once per schedule."""
 
     @settings(max_examples=100, deadline=None)
     @given(sch=_repeating_schedules())
     def test_arrays_spell_out_the_interned_form(self, sch):
-        arrays = sch._arrays
-        assert sch._arrays is arrays
+        form = sch._form
+        assert sch._form is form
         distinct, _ = sch._interned
-        assert arrays.rows.shape == (len(distinct), 15)
-        for step, row, phase, phased in zip(distinct, arrays.rows, arrays.phases, arrays.phased):
+        assert form.rows.shape == (len(distinct), 15)
+        for step, row, phase, phased in zip(distinct, form.rows, form.phases, form.phased):
             assert {ALL_PAIRS[k]: c for k, c in enumerate(row) if c} == step.coefficients()
             assert phase == np.exp(1j * step.phase) and phased == (step.phase != 0.0)
-        for a in (arrays.rows, arrays.phases, arrays.phased, *(a for lv in sch._product_plan[0] for a in lv[:2])):
+        for a in (form.rows, form.phases, form.phased, *(a for lv in form.levels for a in lv[:2])):
             assert not a.flags.writeable
+
+    _FORM_BUILDS = {
+        **{
+            f"{name}-{n}": lambda build=build, n=n: build(n)
+            for name, build in list(TestRunForm._BUILDERS.items())[:3]
+            for n in (1, 7, 200)
+        },
+        "random-100": lambda: _random_schedule(100),
+        "empty": lambda: PulseSchedule(()),
+    }
+
+    @pytest.mark.parametrize("cancel", [False, True], ids=["plain", "canceled"])
+    @pytest.mark.parametrize("name", list(_FORM_BUILDS))
+    def test_batch_of_one_is_the_schedules_own_form(self, name, cancel):
+        """``_evolve_form((s,))`` equals ``s._form`` array for array and level for level."""
+        sch = self._FORM_BUILDS[name]()
+        if cancel:
+            sch = cancel_negatives(sch)
+        own, batch = sch._form, trotter._evolve_form((sch,))
+        for a, b in zip(own[:3], batch[:3]):
+            assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b)
+        assert len(own.levels) == len(batch.levels)
+        for (left, right, carried), (b_left, b_right, b_carried) in zip(own.levels, batch.levels):
+            assert np.array_equal(left, b_left) and np.array_equal(right, b_right)
+            assert left.dtype == b_left.dtype and carried == b_carried
+        assert own.finals == batch.finals == [0 if sch.steps else None]
 
 
 class TestBatchPlan:
-    """``trotter._plan`` on several run forms at once, as ``metrics.evolve_many`` plans a batch."""
+    """``trotter._evolve_form``: several run forms planned at once, as ``metrics.evolve_many`` plans a batch."""
 
     _STACKS = [pair_stack(s) for s in SpinSector] + [oracle._closure_block(s)[0] for s in SpinSector]
 
@@ -441,20 +480,40 @@ class TestBatchPlan:
         for sch in batch:
             for step in sch.steps:
                 ids.setdefault(step, len(ids))
-        arrays, levels, finals = metrics._batch(batch)
-        assert np.array_equal(arrays.rows, trotter._coefficient_rows(list(ids)))
-        assert arrays.phased.tolist() == [step.phase != 0.0 for step in ids]
+        form = trotter._evolve_form(batch)
+        assert np.array_equal(form.rows, trotter._coefficient_rows(list(ids)))
+        assert form.phased.tolist() == [step.phase != 0.0 for step in ids]
         words = [(k,) for k in range(len(ids))]
-        for left, right, carried in levels:
+        for left, right, carried in form.levels:
             pairs = list(zip(left.tolist(), right.tolist()))
             assert len(set(pairs)) == len(pairs)  # one pair table for the whole batch
             words = [words[a] + words[b] for a, b in pairs] + [words[c] for c in carried]
-        assert len(finals) == len(batch)
-        for sch, final in zip(batch, finals):
+        assert len(form.finals) == len(batch)
+        for sch, final in zip(batch, form.finals):
             assert (words[final] if final is not None else ()) == tuple(ids[step] for step in sch.steps)
         for stack in self._STACKS:
             gates = metrics.evolve_many(batch, stack)
             assert gates.shape == (len(batch), *stack.shape[1:])
+            assert all(np.array_equal(gate, metrics.evolve(sch, stack)) for gate, sch in zip(gates, batch))
+
+    _PAIRS = {
+        "independent-3-spin1-2": (lambda: cnot_spin_independent(3), lambda: cnot_spin1(2)),
+        "spin1-200-canceled": (lambda: cnot_spin1(200), lambda: cancel_negatives(cnot_spin1(200))),
+        "order0-7-empty": (lambda: cnot_spin_independent(7, order=0), lambda: PulseSchedule(())),
+        "random-100-independent-1": (lambda: _random_schedule(100), lambda: cnot_spin_independent(1)),
+    }
+
+    @pytest.mark.parametrize("name", list(_PAIRS))
+    def test_repeated_schedule_adds_no_rows(self, name):
+        """A batch (s, s, t) has one row per distinct step of s and t, and each gate is ``evolve``'s, bit for bit."""
+        s, t = (build() for build in self._PAIRS[name])
+        batch = (s, s, t)
+        distinct = list(dict.fromkeys(s.steps + t.steps))
+        form = trotter._evolve_form(batch)
+        assert len(form.rows) == len(distinct)
+        assert np.array_equal(form.rows, trotter._coefficient_rows(distinct))
+        for stack in self._STACKS:
+            gates = metrics.evolve_many(batch, stack)
             assert all(np.array_equal(gate, metrics.evolve(sch, stack)) for gate, sch in zip(gates, batch))
 
 
@@ -486,7 +545,7 @@ class TestStepGenerator:
                     coeffs[ALL_PAIRS.index(pair)] += c
                 assert np.array_equal(row, np.tensordot(coeffs, stack, axes=1))
                 assert np.array_equal(row, row_generators(trotter._coefficient_rows((step,)), stack)[0])
-            assert np.array_equal(got, row_generators(PulseSchedule(tuple(steps))._arrays.rows, stack))
+            assert np.array_equal(got, row_generators(PulseSchedule(tuple(steps))._form.rows, stack))
 
 
 class TestTrotterProduct:
