@@ -619,18 +619,35 @@ def row_generators(rows: np.ndarray, stack: np.ndarray) -> np.ndarray:
     return np.matmul(rows[:, None, :], flat).reshape(len(rows), *stack.shape[1:])
 
 
-def _generators_commute(a: Sequence[np.ndarray], b: Sequence[np.ndarray]) -> np.ndarray:
-    """Per row, whether steps a[k] and b[k] commute in every sector.
+@lru_cache(maxsize=None)
+def _commutator_table() -> tuple[np.ndarray, np.ndarray, tuple, tuple]:
+    """(table, flat, table cuts, flat cuts): both irreps side by side in SpinSector order, read-only.
 
-    ``a`` and ``b`` hold one (k, d, d) generator stack per sector.  A pair
-    commutes unless a commutator entry exceeds 1e-12 * max(1, |ga| |gb|),
-    |g| the largest entry magnitude.
+    Row 15p + q of the (225, 10 + 36) table is the antisymmetric [P_p, P_q]'s strict upper
+    triangle; flat is the (15, 25 + 81) pair stacks.  A cut is an irrep's first column.
     """
-    commute = np.ones(len(a[0]), dtype=bool)
-    for ga, gb in zip(a, b):
-        scale = np.maximum(1.0, np.abs(ga).max(axis=(1, 2)) * np.abs(gb).max(axis=(1, 2)))
-        commute &= ~(np.abs(ga @ gb - gb @ ga).max(axis=(1, 2)) > 1e-12 * scale)
-    return commute
+    stacks = [pair_stack(s) for s in SpinSector]
+    table = []
+    for m in stacks:
+        i, j = np.triu_indices(m.shape[1], 1)
+        upper = np.matmul(m[:, None], m[None])[:, :, i, j]  # (P_p P_q)_ij, i < j
+        table.append((upper - upper.transpose(1, 0, 2)).reshape(len(m) ** 2, -1))
+    flat = [m.reshape(len(m), -1) for m in stacks]
+    table_cuts, flat_cuts = (tuple(np.cumsum([0] + [x.shape[1] for x in xs[:-1]])) for xs in (table, flat))
+    return _read_only(np.concatenate(table, axis=1)), _read_only(np.concatenate(flat, axis=1)), table_cuts, flat_cuts
+
+
+def _rows_commute(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per row k, whether the steps of (k, 15) coefficient rows a[k] and b[k] commute, by ``consolidate``'s rule."""
+    # 16 rows a product at most: OpenBLAS runs larger ones on worker threads that spin on and slow later work
+    if len(a) > 16:
+        return np.concatenate([_rows_commute(a[k : k + 16], b[k : k + 16]) for k in range(0, len(a), 16)])
+    table, flat, table_cuts, flat_cuts = _commutator_table()
+    comm = (a[:, :, None] * b[:, None, :]).reshape(len(a), len(table)) @ table
+    comm = np.maximum.reduceat(np.abs(comm, out=comm), table_cuts, axis=1)
+    g = np.concatenate([a, b]) @ flat
+    g = np.maximum.reduceat(np.abs(g, out=g), flat_cuts, axis=1)
+    return ~(comm > 1e-12 * np.maximum(1.0, g[: len(a)] * g[len(a) :])).any(axis=1)
 
 
 def consolidate(schedule: PulseSchedule) -> PulseSchedule:
@@ -638,21 +655,24 @@ def consolidate(schedule: PulseSchedule) -> PulseSchedule:
 
     The merged step sums coefficient maps and identity phases; the
     simulated unitary is unchanged.  The resulting step count is the
-    clock-cycle count of the schedule.
+    clock-cycle count of the schedule.  Two steps commute unless, in some
+    irrep, an entry of [A, B] exceeds 1e-12 * max(1, |ga| |gb|), |g| the
+    largest entry magnitude of a step's generator there.  No irrep matrix
+    is built: [A, B] = sum a_p b_q [P_p, P_q] is one matmul of coefficient
+    rows against a cached table of transposition commutators.
 
     The walk runs on the schedule's interned ids (``_interned``), so no
     input step is hashed in it; the id table is seeded from its distinct
-    steps and grows only by merged steps.  Every distinct
-    adjacent pair of input steps is decided up front by one stacked
-    commutator check per irrep, on generators built once per distinct
-    step.  Each distinct transition (last merged id, next id) is then
-    resolved once per call, to the merged step and its id (interned
-    through the same dict, its generators built once) or to no merge; a
-    transition from a merged step falls back to the same check.  A
-    schedule of repeated cycles thus merges once per distinct pair, not
-    once per step.  Unmerged steps are passed through as given.  All
-    tables live only for the call, so schedules of fresh steps do not
-    grow memory across calls.
+    steps and grows only by merged steps.  Every distinct adjacent pair of
+    input steps is decided up front by one stacked check, on rows built
+    once per distinct step.  Each distinct transition (last merged id, next
+    id) is then resolved once per call, to the merged step and its id
+    (interned through the same dict, its row the sum of its parts' rows) or
+    to no merge; a transition from a merged step falls back to the same
+    check.  A schedule of repeated cycles thus merges once per distinct
+    pair, not once per step.  Unmerged steps are passed through as given.
+    The id, pair and transition tables live only for the call, so
+    schedules of fresh steps do not grow memory across calls.
 
     The walk reads the run form (``PulseSchedule._runs``): the head, then
     the repeats of the body, then the tail.  Past the head, the walk is
@@ -666,22 +686,17 @@ def consolidate(schedule: PulseSchedule) -> PulseSchedule:
     (``u.scaled(-1.0)`` has phase -0.0, a merge back to it +0.0), and the
     JSON of the output shows which object was passed through.
     """
-    stacks = [pair_stack(s) for s in SpinSector]
     distinct = schedule._interned[0]
     head, body, reps, tail = schedule._runs
     head_ids, body_ids, _, tail_ids = schedule._id_runs()
     ids = {step: i for i, step in enumerate(distinct)}
     coefficients = _coefficient_rows(distinct)
-    generators = [row_generators(coefficients, m) for m in stacks]
     # two repeats of the body hold every adjacent pair of the schedule
     short = head_ids + body_ids * min(reps, 2) + tail_ids
     pairs = list(dict.fromkeys(zip(short, short[1:])))
     left, right = [a for a, _ in pairs], [b for _, b in pairs]
-    commuting = dict(zip(pairs, _generators_commute(
-        [g[left] for g in generators], [g[right] for g in generators]
-    )))
-    # per id, its (1, d, d) generator in each irrep; new merged steps append theirs
-    rows = [[g[i : i + 1] for g in generators] for i in range(len(distinct))]
+    commuting = dict(zip(pairs, _rows_commute(coefficients[left], coefficients[right])))
+    rows = list(coefficients)  # per id; merged steps append theirs
     transitions: dict[tuple[int, int], tuple[int, PulseStep] | None] = {}
     undecided = object()
     out_ids: list[int] = []
@@ -695,13 +710,13 @@ def consolidate(schedule: PulseSchedule) -> PulseSchedule:
                 if to is undecided:
                     commute = commuting.get(key)
                     if commute is None:
-                        commute = _generators_commute(rows[key[0]], rows[b])[0]
+                        commute = _rows_commute(rows[key[0]][None], rows[b][None])[0]
                     to = None
                     if commute:
                         merged = _merge_steps(out[-1], step)
                         to = (ids.setdefault(merged, len(ids)), merged)
                         if to[0] == len(rows):
-                            rows.append([row_generators(_coefficient_rows((merged,)), m) for m in stacks])
+                            rows.append(rows[key[0]] + rows[b])
                     transitions[key] = to
                 if to is not None:
                     out_ids[-1], out[-1] = to
@@ -750,10 +765,10 @@ def normalized_time(schedule: PulseSchedule) -> float:
 
 
 def _negative_local_steps(schedule: PulseSchedule) -> int:
-    """Steps with no cross-block pair that carry a negative coefficient; each distinct step checked once."""
-    distinct, seq = schedule._interned
-    flagged = [not s.is_cross_block() and any(c < 0 for c in s.coeffs) for s in distinct]
-    return sum(map(flagged.__getitem__, seq))
+    """Local steps (no cross-block pair) with a negative coefficient, counted on the run form; each distinct step checked once."""
+    flagged = [not s.is_cross_block() and any(c < 0 for c in s.coeffs) for s in schedule._interned[0]]
+    head, body, reps, tail = schedule._id_runs()
+    return sum(map(flagged.__getitem__, head + tail)) + reps * sum(map(flagged.__getitem__, body))
 
 
 def _cancel_step(step: PulseStep) -> PulseStep:

@@ -146,20 +146,83 @@ def _random_schedule(k):
     return PulseSchedule(tuple(pool[j] for j in rng.integers(0, len(pool), size=k)))
 
 
+def _matrix_commute(a, b):
+    """Whether steps a and b commute by the matrix rule, on both irreps' generators.
+
+    They commute unless, in some irrep, an entry of ga gb - gb ga exceeds
+    1e-12 * max(1, |ga| |gb|), |g| the largest entry magnitude.
+    """
+    for m in (pair_stack(s) for s in SpinSector):
+        ga, gb = (row_generators(trotter._coefficient_rows((step,)), m) for step in (a, b))
+        scale = np.maximum(1.0, np.abs(ga).max(axis=(1, 2)) * np.abs(gb).max(axis=(1, 2)))
+        if (np.abs(ga @ gb - gb @ ga).max(axis=(1, 2)) > 1e-12 * scale)[0]:
+            return False
+    return True
+
+
 def _reference_consolidate(schedule):
-    """Left to right, one commutation check per adjacent pair, no tables."""
-    stacks = [pair_stack(s) for s in SpinSector]
-
-    def generators(step):
-        return [row_generators(trotter._coefficient_rows((step,)), m) for m in stacks]
-
+    """Left to right, one matrix-rule check per adjacent pair, no tables."""
     out = []
     for step in schedule.steps:
-        if out and trotter._generators_commute(generators(out[-1]), generators(step))[0]:
+        if out and _matrix_commute(out[-1], step):
             out[-1] = trotter._merge_steps(out[-1], step)
         else:
             out.append(step)
     return replace(schedule, steps=tuple(out))
+
+
+def _magnitudes(low, high):
+    """Signed values from 10**low to 10**(high + 1), log-uniform by decade."""
+    return st.builds(
+        lambda sign, e, m: sign * m * 10.0**e,
+        st.sampled_from([1.0, -1.0]), st.sampled_from(range(low, high + 1)), st.floats(1.0, 10.0),
+    )
+
+
+# from 1e-7 to MAX_COEFFICIENT
+_MAGNITUDES = _magnitudes(-7, 3)
+_CENTRAL_SUMS = ((1, 2), (1, 3), (2, 3)), ((4, 5), (4, 6), (5, 6)), ALL_PAIRS
+
+
+@st.composite
+def _step_pairs(draw):
+    """Steps (a, b): any two, two small ones, two on disjoint spins, a step and a central sum, or equal.
+
+    Small steps, of magnitudes 1e-7 to 1e-5, have commutators near the
+    absolute threshold 1e-12.  A sum is added to a copy of a or stands
+    alone.  A sum is a block or all-transposition sum: a block sum commutes
+    with local steps, and the all-transposition sum with every step.
+    """
+
+    def step(pairs, min_size=1, magnitudes=_MAGNITUDES):
+        return PulseStep.make(draw(st.dictionaries(st.sampled_from(pairs), magnitudes, min_size=min_size, max_size=4)))
+
+    kind = draw(st.sampled_from(["any", "small", "disjoint", "sum", "equal"]))
+    if kind == "small":
+        a, b = (step(ALL_PAIRS, magnitudes=_magnitudes(-7, -6)) for _ in range(2))
+    elif kind == "disjoint":
+        spins, cut = draw(st.permutations(range(1, 7))), draw(st.integers(2, 4))
+        a, b = (step([p for p in ALL_PAIRS if set(p) <= set(part)]) for part in (spins[:cut], spins[cut:]))
+    else:
+        a = step(draw(st.sampled_from([ALL_PAIRS, *_CENTRAL_SUMS[:2]])), min_size=0)
+        b = step(ALL_PAIRS, min_size=0) if kind == "any" else a
+        if kind == "sum":
+            c = draw(_MAGNITUDES)
+            added = {p: c for p in draw(st.sampled_from(_CENTRAL_SUMS))}
+            b = PulseStep.make(added) if draw(st.booleans()) else trotter._merge_steps(a, PulseStep.make(added))
+    return (a, b) if draw(st.booleans()) else (b, a)
+
+
+_X, _Y = PulseStep.make({(1, 2): 0.3}), PulseStep.make({(2, 3): 0.2})
+_EMPTY, _PHASE = PulseStep.make({}), PulseStep.make({}, 0.4)
+# (steps, consolidated steps): an empty step commutes with every step and merges into its left neighbour
+_EDGE_CASES = {
+    "empty schedule": ((), ()),
+    "one step": ((_X,), (_X,)),
+    "empty step": ((_X, _EMPTY, _Y), (_X, _Y)),
+    "empty step first": ((_EMPTY, _X, _PHASE), (PulseStep.make({(1, 2): 0.3}, 0.4),)),
+    "only empty steps": ((_EMPTY, _PHASE, _EMPTY), (_PHASE,)),
+}
 
 
 def _plan(schedule):
@@ -339,9 +402,11 @@ class TestRunForm:
         assert all(a is b for a, b in zip(sch._interned[0], flat._interned[0]))
         assert _plan(sch) == _plan(flat)
         assert self._dumps(consolidate(sch)) == self._dumps(consolidate(flat))
+        assert trotter._negative_local_steps(sch) == trotter._negative_local_steps(flat)
         canceled, flat_canceled = cancel_negatives(sch), cancel_negatives(flat)
         assert self._dumps(canceled) == self._dumps(flat_canceled)
         assert self._dumps(consolidate(canceled)) == self._dumps(consolidate(flat_canceled))
+        assert trotter._negative_local_steps(canceled) == trotter._negative_local_steps(flat_canceled)
 
     @settings(max_examples=300, deadline=None)
     @given(runs=_run_forms())
@@ -965,6 +1030,53 @@ class TestConsolidate:
     def test_matches_pairwise_reference(self, sch):
         got = schedule_to_json(consolidate(sch))
         assert got == schedule_to_json(_reference_consolidate(sch))
+
+    @settings(max_examples=300, deadline=None)
+    @given(pairs=st.lists(_step_pairs(), min_size=1, max_size=6))
+    def test_row_rule_equals_matrix_rule(self, pairs):
+        a, b = (trotter._coefficient_rows(steps) for steps in zip(*pairs))
+        expected = [_matrix_commute(*pair) for pair in pairs]
+        assert trotter._rows_commute(a, b).tolist() == expected
+        assert trotter._rows_commute(a[:1], b[:1]).tolist() == expected[:1]
+
+    def test_stacked_check_equals_one_pair_checks(self):
+        # 59 pairs, more than one product takes, every third one equal steps
+        steps = list(_random_schedule(60).steps)
+        steps[1::3] = steps[0::3][: len(steps[1::3])]
+        pairs = list(zip(steps, steps[1:]))
+        a, b = (trotter._coefficient_rows(s) for s in zip(*pairs))
+        one_by_one = [trotter._rows_commute(x[None], y[None])[0] for x, y in zip(a, b)]
+        assert trotter._rows_commute(a, b).tolist() == one_by_one == [_matrix_commute(*pair) for pair in pairs]
+        assert 0 < sum(one_by_one) < len(pairs)
+
+    def test_builds_no_irrep_matrix(self, monkeypatch):
+        schedules = [cnot_spin1(50), cnot_spin_independent(3, order=0), _random_schedule(60)]
+        schedules.append(cancel_negatives(cnot_spin_independent(3)))
+        expected = [schedule_to_json(consolidate(s)) for s in schedules]
+
+        def refuse(*args):
+            raise AssertionError("consolidate built an irrep matrix")
+
+        # the calls above have filled the commutator table's cache
+        monkeypatch.setattr(trotter, "row_generators", refuse)
+        monkeypatch.setattr(trotter, "pair_stack", refuse)
+        assert [schedule_to_json(consolidate(s)) for s in schedules] == expected
+
+    @pytest.mark.parametrize(("steps", "expected"), _EDGE_CASES.values(), ids=_EDGE_CASES.keys())
+    def test_edge_cases(self, steps, expected):
+        sch = PulseSchedule(steps, name="edge")
+        out = consolidate(sch)
+        assert out.steps == expected and out.name == "edge"
+        assert schedule_to_json(out) == schedule_to_json(_reference_consolidate(sch))
+        assert report(sch).cycles == len(expected)
+
+    @pytest.mark.parametrize("reps", [1, 3])
+    def test_run_form_of_one_step_body(self, reps):
+        # at one repeat the schedule has no adjacent pair; at three, equal steps merge
+        x = PulseStep.make({(1, 4): 0.3})
+        out = consolidate(PulseSchedule._repeated((), (x,), reps, ()))
+        assert len(out.steps) == 1 and (out.steps[0] is x) == (reps == 1)
+        assert schedule_to_json(out) == schedule_to_json(_reference_consolidate(PulseSchedule((x,) * reps)))
 
     def test_generators_built_once_per_distinct_step(self, monkeypatch):
         # counts generator rows on the one coefficient-to-matrix path
