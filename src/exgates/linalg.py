@@ -48,7 +48,10 @@ def real_coefficient(c, what: str) -> float:
             raise ValueError(f"{what} must be a real number, got {reprlib.repr(c)}")
         if np.iscomplexobj(c):
             raise TypeError(f"{what} must be real, got {c!r}")
-    value = float(c)
+    try:
+        value = float(c)
+    except OverflowError:  # an integer beyond the float range
+        value = math.inf
     if not math.isfinite(value):
         raise ValueError(f"{what} must be finite, got {reprlib.repr(c)}")
     return value

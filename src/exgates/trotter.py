@@ -220,20 +220,21 @@ def _plan(runs: Sequence[tuple]) -> tuple[tuple, list]:
 class PulseSchedule:
     """An ordered pulse sequence with construction metadata.
 
-    Its run form (``_runs``), its interned form (``_interned``) and its
-    evolve form (``_form``, ``_evolve_form`` of the schedule alone) are
-    computed on first use and kept on the instance, as ``PulseStep._hash``
-    is.  They are not fields: equality, hashing and JSON see only the steps
-    and metadata, and ``replace`` makes a schedule that computes its own.
+    Its run form (``_runs``), interned form (``_interned``), coefficient
+    rows (``_rows``) and evolve form (``_form``, ``_evolve_form`` of the
+    schedule alone) are computed on first use and kept on the instance, as
+    ``PulseStep._hash`` is.  They are not fields: equality, hashing and JSON
+    see only the steps and metadata, and ``replace`` makes a schedule that
+    computes its own.
 
     The run form ``(head, body, reps, tail)`` spells the steps as
     ``head + body * reps + tail``.  The builders repeat one cycle n times
     and keep that structure through ``_repeated``, its only writer; any
-    other schedule has the degenerate form ``((), (), 0, steps)``.  The
-    per-step passes (interning, the product plan, ``consolidate`` and
-    ``cancel_negatives``) read the run form, so on a built schedule they
-    cost O(cycle) or O(cycle log n) rather than O(n) Python steps, and on a
-    degenerate one they walk the steps as before: one code path for both.
+    other schedule has the degenerate form ``((), (), 0, steps)``.  Every
+    per-step pass reads ``_interned``, the same run form over ids, so on a
+    built schedule it costs O(cycle) or O(cycle log n) rather than O(n)
+    Python steps, and on a degenerate one it walks the steps as before: one
+    code path for both.
     """
 
     steps: tuple[PulseStep, ...]
@@ -264,26 +265,23 @@ class PulseSchedule:
         return (), (), 0, self.steps
 
     @cached_property
-    def _interned(self) -> tuple[tuple[PulseStep, ...], tuple[int, ...]]:
-        """(distinct steps, id sequence), with ``distinct[seq[i]] == steps[i]``.
+    def _interned(self) -> tuple[tuple[PulseStep, ...], tuple]:
+        """(distinct steps, (head ids, body ids, reps, tail ids)): the run form over ids.
 
-        Ids follow first occurrence, and ``distinct`` holds each step's first
-        occurrence.  This is the one place a schedule's steps are hashed: the
-        head, one body and the tail, so the id sequence of the repeats is
-        built by tuple repetition.  The per-step passes of every layer read
-        the ids.
+        Ids follow first occurrence and ``distinct[i]`` is id i's first step,
+        so the ids ``head + body * reps + tail`` index ``distinct`` in step
+        order.  Only here are a schedule's steps hashed: head, one body, tail.
         """
         head, body, reps, tail = self._runs
         ids: dict[PulseStep, int] = {}
         once = tuple([ids.setdefault(step, len(ids)) for step in head + body + tail])
         nh, nb = len(head), len(body)
-        return tuple(ids), once[:nh] + once[nh : nh + nb] * reps + once[nh + nb :]
+        return tuple(ids), (once[:nh], once[nh : nh + nb], reps, once[nh + nb :])
 
-    def _id_runs(self) -> tuple:
-        """The run form over interned ids: (head ids, body ids, reps, tail ids)."""
-        head, body, reps, tail = self._runs
-        seq, nh, nb = self._interned[1], len(head), len(body)
-        return seq[:nh], seq[nh : nh + nb], reps, seq[len(seq) - len(tail) :]
+    @cached_property
+    def _rows(self) -> np.ndarray:
+        """``_coefficient_rows`` of the distinct steps, read-only: built once for ``_form`` and ``consolidate``."""
+        return _read_only(_coefficient_rows(self._interned[0]))
 
     @cached_property
     def _form(self) -> _EvolveForm:
@@ -584,21 +582,25 @@ def _evolve_form(schedules: Sequence[PulseSchedule]) -> _EvolveForm:
     """The numeric form of a batch's distinct steps and one product plan of all its schedules.
 
     The steps are interned as ``_interned`` interns one schedule's, first
-    occurrence first, and each run form ``_id_runs`` renumbered to batch
-    ids; one ``_plan`` call plans them all.  Each phase factor is its own
-    scalar ``np.exp``, as a per-step multiply had.  A schedule's ``_form``
-    is this for a batch of one.
+    occurrence first, and each schedule's id run form is renumbered to
+    batch ids; one ``_plan`` call plans them all.  The steps new to the
+    batch come in each schedule's id order, so their rows are that
+    schedule's ``_rows`` under a mask, bit for bit the batch's own.  Each
+    phase factor is its own scalar ``np.exp``, as a per-step multiply had.
+    A schedule's ``_form`` is this for a batch of one.
     """
     ids: dict[PulseStep, int] = {}
-    runs = []
+    runs, rows = [], [np.empty((0, len(ALL_PAIRS)))]
     for schedule in schedules:
-        to_batch = [ids.setdefault(step, len(ids)) for step in schedule._interned[0]]
-        head, body, reps, tail = schedule._id_runs()
+        distinct, (head, body, reps, tail) = schedule._interned
+        known = len(ids)
+        to_batch = [ids.setdefault(step, len(ids)) for step in distinct]
+        rows.append(schedule._rows[np.greater_equal(to_batch, known)])
         head, body, tail = ([to_batch[i] for i in part] for part in (head, body, tail))
         runs.append((head, body, reps, tail))
     distinct = list(ids)
     return _EvolveForm(
-        _read_only(_coefficient_rows(distinct)),
+        _read_only(np.concatenate(rows)),
         _read_only(np.array([np.exp(1j * s.phase) for s in distinct], dtype=complex)),
         _read_only(np.array([s.phase != 0.0 for s in distinct], dtype=bool)),
         *_plan(runs),
@@ -661,17 +663,17 @@ def consolidate(schedule: PulseSchedule) -> PulseSchedule:
     is built: [A, B] = sum a_p b_q [P_p, P_q] is one matmul of coefficient
     rows against a cached table of transposition commutators.
 
-    The walk runs on the schedule's interned ids (``_interned``), so no
+    The walk runs on the schedule's id run form (``_interned``), so no
     input step is hashed in it; the id table is seeded from its distinct
     steps and grows only by merged steps.  Every distinct adjacent pair of
-    input steps is decided up front by one stacked check, on rows built
-    once per distinct step.  Each distinct transition (last merged id, next
-    id) is then resolved once per call, to the merged step and its id
-    (interned through the same dict, its row the sum of its parts' rows) or
-    to no merge; a transition from a merged step falls back to the same
-    check.  A schedule of repeated cycles thus merges once per distinct
-    pair, not once per step.  Unmerged steps are passed through as given.
-    The id, pair and transition tables live only for the call, so
+    input steps is decided up front by one stacked check on the cached
+    ``_rows``, which the evolve form reads too.  Each distinct transition
+    (last merged id, next id) is then resolved once per call, to the merged
+    step and its id (interned through the same dict, its row the sum of its
+    parts' rows) or to no merge; a transition from a merged step falls back
+    to the same check.  A schedule of repeated cycles thus merges once per
+    distinct pair, not once per step.  Unmerged steps are passed through as
+    given.  The id, pair and transition tables live only for the call, so
     schedules of fresh steps do not grow memory across calls.
 
     The walk reads the run form (``PulseSchedule._runs``): the head, then
@@ -686,17 +688,15 @@ def consolidate(schedule: PulseSchedule) -> PulseSchedule:
     (``u.scaled(-1.0)`` has phase -0.0, a merge back to it +0.0), and the
     JSON of the output shows which object was passed through.
     """
-    distinct = schedule._interned[0]
-    head, body, reps, tail = schedule._runs
-    head_ids, body_ids, _, tail_ids = schedule._id_runs()
+    distinct, (head_ids, body_ids, reps, tail_ids) = schedule._interned
+    head, body, _, tail = schedule._runs
     ids = {step: i for i, step in enumerate(distinct)}
-    coefficients = _coefficient_rows(distinct)
     # two repeats of the body hold every adjacent pair of the schedule
     short = head_ids + body_ids * min(reps, 2) + tail_ids
     pairs = list(dict.fromkeys(zip(short, short[1:])))
     left, right = [a for a, _ in pairs], [b for _, b in pairs]
-    commuting = dict(zip(pairs, _rows_commute(coefficients[left], coefficients[right])))
-    rows = list(coefficients)  # per id; merged steps append theirs
+    commuting = dict(zip(pairs, _rows_commute(schedule._rows[left], schedule._rows[right])))
+    rows = list(schedule._rows)  # per id; merged steps append theirs
     transitions: dict[tuple[int, int], tuple[int, PulseStep] | None] = {}
     undecided = object()
     out_ids: list[int] = []
@@ -757,17 +757,18 @@ def normalized_time(schedule: PulseSchedule) -> float:
     exponential factor is one parallel pulse.  Each distinct step's
     maximum is taken once; the per-step values are still added in schedule
     order, so the sum's rounding is that of the plain per-step sum.  The
-    widths are a list indexed by the schedule's interned ids.
+    widths are a list indexed by the ids of ``_interned``, written out as
+    ``head + body * reps + tail``.
     """
-    distinct, seq = schedule._interned
+    distinct, (head, body, reps, tail) = schedule._interned
     widths = [step.max_coefficient() for step in distinct]
-    return sum(map(widths.__getitem__, seq)) / (np.pi / 2)
+    return sum(map(widths.__getitem__, head + body * reps + tail)) / (np.pi / 2)
 
 
 def _negative_local_steps(schedule: PulseSchedule) -> int:
     """Local steps (no cross-block pair) with a negative coefficient, counted on the run form; each distinct step checked once."""
-    flagged = [not s.is_cross_block() and any(c < 0 for c in s.coeffs) for s in schedule._interned[0]]
-    head, body, reps, tail = schedule._id_runs()
+    distinct, (head, body, reps, tail) = schedule._interned
+    flagged = [not s.is_cross_block() and any(c < 0 for c in s.coeffs) for s in distinct]
     return sum(map(flagged.__getitem__, head + tail)) + reps * sum(map(flagged.__getitem__, body))
 
 
@@ -807,8 +808,8 @@ def cancel_negatives(schedule: PulseSchedule) -> PulseSchedule:
     and tail, so it keeps the input's run form (``PulseSchedule._runs``,
     same repeats); it interns its own steps anew.
     """
-    rewritten = [_cancel_step(s) if s.is_cross_block() else s for s in schedule._interned[0]]
-    head, body, reps, tail = schedule._id_runs()
+    distinct, (head, body, reps, tail) = schedule._interned
+    rewritten = [_cancel_step(s) if s.is_cross_block() else s for s in distinct]
     head, body, tail = (tuple(map(rewritten.__getitem__, ids)) for ids in (head, body, tail))
     return PulseSchedule._repeated(
         head, body, reps, tail, name=schedule.name, order=schedule.order, n=schedule.n
@@ -832,13 +833,7 @@ def _json_number(value, what: str) -> float:
     """A finite JSON number; strings, booleans, NaN and infinities are rejected."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"{what} must be a number, got {reprlib.repr(value)}")
-    try:
-        number = float(value)
-    except OverflowError:  # an integer beyond the float range
-        number = math.inf
-    if not math.isfinite(number):
-        raise ValueError(f"{what} must be finite, got {reprlib.repr(value)}")
-    return number
+    return real_coefficient(value, what)
 
 
 def _json_field(data: dict, key: str, kind: type, what: str):

@@ -116,6 +116,15 @@ def test_strings_and_bools_are_not_coefficients(taker, c):
 
 
 @pytest.mark.parametrize("taker", _COEFFICIENT_TAKERS.values(), ids=_COEFFICIENT_TAKERS.keys())
+@pytest.mark.parametrize("c", [10**400, -(10**400)], ids=["1e400", "-1e400"])
+def test_integers_beyond_the_float_range_are_not_finite(taker, c):
+    # float(c) raises OverflowError; the caller is promised ValueError
+    what, take = taker
+    with pytest.raises(ValueError, match=re.escape(f"{what} must be finite, got {reprlib.repr(c)}")):
+        take(c)
+
+
+@pytest.mark.parametrize("taker", _COEFFICIENT_TAKERS.values(), ids=_COEFFICIENT_TAKERS.keys())
 def test_real_numbers_of_other_types_accepted(taker):
     _, take = taker
     want = take(1.5)

@@ -268,8 +268,8 @@ def _reference_evolve(schedule, stack):
     a nonzero phase multiplies its unitary as a scalar, and each pair of the
     product plan is one ``@``.
     """
-    distinct, seq = schedule._interned
-    if not seq:
+    distinct = schedule._interned[0]
+    if not schedule.steps:
         return np.eye(stack.shape[1], dtype=complex)
     flat = stack.reshape(len(ALL_PAIRS), -1)
     mats = []
@@ -340,19 +340,14 @@ class TestBatchedEvolve:
             PulseSchedule(tuple(_random_steps(rng, 60, True))),
         ):
             built.clear()
+            report(sch)
             for sector in SpinSector:
                 simulate(sch, sector)
                 oracle_fidelity(sch, sector, CNOT)
-            distinct = sch._interned[0]
-            # one build, the schedule's _form, for both irreps and both oracle closures
-            assert built == [distinct]
-            built.clear()
-            report(sch)
-            # report reads the same _form; consolidate builds the distinct steps' rows
-            # once for both irreps, then rows only for the merged steps it makes
-            assert built.count(distinct) == 1
-            rows_per_step = Counter(step for steps in built for step in steps)
-            assert all(rows_per_step[step] == 1 for step in distinct)
+            # one build, the schedule's _rows: its _form evolves both irreps and both
+            # oracle closures, consolidate reads the same rows, and a merged step's
+            # row is the sum of its parts'
+            assert built == [sch._interned[0]]
 
 
 def _batch_pool():

@@ -225,6 +225,12 @@ _EDGE_CASES = {
 }
 
 
+def _written_ids(schedule):
+    """The id run form of ``_interned`` written out as ``head + body * reps + tail``: one id per step."""
+    head, body, reps, tail = schedule._interned[1]
+    return head + body * reps + tail
+
+
 def _plan(schedule):
     """A schedule's product plan as plain (left ids, right ids, carried ids) per level."""
     return [(left.tolist(), right.tolist(), list(carried)) for left, right, carried in schedule._form.levels]
@@ -324,13 +330,16 @@ class TestPulseStep:
 
 
 class TestInternedForm:
-    """``PulseSchedule._interned``: each step hashed once, one form per schedule."""
+    """``PulseSchedule._interned``: each step hashed once, one id run form per schedule."""
 
     @settings(max_examples=100, deadline=None)
     @given(sch=_repeating_schedules())
     def test_ids_index_first_occurrences(self, sch):
-        distinct, seq = sch._interned
-        assert isinstance(distinct, tuple) and isinstance(seq, tuple)
+        distinct, (head, body, reps, tail) = sch._interned
+        seq = _written_ids(sch)
+        assert isinstance(distinct, tuple) and all(isinstance(part, tuple) for part in (head, body, tail))
+        h, b, r, t = sch._runs
+        assert (len(head), len(body), reps, len(tail)) == (len(h), len(b), r, len(t))
         assert len(seq) == len(sch.steps)
         assert all(distinct[k] is step for k, step in zip(seq, sch.steps))
         firsts = [seq.index(k) for k in range(len(distinct))]
@@ -340,16 +349,17 @@ class TestInternedForm:
     def test_equal_copies_share_the_first_object(self):
         a, b = PulseStep.make({(1, 4): 0.5}), PulseStep.make({(1, 4): 0.5})
         c = PulseStep.make({(2, 5): 0.5})
-        distinct, seq = PulseSchedule((a, c, b, a))._interned
+        sch = PulseSchedule((a, c, b, a))
+        distinct, runs = sch._interned
         assert distinct[0] is a and distinct[1] is c and len(distinct) == 2
-        assert seq == (0, 1, 0, 0)
+        assert runs == ((), (), 0, (0, 1, 0, 0)) and _written_ids(sch) == (0, 1, 0, 0)
 
     @settings(max_examples=100, deadline=None)
     @given(sch=_repeating_schedules())
     def test_filled_cache_is_invisible(self, sch):
         fresh = PulseSchedule(sch.steps, name=sch.name, order=sch.order, n=sch.n)
-        sch._interned, sch._form
-        assert "_interned" in vars(sch) and "_interned" not in vars(fresh)
+        sch._interned, sch._rows, sch._form
+        assert {"_interned", "_rows"} <= vars(sch).keys() and "_interned" not in vars(fresh)
         assert sch == fresh and hash(sch) == hash(fresh)
         assert schedule_to_json(sch) == schedule_to_json(fresh)
         assert repr(sch) == repr(fresh)
@@ -365,16 +375,16 @@ class TestInternedForm:
         ]
         for out in derived:
             fresh = PulseSchedule(out.steps)
-            assert out._interned == fresh._interned
+            assert out._interned[0] == fresh._interned[0] and _written_ids(out) == _written_ids(fresh)
             assert _plan(out) == _plan(fresh)
-            distinct, seq = out._interned
-            assert tuple(distinct[k] for k in seq) == out.steps
+            distinct = out._interned[0]
+            assert tuple(distinct[k] for k in _written_ids(out)) == out.steps
 
     @settings(max_examples=100, deadline=None)
     @given(sch=_repeating_schedules())
     def test_product_levels_multiply_in_schedule_order(self, sch):
         """With concatenation as the product, the plan spells out the id sequence."""
-        distinct, seq = sch._interned
+        distinct, seq = sch._interned[0], _written_ids(sch)
         words = [(k,) for k in range(len(distinct))]
         for left, right, carried in sch._form.levels:
             pairs = list(zip(left.tolist(), right.tolist()))
@@ -398,7 +408,7 @@ class TestRunForm:
     def _assert_invisible(self, sch):
         flat = self._flat(sch)
         assert flat._runs == ((), (), 0, sch.steps)
-        assert sch._interned == flat._interned
+        assert sch._interned[0] == flat._interned[0] and _written_ids(sch) == _written_ids(flat)
         assert all(a is b for a, b in zip(sch._interned[0], flat._interned[0]))
         assert _plan(sch) == _plan(flat)
         assert self._dumps(consolidate(sch)) == self._dumps(consolidate(flat))
@@ -496,6 +506,7 @@ class TestStepArrays:
         assert sch._form is form
         distinct, _ = sch._interned
         assert form.rows.shape == (len(distinct), 15)
+        assert np.array_equal(form.rows, sch._rows) and not sch._rows.flags.writeable
         for step, row, phase, phased in zip(distinct, form.rows, form.phases, form.phased):
             assert {ALL_PAIRS[k]: c for k, c in enumerate(row) if c} == step.coefficients()
             assert phase == np.exp(1j * step.phase) and phased == (step.phase != 0.0)
@@ -567,6 +578,34 @@ class TestBatchPlan:
         "order0-7-empty": (lambda: cnot_spin_independent(7, order=0), lambda: PulseSchedule(())),
         "random-100-independent-1": (lambda: _random_schedule(100), lambda: cnot_spin_independent(1)),
     }
+
+    def test_batch_rows_are_each_schedules_new_rows(self, monkeypatch):
+        """A batch's rows equal ``_coefficient_rows`` of its distinct steps, taken from each schedule's ``_rows``.
+
+        The later schedules mix steps the batch already holds with new ones,
+        so each takes a masked part of its rows.
+        """
+        rng = np.random.default_rng(25)
+        pool = [
+            PulseStep.make({ALL_PAIRS[p]: rng.uniform(-np.pi, np.pi) for p in rng.choice(15, 3, replace=False)}, 0.1 * j)
+            for j in range(12)
+        ]
+        batch = [PulseSchedule(tuple(pool[j] for j in rng.integers(0, 12, size=20))) for _ in range(4)]
+        batch += [cnot_spin_independent(3), cancel_negatives(cnot_spin1(2)), PulseSchedule(())]
+        distinct = list(dict.fromkeys(step for sch in batch for step in sch.steps))
+        built = []
+        original = trotter._coefficient_rows
+
+        def counting(steps):
+            built.append(tuple(steps))
+            return original(steps)
+
+        monkeypatch.setattr(trotter, "_coefficient_rows", counting)
+        form = trotter._evolve_form(batch)
+        assert built == [sch._interned[0] for sch in batch]
+        want = original(distinct)
+        assert form.rows.dtype == want.dtype and np.array_equal(form.rows, want)
+        assert not form.rows.flags.writeable
 
     @pytest.mark.parametrize("name", list(_PAIRS))
     def test_repeated_schedule_adds_no_rows(self, name):
@@ -1007,6 +1046,14 @@ def test_builder_angles_must_be_real_numbers(call, angle, error):
         build(angle)
 
 
+@pytest.mark.parametrize("call", list(_ANGLE_CALLS))
+def test_builder_angles_beyond_the_float_range_rejected(call):
+    """An integer angle too large for a float is not finite: ``ValueError``, not ``OverflowError``."""
+    what, build = _ANGLE_CALLS[call]
+    with pytest.raises(ValueError, match=f"^{re.escape(what)} must be finite"):
+        build(10**400)
+
+
 class TestConsolidate:
     @pytest.mark.parametrize("builder", [cnot_spin_independent, cnot_spin1])
     def test_preserves_unitary(self, builder):
@@ -1211,6 +1258,15 @@ class TestScheduleJson:
             schedule_from_json({"version": 2, "steps": []})
         with pytest.raises(ValueError):
             schedule_from_json({"version": 1, "steps": [{"pairs": [[1, 2]], "coeffs": []}]})
+
+    @pytest.mark.parametrize("big", [10**400, -(10**400)], ids=["1e400", "-1e400"])
+    def test_integers_beyond_the_float_range_rejected(self, big):
+        for step, what in (
+            ({"pairs": [[1, 4]], "coeffs": [big]}, "step 0 coefficient"),
+            ({"pairs": [[1, 4]], "coeffs": [0.5], "phase": big}, "step 0 phase"),
+        ):
+            with pytest.raises(ValueError, match=re.escape(f"{what} must be finite, got {reprlib.repr(big)}")):
+                schedule_from_json({"version": 1, "steps": [step]})
 
     def test_iteration_bound(self):
         step = {"pairs": [[1, 4]], "coeffs": [0.5]}
