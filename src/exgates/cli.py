@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import random
 import sys
 
 import numpy as np
@@ -30,15 +31,15 @@ def _check(name: str, deviation: float, tol: float = 1e-12) -> CheckResult:
 
 def _suite_symrep() -> list[CheckResult]:
     checks = []
-    rng = np.random.default_rng(2024)
+    rng = random.Random(2024)
     for sector in SpinSector:
         shape = sector.partition
         want, central = _SECTOR_FACTS[sector]
         dim = len(standard_tableaux(shape))
         checks.append(_check(f"dim {shape} = {want}", abs(dim - want), 0))
         worst = 0.0
-        # 50 random pairs (a, b) as the rows of one batch, the same stream as 100 rng.permutation(6) calls
-        perms = [Permutation(tuple(map(int, p))) for p in rng.permuted(np.tile(np.arange(1, 7), (100, 1)), axis=1)]
+        # 50 random pairs (a, b); only .random() keys, a stream Python keeps across versions
+        perms = [Permutation(tuple(sorted(range(1, 7), key=lambda _: rng.random()))) for _ in range(100)]
         for a, b in zip(perms[::2], perms[1::2]):
             lhs = rep_permutation(shape, a * b)
             rhs = rep_permutation(shape, a) @ rep_permutation(shape, b)
@@ -84,7 +85,6 @@ def _suite_encoding() -> list[CheckResult]:
 
 def _suite_decouple() -> list[CheckResult]:
     checks = []
-    rng = np.random.default_rng(99)
     sigma_a, sigma_b = decouple.local_sums()
     for sector in SpinSector:
         for name, sig in (("sigma_a", sigma_a), ("sigma_b", sigma_b)):
@@ -104,18 +104,15 @@ def _suite_decouple() -> list[CheckResult]:
         checks.append(_check(f"{sector.name} U acts as identity on computational subspace",
                              max_abs(pi @ u @ pi.T - np.eye(4))))
         pi_perp = np.eye(sector.dim) - pi.T @ pi
-        # 100 random H as one stack, each summed from zero in ALL_PAIRS order as rep_element sums,
-        # one transposition at a time so no (100, 15, dim, dim) product is held
-        c = rng.normal(size=(100, len(encoding.ALL_PAIRS)))
-        h = np.zeros((100, sector.dim, sector.dim))
-        for ck, pk in zip(c.T, trotter.pair_stack(sector)):
-            h += ck[:, None, None] * pk
+        # D is linear and the 15 transpositions span every exchange Hamiltonian,
+        # so the three claims checked on them hold for every H
+        h = trotter.pair_stack(sector)
         dp = decouple.decouple_map(h, sector, "pair")
         dw = decouple.decouple_map(h, sector, "power")
         worst_cross = max(max_abs(pi @ d @ pi_perp) for d in (dp, dw))
         worst_block = max_abs(pi @ (dp - dw) @ pi.T)
         worst_idem = max_abs(decouple.decouple_map(dp, sector, "pair") - dp)
-        checks.append(_check(f"{sector.name} D(H) computational cross terms vanish (100 random H)", worst_cross))
+        checks.append(_check(f"{sector.name} D(H) computational cross terms vanish (15 transpositions)", worst_cross))
         checks.append(_check(f"{sector.name} pair/power agree on computational block", worst_block))
         checks.append(_check(f"{sector.name} D idempotent", worst_idem))
     return checks

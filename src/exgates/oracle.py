@@ -58,14 +58,11 @@ def physical_permutation(perm: Permutation) -> np.ndarray:
     if perm.degree != N_SPINS:
         raise ValueError("physical permutations act on six spins")
     inv = perm.inverse()
+    weights = 1 << np.arange(N_SPINS - 1, -1, -1)  # place values of b1 ... b6
+    bits = (np.arange(DIM)[:, None] & weights) > 0  # row idx holds b1 ... b6 of idx
+    new_idx = bits[:, [inv(k) - 1 for k in range(1, N_SPINS + 1)]] @ weights
     m = np.zeros((DIM, DIM))
-    for idx in range(DIM):
-        bits = [(idx >> (N_SPINS - 1 - k)) & 1 for k in range(N_SPINS)]
-        new_bits = [bits[inv(k + 1) - 1] for k in range(N_SPINS)]
-        new_idx = 0
-        for b in new_bits:
-            new_idx = (new_idx << 1) | b
-        m[new_idx, idx] = 1.0
+    m[new_idx, np.arange(DIM)] = 1.0
     m.setflags(write=False)
     return m
 

@@ -113,7 +113,7 @@ class PulseStep:
 
     @classmethod
     def _of(cls, coeffs: Mapping[tuple[int, int], float], phase: float) -> "PulseStep":
-        """``make`` for float values on normalized pairs, each given once, as steps derived from steps have them.
+        """``make`` for float values on normalized pairs, each given once, as derived and loaded steps have them.
 
         Only the finite check of each value stays (``ValueError``); zeros are dropped and pairs sorted.
         """
@@ -875,7 +875,8 @@ def schedule_from_json(data: dict) -> PulseSchedule:
         if len(set(pairs)) != len(pairs):
             raise ValueError(f"step {k}: a pair is listed twice")
         phase = _json_number(s.get("phase", 0.0), f"step {k} phase")
-        step = PulseStep.make(dict(zip(pairs, coeffs)), phase)
+        # pairs normalized and distinct, values finite floats: nothing left for ``make`` to check
+        step = PulseStep._of(dict(zip(pairs, coeffs)), phase)
         if step.max_coefficient() > MAX_COEFFICIENT:
             raise ValueError(f"step {k}: coefficient magnitude above {MAX_COEFFICIENT:g}")
         steps.append(step)

@@ -96,7 +96,7 @@ VERIFY_LINES = """\
   PASS  SPIN0 Ub = diag(1,1,1,1,-1)  (tol 1e-12)
   PASS  SPIN0 U^4 = 1  (tol 1e-12)
   PASS  SPIN0 U acts as identity on computational subspace  (tol 1e-12)
-  PASS  SPIN0 D(H) computational cross terms vanish (100 random H)  (tol 1e-12)
+  PASS  SPIN0 D(H) computational cross terms vanish (15 transpositions)  (tol 1e-12)
   PASS  SPIN0 pair/power agree on computational block  (tol 1e-12)
   PASS  SPIN0 D idempotent  (tol 1e-12)
   PASS  SPIN1 projected sigma_a = 0  (tol 1e-12)
@@ -105,7 +105,7 @@ VERIFY_LINES = """\
   PASS  SPIN1 Ub = diag(1,1,1,1,1,1,-1,-1,-1)  (tol 1e-12)
   PASS  SPIN1 U^4 = 1  (tol 1e-12)
   PASS  SPIN1 U acts as identity on computational subspace  (tol 1e-12)
-  PASS  SPIN1 D(H) computational cross terms vanish (100 random H)  (tol 1e-12)
+  PASS  SPIN1 D(H) computational cross terms vanish (15 transpositions)  (tol 1e-12)
   PASS  SPIN1 pair/power agree on computational block  (tol 1e-12)
   PASS  SPIN1 D idempotent  (tol 1e-12)
 [suite oracle]
@@ -478,10 +478,9 @@ class TestSynthesizeSimulate:
 
 
 def _per_matrix_suite_decouple():
-    """Reference for ``cli._suite_decouple``: the same checks one random H at a time,
-    each from 15 scalar draws, one ``rep_element`` and three 2-d ``decouple_map`` calls."""
+    """Reference for ``cli._suite_decouple``: the same checks one transposition at a time,
+    each from one ``rep_element`` and three 2-d ``decouple_map`` calls."""
     checks = []
-    rng = np.random.default_rng(99)
     sigma_a, sigma_b = decouple.local_sums()
     for sector in SpinSector:
         for name, sig in (("sigma_a", sigma_a), ("sigma_b", sigma_b)):
@@ -504,16 +503,15 @@ def _per_matrix_suite_decouple():
         worst_cross = 0.0
         worst_block = 0.0
         worst_idem = 0.0
-        for _ in range(100):
-            coeffs = {p: rng.normal() for p in encoding.ALL_PAIRS}
-            h = rep_element(sector.partition, coeffs)
+        for p in encoding.ALL_PAIRS:
+            h = rep_element(sector.partition, {p: 1.0})
             dp = decouple.decouple_map(h, sector, "pair")
             dw = decouple.decouple_map(h, sector, "power")
             for d in (dp, dw):
                 worst_cross = max(worst_cross, max_abs(pi @ d @ pi_perp))
             worst_block = max(worst_block, max_abs(pi @ (dp - dw) @ pi.T))
             worst_idem = max(worst_idem, max_abs(decouple.decouple_map(dp, sector, "pair") - dp))
-        checks.append(cli._check(f"{sector.name} D(H) computational cross terms vanish (100 random H)", worst_cross))
+        checks.append(cli._check(f"{sector.name} D(H) computational cross terms vanish (15 transpositions)", worst_cross))
         checks.append(cli._check(f"{sector.name} pair/power agree on computational block", worst_block))
         checks.append(cli._check(f"{sector.name} D idempotent", worst_idem))
     return checks
@@ -535,12 +533,21 @@ class TestVerify:
     def test_decouple_suite_equals_per_matrix_loop(self):
         assert cli._suite_decouple() == _per_matrix_suite_decouple()
 
-    def test_symrep_batch_is_the_per_sample_stream(self):
-        # the symrep suite's one batched draw per sector stands for 100 rng.permutation(6) calls
-        batch, single = np.random.default_rng(2024), np.random.default_rng(2024)
-        for _ in range(2):
-            rows = batch.permuted(np.tile(np.arange(1, 7), (100, 1)), axis=1)
-            assert np.array_equal(rows, [single.permutation(6) + 1 for _ in range(100)])
+    def test_verify_process_leaves_numpy_random_unimported(self):
+        # numpy.random costs a cold process about 6 MB and 10-15 ms; verify draws from the standard library.
+        # -X importtime lists every module the process imports on stderr, one a line.
+        env = dict(os.environ)
+        src = str(Path(exgates.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-X", "importtime", "-W", "error", "-m", "exgates.cli", "verify"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0
+        assert proc.stdout.count("  PASS  ") == 86
+        imported = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()}
+        assert {"exgates.decouple", "numpy"} <= imported
+        assert not {m for m in imported if m == "numpy.random" or m.startswith("numpy.random.")}
 
     def test_unknown_flag_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 import warnings
 
@@ -67,7 +68,29 @@ def gram_schmidt_closure(sector):
     return np.array(basis)
 
 
+def loop_physical_permutation(perm):
+    """Reference for ``physical_permutation``: one basis index at a time, bit by bit."""
+    inv = perm.inverse()
+    m = np.zeros((DIM, DIM))
+    for idx in range(DIM):
+        bits = [(idx >> (6 - 1 - k)) & 1 for k in range(6)]
+        new_bits = [bits[inv(k + 1) - 1] for k in range(6)]
+        new_idx = 0
+        for b in new_bits:
+            new_idx = (new_idx << 1) | b
+        m[new_idx, idx] = 1.0
+    return m
+
+
 class TestPhysicalSwap:
+    def test_equals_bitwise_loop_on_all_720_permutations(self):
+        build = physical_permutation.__wrapped__  # uncached, so the 720 matrices are not kept
+        for images in itertools.permutations(range(1, 7)):
+            perm = Permutation(images)
+            got = build(perm)
+            assert got.dtype == np.float64 and not got.flags.writeable
+            assert np.array_equal(got, loop_physical_permutation(perm)), images
+
     def test_involution(self):
         m = physical_swap(1, 2)
         assert np.array_equal(m @ m, np.eye(DIM))

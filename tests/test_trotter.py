@@ -23,6 +23,7 @@ from exgates.linalg import expi
 from exgates.metrics import CNOT, report, simulate
 from exgates.symrep import rep_element
 from exgates.trotter import (
+    MAX_COEFFICIENT,
     MAX_ITERATIONS,
     SWAP_GENERATOR_N,
     CanonicalGateSpec,
@@ -1241,6 +1242,20 @@ class TestScheduleJson:
         assert (back.name, back.order, back.n) == (sch.name, sch.order, sch.n)
         for sector in SpinSector:
             assert np.array_equal(simulate(sch, sector), simulate(back, sector))
+
+    def test_loaded_steps_equal_make(self):
+        # reversed and unsorted pairs, integer and zero coefficients, a signed zero phase
+        raw = [
+            {"pairs": [[4, 1], [2, 3], [1, 2]], "coeffs": [0.5, -2, 0.0]},
+            {"pairs": [[5, 6]], "coeffs": [-0.0], "phase": -0.0},
+            {"pairs": [], "coeffs": [], "phase": 3},
+            {"pairs": [[6, 1], [3, 5]], "coeffs": [MAX_COEFFICIENT, 1e-300], "phase": -1.25},
+        ]
+        back = schedule_from_json({"version": 1, "steps": raw})
+        made = [PulseStep.make({tuple(p): c for p, c in zip(s["pairs"], s["coeffs"])}, s.get("phase", 0.0)) for s in raw]
+        assert list(back.steps) == made
+        assert all(type(v) is float for step in back.steps for v in (*step.coeffs, step.phase))
+        assert json.dumps(schedule_to_json(back)) == json.dumps(schedule_to_json(PulseSchedule(tuple(made))))
 
     def test_schema_fields(self):
         data = schedule_to_json(cnot_spin1(1))
