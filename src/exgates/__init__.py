@@ -12,6 +12,7 @@ Submodules:
 * ``encoding`` - computational-basis embeddings and Pauli dictionaries
 * ``decouple`` - block sums, decoupler unitaries, decoupling average
 * ``trotter``  - pulse schedules: product formulas and CNOT constructions
+* ``products`` - product plans of repeated schedules, for the evolve
 * ``metrics``  - simulation, fidelity, leakage, benchmark tables
 * ``oracle``   - independent 64-dimensional physical-space validation
 * ``cli``      - command-line front end

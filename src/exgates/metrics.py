@@ -7,9 +7,10 @@ gate is scored through a 4 x d frame Pi whose rows are the computational
 states (``frame_scores``).  ``evolve_many`` evolves a batch of schedules
 and ``evolve`` a batch of one, both on the one numeric form
 ``trotter._evolve_form`` builds: the distinct steps' coefficient rows and
-a pairwise product plan that multiplies each distinct adjacent pair once
-per level, so repeated cycles cost O(log n) levels.  A schedule keeps its
-own form as ``PulseSchedule._form``.  With the frame compression
+one product plan (``products.product_plan``) in which each repeated cycle
+is multiplied once and raised to its repeats by squaring, so n repeats
+cost O(cycle + log n) products.  A schedule keeps its own form as
+``PulseSchedule._form``.  With the frame compression
 
     v = G Pi^T,    g = Pi v    (a 4 x 4 matrix),
 
@@ -95,27 +96,28 @@ def _chunk(d: int) -> int:
 def _evolved(form, stack: np.ndarray) -> np.ndarray:
     """The gates of an ``_evolve_form`` on a (15, d, d) stack, one per schedule, as (S, d, d)."""
     d = stack.shape[1]
-    rows, phases, phased, levels, finals = form
+    rows, phases, phased, levels, finals, slots = form
     chunk = _chunk(d)
-    mats = np.empty((len(rows), d, d), dtype=complex)
+    pool = np.empty((slots, d, d), dtype=complex)
+    steps = pool[: len(rows)]
     for start in range(0, len(rows), chunk):
         part = slice(start, start + chunk)
         u = expi(row_generators(rows[part], stack))
-        mats[part] = np.where(phased[part, None, None], phases[part, None, None] * u, u)
-    for left, right, carried in levels:
-        products = np.empty((len(left) + len(carried), d, d), dtype=complex)
-        paired = products[: len(left)]
-        for start in range(0, len(left), chunk):
-            part = slice(start, start + chunk)
-            np.matmul(mats[left[part]], mats[right[part]], out=paired[part])
-        for k, c in enumerate(carried):  # one by one: indexing by a list costs more than the copies
-            products[len(left) + k] = mats[c]
-        mats = products
+        steps[part] = np.where(phased[part, None, None], phases[part, None, None] * u, u)
+    node = len(rows)
+    for left, right in levels:
+        start = 0
+        while start < len(left):  # chunks end where the slots wrap around
+            slot = (node + start) % slots
+            part = slice(start, min(start + chunk, len(left), start + slots - slot))
+            np.matmul(pool[left[part]], pool[right[part]], out=pool[slot : slot + part.stop - start])
+            start = part.stop
+        node += len(left)
     if None not in finals:
-        return mats[finals]
+        return pool[finals]
     gates = np.tile(np.eye(d, dtype=complex), (len(finals), 1, 1))
     done = [k for k, final in enumerate(finals) if final is not None]
-    gates[done] = mats[[finals[k] for k in done]]
+    gates[done] = pool[[finals[k] for k in done]]
     return gates
 
 
@@ -135,13 +137,13 @@ def evolve_many(schedules: Sequence[PulseSchedule], stack: np.ndarray) -> np.nda
     call gives.  The phase multiply is out of place,
     ``np.where(phased, f * u, u)``, which rounds as the scalar ``f * u``
     does; an in-place ``u *= f`` does not, and a factor of exactly 1 could
-    still flip the sign of a zero.  Each level multiplies each distinct
-    pair of neighbouring ids once, in chunked batched products into a
-    preallocated stack, so n repeats of a few distinct steps take O(log n)
-    levels of a few products each.  The product is grouped differently
-    from a left-to-right one, which moves F and L by rounding only: at most
-    5e-14 on the CNOT families at n = 200.  A schedule with no steps gives
-    the identity.
+    still flip the sign of a zero.  The plan's products are evaluated a
+    level at a time, in chunked batched products that write into the one
+    preallocated pool of ``slots`` matrices.  A schedule with fewer than two
+    repeats is multiplied as its written-out pairwise tree; raising a cycle
+    by squaring moves F and L from that tree's by rounding only, at most
+    4.5e-14 on the CNOT families at n <= 200 and 1.9e-12 at n = 10000.  A
+    schedule with no steps gives the identity.
     """
     return _evolved(_evolve_form(schedules), stack)
 

@@ -38,6 +38,7 @@ from .encoding import (
     hamiltonian_from_pauli,
 )
 from .linalg import integer_pair, plain_int, real_coefficient
+from .products import product_plan
 from .symrep import rep_transposition
 
 __all__ = [
@@ -152,7 +153,8 @@ class _EvolveForm(NamedTuple):
 
     ``rows`` holds the (k, 15) coefficients in ALL_PAIRS order, ``phases[i]``
     the scalar ``np.exp(1j * phase)`` of step i and ``phased[i]`` whether
-    that phase is nonzero; ``levels`` and ``finals`` are ``_plan``'s.
+    that phase is nonzero; ``levels``, ``finals`` and ``slots`` are
+    ``products.product_plan``'s.
     """
 
     rows: np.ndarray
@@ -160,60 +162,12 @@ class _EvolveForm(NamedTuple):
     phased: np.ndarray
     levels: tuple
     finals: list
+    slots: int
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
-
-
-def _plan(runs: Sequence[tuple]) -> tuple[tuple, list]:
-    """The pairwise product plan of id sequences over one id space: (levels, finals).
-
-    ``runs`` holds one run form (head, body, reps, tail) of ids per
-    sequence; layer 0 is the ids.  A level gives each distinct pair (0, 1),
-    (2, 3), ... of each sequence's ids, sequences in order, the next id of
-    the layer above, then carries up each odd layer's last id (a finished
-    sequence's one id too) in sequence order: ceil(log2 L) levels of (left
-    ids, right ids) as read-only arrays and carried ids as a list, L the
-    longest length.  ``finals`` is each sequence's id in the last layer,
-    None for an empty one.
-
-    A sequence is planned on its run form, re-bracketed so that head and
-    body have even length and every pair lies inside one part: an odd head
-    takes the body's first id and the body rotates, one repeat fewer; an
-    odd body doubles, and an odd repeat goes to the tail.  Fewer than two
-    repeats are written out.  Head, body and tail pairs come in
-    first-occurrence order, so the levels are those of the written-out
-    sequences, in O(cycle log n) rather than O(n) Python steps.
-    """
-    # per sequence: its layer's ids as head + one body + tail, the head and body lengths, the repeats
-    states = [[h + b + t, len(h), len(b), r] for h, b, r, t in runs]
-    depth = max([max(len(h) + len(b) * r + len(t) - 1, 0).bit_length() for h, b, r, t in runs], default=0)
-    levels = []
-    for _ in range(depth):
-        pairs: dict[tuple[int, int], int] = {}
-        odd = []  # per sequence whose layer has odd length: its ids above and the last id, carried up
-        for state in states:
-            ids, nh, nb, reps = state
-            if nh % 2 and reps:  # head + b0, body[1:] + b0, reps - 1, body[1:] + tail
-                ids, nh, reps = ids[: nh + nb] + ids[nh:], nh + 1, reps - 1
-            if nb % 2 and reps:  # head, body * 2, reps // 2, body * (reps % 2) + tail
-                body = ids[nh : nh + nb]
-                ids, nb, reps = ids[: nh + nb] + body * (1 + reps % 2) + ids[nh + nb :], 2 * nb, reps // 2
-            if reps < 2 and nb:  # written out
-                ids, nh, nb, reps = ids[:nh] + ids[nh : nh + nb] * reps + ids[nh + nb :], 0, 0, 0
-            above = [pairs.setdefault(pair, len(pairs)) for pair in zip(ids[::2], ids[1::2])]
-            state[:] = above, nh // 2, nb // 2, reps
-            if len(ids) % 2:
-                odd.append((above, ids[-1]))
-        carried = []
-        for above, last in odd:
-            above.append(len(pairs) + len(carried))
-            carried.append(last)
-        ends = _read_only(np.array(list(zip(*pairs)), dtype=np.intp))  # left ids, right ids
-        levels.append((ends[0], ends[1], carried))
-    return tuple(levels), [ids[0] if ids else None for ids, _, _, _ in states]
 
 
 @dataclass(frozen=True)
@@ -229,12 +183,13 @@ class PulseSchedule:
 
     The run form ``(head, body, reps, tail)`` spells the steps as
     ``head + body * reps + tail``.  The builders repeat one cycle n times
-    and keep that structure through ``_repeated``, its only writer; any
-    other schedule has the degenerate form ``((), (), 0, steps)``.  Every
-    per-step pass reads ``_interned``, the same run form over ids, so on a
-    built schedule it costs O(cycle) or O(cycle log n) rather than O(n)
-    Python steps, and on a degenerate one it walks the steps as before: one
-    code path for both.
+    and keep that structure through ``_repeated``, its only writer, as does
+    ``schedule_from_json`` when it finds it; any other schedule has the
+    degenerate form ``((), (), 0, steps)``.  Every per-step pass reads
+    ``_interned``, the same run form over ids, so on a built schedule it
+    costs O(cycle) or O(cycle log n) rather than O(n) Python steps.  Only
+    the evolve sees the form in its bits: it raises the body's product by
+    squaring, so a built gate equals its flat copy's to rounding only.
     """
 
     steps: tuple[PulseStep, ...]
@@ -297,8 +252,8 @@ def _merge_steps(a: PulseStep, b: PulseStep) -> PulseStep:
 
 
 # Largest iteration count a builder accepts.  Cost is linear in n: at
-# n = 10000, `exgates synthesize cnot` takes 5.1 s on a 2-vCPU VM, writes a
-# 40 MB file and peaks at 127 MB RSS.
+# n = 10000, `exgates synthesize cnot` takes 6.5-7.5 s on a 2-vCPU VM, writes
+# a 40 MB file and peaks at 449 MB RSS, most of it building that JSON text.
 MAX_ITERATIONS = 10_000
 
 
@@ -583,11 +538,11 @@ def _evolve_form(schedules: Sequence[PulseSchedule]) -> _EvolveForm:
 
     The steps are interned as ``_interned`` interns one schedule's, first
     occurrence first, and each schedule's id run form is renumbered to
-    batch ids; one ``_plan`` call plans them all.  The steps new to the
+    batch ids; one ``product_plan`` call plans them all.  The steps new to the
     batch come in each schedule's id order, so their rows are that
-    schedule's ``_rows`` under a mask, bit for bit the batch's own.  Each
-    phase factor is its own scalar ``np.exp``, as a per-step multiply had.
-    A schedule's ``_form`` is this for a batch of one.
+    schedule's ``_rows`` under a mask, bit for bit the batch's own.  The
+    phase factors are one elementwise ``np.exp``, the bits of a scalar call
+    per step.  A schedule's ``_form`` is this for a batch of one.
     """
     ids: dict[PulseStep, int] = {}
     runs, rows = [], [np.empty((0, len(ALL_PAIRS)))]
@@ -598,12 +553,12 @@ def _evolve_form(schedules: Sequence[PulseSchedule]) -> _EvolveForm:
         rows.append(schedule._rows[np.greater_equal(to_batch, known)])
         head, body, tail = ([to_batch[i] for i in part] for part in (head, body, tail))
         runs.append((head, body, reps, tail))
-    distinct = list(ids)
+    phases = np.array([step.phase for step in ids], dtype=float)
     return _EvolveForm(
         _read_only(np.concatenate(rows)),
-        _read_only(np.array([np.exp(1j * s.phase) for s in distinct], dtype=complex)),
-        _read_only(np.array([s.phase != 0.0 for s in distinct], dtype=bool)),
-        *_plan(runs),
+        _read_only(np.exp(1j * phases)),
+        _read_only(phases != 0.0),
+        *product_plan(runs, len(ids)),
     )
 
 
@@ -755,14 +710,13 @@ def normalized_time(schedule: PulseSchedule) -> float:
     identity phase does not count toward a step's duration.  Computed on
     the schedule as constructed, before any consolidation: each printed
     exponential factor is one parallel pulse.  Each distinct step's
-    maximum is taken once; the per-step values are still added in schedule
-    order, so the sum's rounding is that of the plain per-step sum.  The
-    widths are a list indexed by the ids of ``_interned``, written out as
-    ``head + body * reps + tail``.
+    maximum is taken once, and the values of the run form's head, one body
+    and tail are written out as a list, ``head + body * reps + tail``, so
+    the builtin ``sum`` adds the per-step values in schedule order.
     """
     distinct, (head, body, reps, tail) = schedule._interned
-    widths = [step.max_coefficient() for step in distinct]
-    return sum(map(widths.__getitem__, head + body * reps + tail)) / (np.pi / 2)
+    width = [step.max_coefficient() for step in distinct].__getitem__
+    return sum(list(map(width, head)) + list(map(width, body)) * reps + list(map(width, tail))) / (np.pi / 2)
 
 
 def _negative_local_steps(schedule: PulseSchedule) -> int:
@@ -850,7 +804,8 @@ def schedule_from_json(data: dict) -> PulseSchedule:
     """Validated schedule from its JSON object; any fault raises one ``ValueError``.
 
     Each message names the field, and for a step its index, and what was
-    expected; callers add their own prefix.
+    expected; callers add their own prefix.  Steps that repeat a body ``n``
+    times, the file's ``n``, keep that run form (``_recovered_runs``).
     """
     if not isinstance(data, dict):
         raise ValueError(f"schedule JSON must be an object, got {type(data).__name__}")
@@ -885,7 +840,28 @@ def schedule_from_json(data: dict) -> PulseSchedule:
     name = data.get("name", "schedule")
     if not isinstance(name, str):
         raise ValueError(f"name must be a string, got {reprlib.repr(name)}")
-    return PulseSchedule(tuple(steps), name=name, order=order, n=n)
+    return PulseSchedule._repeated(*_recovered_runs(tuple(steps), n), name=name, order=order, n=n)
+
+
+def _recovered_runs(steps: tuple, n: int) -> tuple:
+    """Loaded steps as ``head + body * n + tail``, head and tail shorter than the body, or degenerate.
+
+    The longest body, then the shortest head: the run form every builder
+    writes, so a saved schedule loads back to the same evolve bits.  Steps
+    match by value and the sign of a zero phase, so the form spells the file.
+    """
+    ids: dict[tuple, int] = {}
+    seq = np.array([ids.setdefault((s, math.copysign(1.0, s.phase)), len(ids)) for s in steps] if n > 1 else [])
+    for width in range(len(seq) // n, len(seq) // (n + 2), -1):
+        if seq[width - 1] != seq[2 * width - 1]:  # a position every candidate head's repeats hold
+            continue
+        unmatched = np.concatenate(([0], np.cumsum(seq[width:] != seq[:-width])))
+        heads = np.arange(max(0, len(seq) - (n + 1) * width + 1), min(width - 1, len(seq) - n * width) + 1)
+        periodic = heads[unmatched[heads + (n - 1) * width] == unmatched[heads]]
+        if periodic.size:
+            h = int(periodic[0])
+            return steps[:h], steps[h : h + width], n, steps[h + n * width :]
+    return (), (), 0, steps
 
 
 def save_schedule(schedule: PulseSchedule, path) -> None:

@@ -3,7 +3,7 @@ import importlib
 import pytest
 
 MODULES = ["exgates"] + [
-    f"exgates.{m}" for m in ("decouple", "encoding", "linalg", "metrics", "oracle", "symrep", "trotter")
+    f"exgates.{m}" for m in ("decouple", "encoding", "linalg", "metrics", "oracle", "products", "symrep", "trotter")
 ]
 
 

@@ -261,27 +261,51 @@ class TestInternedOnce:
         assert peak <= 1.05 * 4043 * 1024
 
 
-def _reference_evolve(schedule, stack):
-    """The per-step algorithm ``evolve`` replaced, kept to pin its bits.
-
-    Each distinct step gets its own 1-d coefficient product and ``expi``,
-    a nonzero phase multiplies its unitary as a scalar, and each pair of the
-    product plan is one ``@``.
-    """
-    distinct = schedule._interned[0]
-    if not schedule.steps:
-        return np.eye(stack.shape[1], dtype=complex)
+def _reference_steps(schedule, stack):
+    """Each distinct step's unitary: its own 1-d coefficient product and ``expi``, a nonzero phase as a scalar."""
     flat = stack.reshape(len(ALL_PAIRS), -1)
     mats = []
-    for step in distinct:
+    for step in schedule._interned[0]:
         coeffs = np.zeros(len(ALL_PAIRS))
         for pair, c in zip(step.pairs, step.coeffs):
             coeffs[ALL_PAIRS.index(pair)] += c
         u = expi((coeffs @ flat).reshape(stack.shape[1:]))
         mats.append(np.exp(1j * step.phase) * u if step.phase else u)
-    for left, right, carried in schedule._form.levels:
-        mats = [mats[a] @ mats[b] for a, b in zip(left, right)] + [mats[c] for c in carried]
-    return mats[0]
+    return mats
+
+
+def _reference_evolve(schedule, stack):
+    """The per-step algorithm ``evolve`` replaced, kept to pin its bits.
+
+    The step unitaries are ``_reference_steps``'s, and each pair of the
+    product plan is one ``@``, read from and written to the plan's pool.
+    """
+    if not schedule.steps:
+        return np.eye(stack.shape[1], dtype=complex)
+    form = schedule._form
+    pool = _reference_steps(schedule, stack) + [None] * (form.slots - len(form.rows))
+    node = len(form.rows)
+    for left, right in form.levels:
+        for product in [pool[a] @ pool[b] for a, b in zip(left, right)]:
+            pool[node % form.slots] = product
+            node += 1
+    return pool[form.finals[0]]
+
+
+def _tree_reference(schedule, stack):
+    """The written-out pairwise tree: one ``@`` per pair (0, 1), (2, 3), ... a layer, an odd last step waiting."""
+    if not schedule.steps:
+        return np.eye(stack.shape[1], dtype=complex)
+    mats = _reference_steps(schedule, stack)
+    layer = [mats[k] for k in _written_ids(schedule)]
+    while len(layer) > 1:
+        layer = [a @ b for a, b in zip(layer[::2], layer[1::2])] + layer[len(layer) - len(layer) % 2 :]
+    return layer[0]
+
+
+def _written_ids(schedule):
+    head, body, reps, tail = schedule._interned[1]
+    return head + body * reps + tail
 
 
 # The 5- and 9-dim irreps, the oracle's 9- and 5-dim closures and the 20-dim block.
@@ -387,24 +411,38 @@ class TestEvolveMany:
 
     def test_pool_plans_differ_in_depth(self):
         depths = {len(sch._form.levels) for sch in _POOL}
-        assert {0, 5, 7, 8} <= depths
+        assert {0, 4, 6, 7, 8} <= depths
         assert max(len(sch._form.rows) for sch in _POOL) > metrics._chunk(5)
+
+    @pytest.mark.parametrize("name", list(_BATCH_STACKS))
+    def test_schedules_without_repeats_evolve_as_the_written_out_tree(self, name):
+        """Fewer than two repeats: ``evolve`` and ``evolve_many`` give the written-out tree's bits."""
+        stack = _BATCH_STACKS[name]
+        written = [sch for sch in _POOL if sch._runs[2] < 2]
+        written += [cnot_spin1(1), cancel_negatives(cnot_spin_independent(1, order=0))]
+        assert len(written) >= 8 and all(sch.steps and sch._runs[2] < 2 for sch in written[-2:])
+        want = [_tree_reference(sch, stack) for sch in written]
+        assert all(np.array_equal(evolve(sch, stack), gate) for sch, gate in zip(written, want))
+        assert np.array_equal(metrics.evolve_many(written, stack), np.array(want))
 
     def test_batch_of_one_builds_no_merged_plan(self, monkeypatch):
         """``evolve`` reads the schedule's own ``_form``: planned once per schedule, never again."""
         planned = []
-        original = trotter._plan
+        original = trotter.product_plan
 
-        def counting(runs):
+        def counting(runs, k):
             planned.append(len(runs))
-            return original(runs)
+            return original(runs, k)
+
+        def fresh(sch):  # a flat copy: its gate equals a built run form's to rounding only
+            return PulseSchedule(sch.steps, name=sch.name, order=sch.order, n=sch.n)
 
         stack = _BATCH_STACKS["irrep-SPIN1"]
-        want = [evolve(sch, stack) for sch in _POOL]
-        monkeypatch.setattr(trotter, "_plan", counting)
-        for sch, gate in zip(_POOL, want):
+        want = [(evolve(sch, stack), evolve(fresh(sch), stack)) for sch in _POOL]
+        monkeypatch.setattr(trotter, "product_plan", counting)
+        for sch, gates in zip(_POOL, want):
             # a fresh copy plans itself once, as a batch of one; consolidation plans nothing
-            for one, plans in ((sch, []), (PulseSchedule(sch.steps, name=sch.name, order=sch.order, n=sch.n), [1])):
+            for one, plans, gate in ((sch, [], gates[0]), (fresh(sch), [1], gates[1])):
                 planned.clear()
                 assert np.array_equal(evolve(one, stack), gate)
                 report(one)

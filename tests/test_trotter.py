@@ -232,9 +232,45 @@ def _written_ids(schedule):
     return head + body * reps + tail
 
 
-def _plan(schedule):
-    """A schedule's product plan as plain (left ids, right ids, carried ids) per level."""
-    return [(left.tolist(), right.tolist(), list(carried)) for left, right, carried in schedule._form.levels]
+# the two irreps and the oracle's two closures
+_STACKS = [pair_stack(s) for s in SpinSector] + [oracle._closure_block(s)[0] for s in SpinSector]
+
+
+def _spelled(form):
+    """A form's pool after its levels, with concatenation of batch ids as the product.
+
+    Each level reads the words its operand slots hold, then writes its
+    products to the next slots, modulo ``form.slots``; each level's pairs
+    are distinct.  Returns the pool, in which ``form.finals`` index.
+    """
+    k = len(form.rows)
+    pool = [(i,) for i in range(k)] + [None] * (form.slots - k)
+    node = k
+    for left, right in form.levels:
+        pairs = list(zip(left.tolist(), right.tolist()))
+        assert len(set(pairs)) == len(pairs)
+        for word in [pool[a] + pool[b] for a, b in pairs]:
+            pool[node % form.slots] = word
+            node += 1
+    return pool
+
+
+def _products_bound(schedule):
+    """Most products a schedule's plan may hold: its trees, one ladder and the fold, or one tree written out."""
+    head, body, reps, tail = schedule._interned[1]
+    if reps < 2:
+        return max(len(_written_ids(schedule)) - 1, 0)
+    return sum(max(len(part) - 1, 0) for part in (head, body, tail)) + 2 * (reps.bit_length() - 1) + 2
+
+
+def _assert_same_gates(schedule, flat):
+    """``schedule`` evolves as its flat copy ``flat``: to the bit when written out (fewer than two repeats), else to 1e-12."""
+    for stack in _STACKS[:2]:
+        got, want = metrics.evolve(schedule, stack), metrics.evolve(flat, stack)
+        if schedule._runs[2] < 2:
+            assert np.array_equal(got, want)
+        else:
+            assert np.max(np.abs(got - want)) <= 1e-12
 
 
 def computational_block(schedule, sector):
@@ -377,26 +413,30 @@ class TestInternedForm:
         for out in derived:
             fresh = PulseSchedule(out.steps)
             assert out._interned[0] == fresh._interned[0] and _written_ids(out) == _written_ids(fresh)
-            assert _plan(out) == _plan(fresh)
+            _assert_same_gates(out, fresh)
             distinct = out._interned[0]
             assert tuple(distinct[k] for k in _written_ids(out)) == out.steps
 
     @settings(max_examples=100, deadline=None)
-    @given(sch=_repeating_schedules())
+    @given(sch=st.one_of(_repeating_schedules(), _run_forms().map(lambda form: PulseSchedule._repeated(*form))))
     def test_product_levels_multiply_in_schedule_order(self, sch):
         """With concatenation as the product, the plan spells out the id sequence."""
-        distinct, seq = sch._interned[0], _written_ids(sch)
-        words = [(k,) for k in range(len(distinct))]
-        for left, right, carried in sch._form.levels:
-            pairs = list(zip(left.tolist(), right.tolist()))
-            assert len(set(pairs)) == len(pairs)
-            words = [words[a] + words[b] for a, b in pairs] + [words[c] for c in carried]
-        assert (words[0] if seq else ()) == seq
-        assert len(sch._form.levels) == max(len(seq) - 1, 0).bit_length()
+        seq, form = _written_ids(sch), sch._form
+        assert form.finals == [form.finals[0] if seq else None]
+        assert (_spelled(form)[form.finals[0]] if seq else ()) == seq
+        products = sum(len(left) for left, _ in form.levels)
+        assert products <= _products_bound(sch) and form.slots <= len(form.rows) + products
+        if sch._runs[2] < 2:  # written out: one pairwise tree, a level per halving
+            assert len(form.levels) == max(len(seq) - 1, 0).bit_length()
+
+    def test_long_run_form_plans_few_products(self):
+        form = cnot_spin_independent(MAX_ITERATIONS)._form
+        assert sum(len(left) for left, _ in form.levels) <= 40
+        assert form.slots <= len(form.rows) + 40
 
 
 class TestRunForm:
-    """``PulseSchedule._runs``: a built schedule keeps its repeat structure, invisibly."""
+    """``PulseSchedule._runs``: a built schedule keeps its repeat structure, seen only in the evolve's rounding."""
 
     @staticmethod
     def _flat(sch):
@@ -411,7 +451,8 @@ class TestRunForm:
         assert flat._runs == ((), (), 0, sch.steps)
         assert sch._interned[0] == flat._interned[0] and _written_ids(sch) == _written_ids(flat)
         assert all(a is b for a, b in zip(sch._interned[0], flat._interned[0]))
-        assert _plan(sch) == _plan(flat)
+        _assert_same_gates(sch, flat)
+        assert normalized_time(sch).hex() == normalized_time(flat).hex()
         assert self._dumps(consolidate(sch)) == self._dumps(consolidate(flat))
         assert trotter._negative_local_steps(sch) == trotter._negative_local_steps(flat)
         canceled, flat_canceled = cancel_negatives(sch), cancel_negatives(flat)
@@ -511,7 +552,7 @@ class TestStepArrays:
         for step, row, phase, phased in zip(distinct, form.rows, form.phases, form.phased):
             assert {ALL_PAIRS[k]: c for k, c in enumerate(row) if c} == step.coefficients()
             assert phase == np.exp(1j * step.phase) and phased == (step.phase != 0.0)
-        for a in (form.rows, form.phases, form.phased, *(a for lv in form.levels for a in lv[:2])):
+        for a in (form.rows, form.phases, form.phased, *(a for level in form.levels for a in level)):
             assert not a.flags.writeable
 
     _FORM_BUILDS = {
@@ -534,17 +575,16 @@ class TestStepArrays:
         own, batch = sch._form, trotter._evolve_form((sch,))
         for a, b in zip(own[:3], batch[:3]):
             assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b)
-        assert len(own.levels) == len(batch.levels)
-        for (left, right, carried), (b_left, b_right, b_carried) in zip(own.levels, batch.levels):
+        assert len(own.levels) == len(batch.levels) and own.slots == batch.slots
+        for (left, right), (b_left, b_right) in zip(own.levels, batch.levels):
             assert np.array_equal(left, b_left) and np.array_equal(right, b_right)
-            assert left.dtype == b_left.dtype and carried == b_carried
-        assert own.finals == batch.finals == [0 if sch.steps else None]
+            assert left.dtype == b_left.dtype == np.intp
+        assert own.finals == batch.finals and len(own.finals) == 1
+        assert (_spelled(own)[own.finals[0]] if sch.steps else ()) == _written_ids(sch)
 
 
 class TestBatchPlan:
     """``trotter._evolve_form``: several run forms planned at once, as ``metrics.evolve_many`` plans a batch."""
-
-    _STACKS = [pair_stack(s) for s in SpinSector] + [oracle._closure_block(s)[0] for s in SpinSector]
 
     @settings(max_examples=100, deadline=None)
     @given(batch=st.lists(
@@ -560,15 +600,12 @@ class TestBatchPlan:
         form = trotter._evolve_form(batch)
         assert np.array_equal(form.rows, trotter._coefficient_rows(list(ids)))
         assert form.phased.tolist() == [step.phase != 0.0 for step in ids]
-        words = [(k,) for k in range(len(ids))]
-        for left, right, carried in form.levels:
-            pairs = list(zip(left.tolist(), right.tolist()))
-            assert len(set(pairs)) == len(pairs)  # one pair table for the whole batch
-            words = [words[a] + words[b] for a, b in pairs] + [words[c] for c in carried]
+        pool = _spelled(form)  # one pair table for the whole batch
         assert len(form.finals) == len(batch)
         for sch, final in zip(batch, form.finals):
-            assert (words[final] if final is not None else ()) == tuple(ids[step] for step in sch.steps)
-        for stack in self._STACKS:
+            assert (pool[final] if final is not None else ()) == tuple(ids[step] for step in sch.steps)
+        assert sum(len(left) for left, _ in form.levels) <= sum(_products_bound(sch) for sch in batch)
+        for stack in _STACKS:
             gates = metrics.evolve_many(batch, stack)
             assert gates.shape == (len(batch), *stack.shape[1:])
             assert all(np.array_equal(gate, metrics.evolve(sch, stack)) for gate, sch in zip(gates, batch))
@@ -617,7 +654,7 @@ class TestBatchPlan:
         form = trotter._evolve_form(batch)
         assert len(form.rows) == len(distinct)
         assert np.array_equal(form.rows, trotter._coefficient_rows(distinct))
-        for stack in self._STACKS:
+        for stack in _STACKS:
             gates = metrics.evolve_many(batch, stack)
             assert all(np.array_equal(gate, metrics.evolve(sch, stack)) for gate, sch in zip(gates, batch))
 
@@ -1242,6 +1279,45 @@ class TestScheduleJson:
         assert (back.name, back.order, back.n) == (sch.name, sch.order, sch.n)
         for sector in SpinSector:
             assert np.array_equal(simulate(sch, sector), simulate(back, sector))
+
+    @pytest.mark.parametrize("build", TestRunForm._BUILDERS.values(), ids=TestRunForm._BUILDERS.keys())
+    @pytest.mark.parametrize("n", [2, 3, 7, 50])
+    def test_loading_recovers_the_builders_run_form(self, build, n):
+        """A saved builder schedule loads back with its run form, so it evolves to the same bits."""
+        for sch in (build(n), cancel_negatives(build(n))):
+            data = json.loads(json.dumps(schedule_to_json(sch)))
+            back = schedule_from_json(data)
+            assert back._runs == sch._runs and back._runs[2] == n
+            assert schedule_to_json(back) == data
+            for stack in _STACKS:
+                assert np.array_equal(metrics.evolve(back, stack), metrics.evolve(sch, stack))
+
+    @settings(max_examples=200, deadline=None)
+    @given(runs=_run_forms())
+    def test_loaded_run_form_spells_the_file(self, runs):
+        """Any recovered run form writes out the file's steps, signed zero phases included."""
+        head, body, reps, tail = runs
+        sch = PulseSchedule._repeated(head, body, reps, tail, n=max(reps, 1))
+        data = json.loads(json.dumps(schedule_to_json(sch)))
+        back = schedule_from_json(data)
+        h, b, r, t = back._runs
+        assert h + b * r + t == back.steps == sch.steps
+        assert schedule_to_json(back) == data
+        assert r == 0 or (r == sch.n and len(h) < len(b) > len(t))
+        _assert_same_gates(back, PulseSchedule(sch.steps))
+
+    def test_repeats_differing_in_a_zero_sign_load_written_out(self):
+        # the second repeat holds x's -0.0 twin: a run form over the first repeat would print +0.0
+        x, y = PulseStep.make({(1, 2): 0.5}), PulseStep.make({(2, 3): 0.5})
+        data = json.loads(json.dumps(schedule_to_json(PulseSchedule((x, y, replace(x, phase=-0.0), y), n=2))))
+        back = schedule_from_json(data)
+        assert back._runs[2] == 0 and schedule_to_json(back) == data
+        assert schedule_from_json(schedule_to_json(PulseSchedule((x, y, x, y), n=2)))._runs == ((), (x, y), 2, ())
+
+    def test_loading_without_repeats_is_degenerate(self):
+        sch = replace(_random_schedule(100), n=3)
+        back = schedule_from_json(json.loads(json.dumps(schedule_to_json(sch))))
+        assert back._runs == ((), (), 0, back.steps) and back.steps == sch.steps
 
     def test_loaded_steps_equal_make(self):
         # reversed and unsorted pairs, integer and zero coefficients, a signed zero phase
