@@ -36,9 +36,10 @@ from typing import Sequence
 import numpy as np
 
 from .encoding import SpinSector, projector
-from .linalg import expi, plain_int
+from .linalg import expi
 from .trotter import (
     PulseSchedule,
+    _checked_int,
     _evolve_form,
     _negative_local_steps,
     cancel_negatives,
@@ -258,13 +259,8 @@ def table_rows(which: int, cancel: bool = False) -> list[SynthesisReport]:
     changes the simulated unitary by a pure per-sector phase: time grows
     by the canceled magnitude, fidelity and leakage stay put.
     """
-    which = plain_int(which, "table")
-    if which == 1:
-        ns, builder = (3, 5, 9), cnot_spin_independent
-    elif which == 2:
-        ns, builder = (2, 3, 4), cnot_spin1
-    else:
-        raise ValueError("table must be 1 or 2")
+    tables = {1: ((3, 5, 9), cnot_spin_independent), 2: ((2, 3, 4), cnot_spin1)}
+    ns, builder = tables[_checked_int(which, "table", range(1, 3))]
     schedules = [builder(n) for n in ns]
     if cancel:
         schedules = [cancel_negatives(schedule) for schedule in schedules]

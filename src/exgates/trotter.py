@@ -93,9 +93,11 @@ class PulseStep:
     """One exponential factor exp(i sum_c c_ij (i j) + i phase).
 
     Coefficients are radians on transpositions; zero coefficients are not
-    stored, and pairs are kept sorted so equal steps compare equal.  ``make``
-    rejects complex coefficients and phases (``TypeError``) and strings,
-    bools, NaN or infinite ones (``ValueError``).
+    stored, and pairs are kept sorted so equal steps compare equal.  Equality
+    also compares the sign of a zero phase, so equal steps have equal bits
+    and equal JSON; the hash ignores that sign.  ``make`` rejects complex
+    coefficients and phases (``TypeError``) and strings, bools, NaN or
+    infinite ones (``ValueError``).
     """
 
     pairs: tuple[tuple[int, int], ...]
@@ -124,6 +126,12 @@ class PulseStep:
             bad = next(c for c in (*values, phase) if not math.isfinite(c))
             raise ValueError(f"coefficient must be finite, got {reprlib.repr(bad)}")
         return cls(pairs, values, phase)
+
+    def __eq__(self, other) -> bool:
+        # phases compare as the JSON spells them, so a zero's sign counts (``u.scaled(-1.0)`` has -0.0)
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.pairs, self.coeffs, repr(self.phase)) == (other.pairs, other.coeffs, repr(other.phase))
 
     @cached_property
     def _hash(self) -> int:
@@ -172,24 +180,24 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PulseSchedule:
-    """An ordered pulse sequence with construction metadata.
+    """An ordered pulse sequence with construction metadata; ``steps`` is stored as a tuple.
 
-    Its run form (``_runs``), interned form (``_interned``), coefficient
-    rows (``_rows``) and evolve form (``_form``, ``_evolve_form`` of the
-    schedule alone) are computed on first use and kept on the instance, as
-    ``PulseStep._hash`` is.  They are not fields: equality, hashing and JSON
-    see only the steps and metadata, and ``replace`` makes a schedule that
-    computes its own.
+    Its run form (``_interned``), coefficient rows (``_rows``) and evolve
+    form (``_form``, ``_evolve_form`` of the schedule alone) are computed on
+    first use and kept on the instance, as ``PulseStep._hash`` is.  They are
+    not fields: equality, hashing and JSON see only the steps and metadata,
+    and ``replace`` makes a schedule that computes its own.
 
-    The run form ``(head, body, reps, tail)`` spells the steps as
-    ``head + body * reps + tail``.  The builders repeat one cycle n times
-    and keep that structure through ``_repeated``, its only writer, as does
-    ``schedule_from_json`` when it finds it; any other schedule has the
-    degenerate form ``((), (), 0, steps)``.  Every per-step pass reads
-    ``_interned``, the same run form over ids, so on a built schedule it
-    costs O(cycle) or O(cycle log n) rather than O(n) Python steps.  Only
-    the evolve sees the form in its bits: it raises the body's product by
-    squaring, so a built gate equals its flat copy's to rounding only.
+    The run form is ``(distinct, (head, body, reps, tail))``: the ids
+    ``head + body * reps + tail`` index the distinct steps in step order.
+    The builders repeat one cycle n times and keep that structure through
+    ``_of_form``, its only writer, as do ``schedule_from_json`` when it
+    finds it and ``consolidate``; any other schedule has the degenerate
+    form, all ids in the tail.  Every per-step pass reads it, so on a built
+    schedule it costs O(cycle) or O(cycle log n) rather than O(n) Python
+    steps.  Only the evolve sees the form in its bits: it raises the body's
+    product by squaring, so a built gate equals its flat copy's to rounding
+    only.
     """
 
     steps: tuple[PulseStep, ...]
@@ -197,41 +205,34 @@ class PulseSchedule:
     order: int = 1
     n: int = 1
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "steps", tuple(self.steps))
+
     def __len__(self) -> int:
         return len(self.steps)
 
     @classmethod
     def _repeated(cls, head: Sequence, body: Sequence, reps: int, tail: Sequence, **meta) -> "PulseSchedule":
-        """The schedule of steps ``head + body * reps + tail`` with that run form kept.
+        """The schedule of steps ``head + body * reps + tail`` with its run form (``_interned``) stored."""
+        return cls._of_form(_intern(head, body, reps, tail), **meta)
 
-        An empty body or zero repeats gives the degenerate form.  Repeats
-        are joined as lists: joining tuples grew peak RSS by ~0.6 MB over
-        1600 rebuilds of the CNOT families.
+    @classmethod
+    def _of_form(cls, form: tuple, **meta) -> "PulseSchedule":
+        """The schedule that the run form ``form`` spells, with ``form`` stored as its ``_interned``.
+
+        Repeats are joined as lists: joining tuples grew peak RSS by ~0.6 MB
+        over 1600 rebuilds of the CNOT families.
         """
-        runs = (tuple(head), tuple(body), reps, tuple(tail)) if body and reps else ((), (), 0, (*head, *tail))
-        head, body, reps, tail = runs
-        schedule = cls(tuple(list(head) + list(body) * reps + list(tail)) if reps else tail, **meta)
-        schedule.__dict__["_runs"] = runs
+        distinct, (head, body, reps, tail) = form
+        head, body, tail = ([distinct[i] for i in part] for part in (head, body, tail))
+        schedule = cls(head + body * reps + tail, **meta)
+        schedule.__dict__["_interned"] = form
         return schedule
 
     @cached_property
-    def _runs(self) -> tuple:
-        """(head, body, reps, tail) with ``steps == head + body * reps + tail``."""
-        return (), (), 0, self.steps
-
-    @cached_property
     def _interned(self) -> tuple[tuple[PulseStep, ...], tuple]:
-        """(distinct steps, (head ids, body ids, reps, tail ids)): the run form over ids.
-
-        Ids follow first occurrence and ``distinct[i]`` is id i's first step,
-        so the ids ``head + body * reps + tail`` index ``distinct`` in step
-        order.  Only here are a schedule's steps hashed: head, one body, tail.
-        """
-        head, body, reps, tail = self._runs
-        ids: dict[PulseStep, int] = {}
-        once = tuple([ids.setdefault(step, len(ids)) for step in head + body + tail])
-        nh, nb = len(head), len(body)
-        return tuple(ids), (once[:nh], once[nh : nh + nb], reps, once[nh + nb :])
+        """The run form, as ``_of_form`` stored it or else the degenerate one."""
+        return _intern((), (), 0, self.steps)
 
     @cached_property
     def _rows(self) -> np.ndarray:
@@ -242,6 +243,24 @@ class PulseSchedule:
     def _form(self) -> _EvolveForm:
         """``_evolve_form((self,))``, built once per schedule: both irreps and both oracle closures read it."""
         return _evolve_form((self,))
+
+
+def _intern(head: Sequence, body: Sequence, reps: int, tail: Sequence) -> tuple[tuple[PulseStep, ...], tuple]:
+    """(distinct steps, (head ids, body ids, reps, tail ids)): the run form of ``head + body * reps + tail``.
+
+    An empty body or zero repeats gives the degenerate form.  Ids follow
+    first occurrence and ``distinct[i]`` is id i's first step, so the ids
+    ``head + body * reps + tail`` index ``distinct`` in step order; equal
+    steps have equal bits, so ``distinct`` spells every occurrence.  Only
+    here are a schedule's steps hashed: head, one body, tail.
+    ``consolidate`` interns ids in place of steps.
+    """
+    if not (body and reps):
+        head, body, reps, tail = (), (), 0, (*head, *tail)
+    ids: dict[PulseStep, int] = {}
+    once = tuple([ids.setdefault(step, len(ids)) for step in (*head, *body, *tail)])
+    nh, nb = len(head), len(body)
+    return tuple(ids), (once[:nh], once[nh : nh + nb], reps, once[nh + nb :])
 
 
 def _merge_steps(a: PulseStep, b: PulseStep) -> PulseStep:
@@ -255,22 +274,16 @@ def _merge_steps(a: PulseStep, b: PulseStep) -> PulseStep:
 # n = 10000, `exgates synthesize cnot` takes 6.5-7.5 s on a 2-vCPU VM, writes
 # a 40 MB file and peaks at 449 MB RSS, most of it building that JSON text.
 MAX_ITERATIONS = 10_000
+_ITERATIONS = range(1, MAX_ITERATIONS + 1)
 
 
-def _check_iterations(n) -> int:
-    """``n`` as a plain int; ``ValueError`` unless it is an integer from 1 to MAX_ITERATIONS."""
-    n = plain_int(n, "iteration count")
-    if not 1 <= n <= MAX_ITERATIONS:
-        raise ValueError(f"iteration count must be between 1 and {MAX_ITERATIONS}, got {reprlib.repr(n)}")
-    return n
-
-
-def _check_order(order) -> int:
-    """``order`` as a plain int; ``ValueError`` unless it is 0 or 1."""
-    order = plain_int(order, "order")
-    if order not in (0, 1):
-        raise ValueError(f"order must be 0 or 1, got {reprlib.repr(order)}")
-    return order
+def _checked_int(value, what: str, allowed: range) -> int:
+    """``value`` as a plain int (``linalg.plain_int``); ``ValueError`` naming ``what`` unless it lies in ``allowed``."""
+    value = plain_int(value, what)
+    if value not in allowed:
+        spelled = " or ".join(map(str, allowed)) if len(allowed) == 2 else f"between {allowed[0]} and {allowed[-1]}"
+        raise ValueError(f"{what} must be {spelled}, got {reprlib.repr(value)}")
+    return value
 
 
 def trotter_product(
@@ -287,8 +300,8 @@ def trotter_product(
     """
     if not terms:
         raise ValueError("need at least one term")
-    n = _check_iterations(n)
-    order = _check_order(order)
+    n = _checked_int(n, "iteration count", _ITERATIONS)
+    order = _checked_int(order, "order", range(2))
     dt = real_coefficient(alpha, "alpha") / n
     terms = [PulseStep.make(t) for t in terms]
     if order == 0:
@@ -339,9 +352,9 @@ def _decoupled_cycle(h: Mapping[tuple[int, int], float], alpha: float, n, order,
     ``cnot_spin_independent`` puts its prefactor in front of the head, so it
     never builds the steps of the decoupled evolution alone.
     """
-    n = _check_iterations(n)
+    n = _checked_int(n, "iteration count", _ITERATIONS)
     drop = {_normalize_pair(p) for p in drop_from_decoupler}
-    order = _check_order(order)
+    order = _checked_int(order, "order", range(2))
     prefix, cycle, suffix = _DECOUPLED_CYCLES[order]
     pairs = [p for p in BLOCK_A_PAIRS + BLOCK_B_PAIRS if p not in drop]
     decouplers = {"u": (np.pi / 2, pairs), "u2": (np.pi, pairs)}
@@ -395,7 +408,7 @@ def cnot_spin1(n: int) -> PulseSchedule:
     (T^1/2 Ub T^1/2 Ub' Ua T Ub T Ua' T^1/2 Ub' T^1/2)^n with dt = pi/8n
     (10n+1 cycles); (12) is dropped from Ua: it commutes with the generator.
     """
-    n = _check_iterations(n)
+    n = _checked_int(n, "iteration count", _ITERATIONS)
     decouplers = {"ua": (np.pi, ((1, 3), (2, 3))), "ub": (np.pi, BLOCK_B_PAIRS)}
     _, body, _ = _cycle_steps(SWAP_GENERATOR_N1, np.pi / (8 * n), decouplers, _SPIN1_CYCLE)
     return PulseSchedule._repeated((_CNOT_PREFACTOR,), body, n, (), name="cnot-spin1", order=1, n=n)
@@ -413,21 +426,13 @@ def _local_step(axis: str, block: int, angle: float) -> PulseStep:
     return PulseStep.make({(i + offset, j + offset): angle * c for (i, j), c in zip(pairs, row)})
 
 
-def _check_block(block) -> int:
-    """``block`` as a plain int; ``ValueError`` unless it is the integer 1 or 2 (a bool or float is not)."""
-    block = plain_int(block, "block")
-    if block not in (1, 2):
-        raise ValueError(f"block must be 1 or 2, got {reprlib.repr(block)}")
-    return block
-
-
 def _local_factor_steps(factors: Sequence[tuple[str, int, float]], what: Callable[[int], str]) -> list[PulseStep]:
     """Steps of ("x" | "z", block, angle) factors, angle i named what(i); zero angles give no step but are checked."""
     checked = []
     for i, (axis, block, angle) in enumerate(factors):
         if axis not in ("x", "z"):
             raise ValueError(f"local factors must be x or z, got {axis!r}")
-        checked.append((axis, _check_block(block), real_coefficient(angle, what(i))))
+        checked.append((axis, _checked_int(block, "block", range(1, 3)), real_coefficient(angle, what(i))))
     return [_local_step(axis, block, angle) for axis, block, angle in checked if angle != 0.0]
 
 
@@ -440,7 +445,7 @@ def single_qubit_schedule(
     (12),(13) or (45),(46); Z from minus the first local transposition),
     so the action is identical in both sectors.
     """
-    block = _check_block(block)
+    block = _checked_int(block, "block", range(1, 3))
     factors = (("x", block, alpha), ("z", block, beta), ("x", block, gamma))
     steps = _local_factor_steps(factors, ("alpha", "beta", "gamma").__getitem__)
     if (delta := real_coefficient(delta, "delta")) != 0.0:
@@ -489,7 +494,7 @@ def canonical_two_qubit_schedule(
     The YY factor is realized by conjugating a ZZ evolution with
     exp(i pi/4 (XI + IX)).
     """
-    n = _check_iterations(n)
+    n = _checked_int(n, "iteration count", _ITERATIONS)
     angles = [real_coefficient(getattr(gate, name), name) for name in ("alpha", "beta", "gamma")]
     independent = sector is None
     basis_sector = SpinSector.SPIN1 if independent else sector
@@ -536,7 +541,7 @@ def _coefficient_rows(steps: Sequence[PulseStep]) -> np.ndarray:
 def _evolve_form(schedules: Sequence[PulseSchedule]) -> _EvolveForm:
     """The numeric form of a batch's distinct steps and one product plan of all its schedules.
 
-    The steps are interned as ``_interned`` interns one schedule's, first
+    The steps are interned as ``_intern`` interns one schedule's, first
     occurrence first, and each schedule's id run form is renumbered to
     batch ids; one ``product_plan`` call plans them all.  The steps new to the
     batch come in each schedule's id order, so their rows are that
@@ -618,88 +623,83 @@ def consolidate(schedule: PulseSchedule) -> PulseSchedule:
     is built: [A, B] = sum a_p b_q [P_p, P_q] is one matmul of coefficient
     rows against a cached table of transposition commutators.
 
-    The walk runs on the schedule's id run form (``_interned``), so no
-    input step is hashed in it; the id table is seeded from its distinct
-    steps and grows only by merged steps.  Every distinct adjacent pair of
-    input steps is decided up front by one stacked check on the cached
-    ``_rows``, which the evolve form reads too.  Each distinct transition
-    (last merged id, next id) is then resolved once per call, to the merged
-    step and its id (interned through the same dict, its row the sum of its
-    parts' rows) or to no merge; a transition from a merged step falls back
-    to the same check.  A schedule of repeated cycles thus merges once per
-    distinct pair, not once per step.  Unmerged steps are passed through as
-    given.  The id, pair and transition tables live only for the call, so
-    schedules of fresh steps do not grow memory across calls.
+    The walk runs on the schedule's run form (``_interned``), on ids
+    alone, so no input step is hashed in it; the id table is seeded from its
+    distinct steps and grows only by merged steps.  Every distinct adjacent
+    pair of input steps is decided up front by one stacked check on the
+    cached ``_rows``, which the evolve form reads too.  Each distinct
+    transition (last output id, next id) is then resolved once per call, to
+    the merged step's id (interned through the same dict, its row the sum of
+    its parts' rows) or to no merge; a transition from a merged step falls
+    back to the same check.  A schedule of repeated cycles thus merges once
+    per distinct pair, not once per step.  The id, pair and transition
+    tables live only for the call, so schedules of fresh steps do not grow
+    memory across calls.
 
-    The walk reads the run form (``PulseSchedule._runs``): the head, then
-    the repeats of the body, then the tail.  Past the head, the walk is
-    fixed by its pending (last output) step, since every transition it
-    takes is resolved once and kept.  So when a repeat starts with the same
-    pending step as an earlier one, the output between them is a period:
-    it is repeated (reps - r) // period more times without a walk, and
-    only the rest of the repeats and the tail are walked.  The output keeps
-    that run form.  The pending step is matched by its value id and its
-    object identity: equal steps may differ in the sign of a zero phase
-    (``u.scaled(-1.0)`` has phase -0.0, a merge back to it +0.0), and the
-    JSON of the output shows which object was passed through.
+    The walk takes the head, then the repeats of the body, then the tail.
+    Past the head, the walk is fixed by its last output id, since every
+    transition it takes is resolved once and kept.  So when a repeat starts
+    with the same last id as an earlier one, the output between them is a
+    period: it is repeated (reps - r) // period more times without a walk,
+    and only the rest of the repeats and the tail are walked.  The output
+    keeps that run form, interned on output ids and spelled as steps at
+    the end.
     """
-    distinct, (head_ids, body_ids, reps, tail_ids) = schedule._interned
-    head, body, _, tail = schedule._runs
+    distinct, (head, body, reps, tail) = schedule._interned
+    steps = list(distinct)  # per id; merged steps append theirs, as do their rows
+    rows = list(schedule._rows)
     ids = {step: i for i, step in enumerate(distinct)}
     # two repeats of the body hold every adjacent pair of the schedule
-    short = head_ids + body_ids * min(reps, 2) + tail_ids
+    short = head + body * min(reps, 2) + tail
     pairs = list(dict.fromkeys(zip(short, short[1:])))
     left, right = [a for a, _ in pairs], [b for _, b in pairs]
     commuting = dict(zip(pairs, _rows_commute(schedule._rows[left], schedule._rows[right])))
-    rows = list(schedule._rows)  # per id; merged steps append theirs
-    transitions: dict[tuple[int, int], tuple[int, PulseStep] | None] = {}
+    transitions: dict[tuple[int, int], int | None] = {}
     undecided = object()
-    out_ids: list[int] = []
-    out: list[PulseStep] = []
+    out: list[int] = []
 
-    def walk(part_ids: Sequence[int], part: Sequence[PulseStep]) -> None:
-        for b, step in zip(part_ids, part):
+    def walk(part: Sequence[int]) -> None:
+        for b in part:
             if out:
-                key = (out_ids[-1], b)
-                to = transitions.get(key, undecided)
+                a = out[-1]
+                to = transitions.get((a, b), undecided)
                 if to is undecided:
-                    commute = commuting.get(key)
+                    commute = commuting.get((a, b))
                     if commute is None:
-                        commute = _rows_commute(rows[key[0]][None], rows[b][None])[0]
+                        commute = _rows_commute(rows[a][None], rows[b][None])[0]
                     to = None
                     if commute:
-                        merged = _merge_steps(out[-1], step)
-                        to = (ids.setdefault(merged, len(ids)), merged)
-                        if to[0] == len(rows):
-                            rows.append(rows[key[0]] + rows[b])
-                    transitions[key] = to
+                        merged = _merge_steps(steps[a], steps[b])
+                        to = ids.setdefault(merged, len(ids))
+                        if to == len(steps):
+                            steps.append(merged)
+                            rows.append(rows[a] + rows[b])
+                    transitions[a, b] = to
                 if to is not None:
-                    out_ids[-1], out[-1] = to
+                    out[-1] = to
                     continue
-            out_ids.append(b)
-            out.append(step)
+            out.append(b)
 
-    walk(head_ids, head)
-    # per pending (id, object identity): the repeat it started, the output length, and the
-    # object itself, held so that no other object can take its id() during the call
-    starts: dict[tuple[int, int], tuple[int, int, PulseStep]] = {}
+    walk(head)
+    starts: dict[int, tuple[int, int]] = {}  # per last output id: the repeat it started, the output length
     # the output's run form: out[:cut] + out[cut:end] * k + out[end:]
     cut, end, k = 0, 0, 0
     r = 0
     while r < reps:
         if out and not k:
-            state = (out_ids[-1], id(out[-1]))
-            if state in starts:
-                r0, start, _ = starts[state]
+            if out[-1] in starts:
+                r0, start = starts[out[-1]]
                 cut, end, k = start - 1, len(out) - 1, 1 + (reps - r) // (r - r0)
                 r += (k - 1) * (r - r0)
                 continue
-            starts[state] = (r, len(out), out[-1])
-        walk(body_ids, body)
+            starts[out[-1]] = (r, len(out))
+        walk(body)
         r += 1
-    walk(tail_ids, tail)
-    return PulseSchedule._repeated(
-        out[:cut], out[cut:end], k, out[end:], name=schedule.name, order=schedule.order, n=schedule.n
+    walk(tail)
+    # interned on output ids, whose steps are distinct, so no output step is hashed
+    used, runs = _intern(out[:cut], out[cut:end], k, out[end:])
+    return PulseSchedule._of_form(
+        (tuple(map(steps.__getitem__, used)), runs), name=schedule.name, order=schedule.order, n=schedule.n
     )
 
 
@@ -759,8 +759,8 @@ def cancel_negatives(schedule: PulseSchedule) -> PulseSchedule:
     left alone; their negatives are reported rather than rewritten.  Each
     distinct step of the schedule's interned form is rewritten once per
     call, and the output is read off by id from the run form's head, body
-    and tail, so it keeps the input's run form (``PulseSchedule._runs``,
-    same repeats); it interns its own steps anew.
+    and tail, so it keeps the input's run form (same repeats); it interns
+    its own steps anew.
     """
     distinct, (head, body, reps, tail) = schedule._interned
     rewritten = [_cancel_step(s) if s.is_cross_block() else s for s in distinct]
@@ -805,7 +805,7 @@ def schedule_from_json(data: dict) -> PulseSchedule:
 
     Each message names the field, and for a step its index, and what was
     expected; callers add their own prefix.  Steps that repeat a body ``n``
-    times, the file's ``n``, keep that run form (``_recovered_runs``).
+    times, the file's ``n``, keep that run form (``_recovered_form``).
     """
     if not isinstance(data, dict):
         raise ValueError(f"schedule JSON must be an object, got {type(data).__name__}")
@@ -835,23 +835,23 @@ def schedule_from_json(data: dict) -> PulseSchedule:
         if step.max_coefficient() > MAX_COEFFICIENT:
             raise ValueError(f"step {k}: coefficient magnitude above {MAX_COEFFICIENT:g}")
         steps.append(step)
-    order = _check_order(data.get("order", 1))
-    n = _check_iterations(plain_int(data.get("n", 1), "n"))
+    order = _checked_int(data.get("order", 1), "order", range(2))
+    n = _checked_int(plain_int(data.get("n", 1), "n"), "iteration count", _ITERATIONS)
     name = data.get("name", "schedule")
     if not isinstance(name, str):
         raise ValueError(f"name must be a string, got {reprlib.repr(name)}")
-    return PulseSchedule._repeated(*_recovered_runs(tuple(steps), n), name=name, order=order, n=n)
+    return PulseSchedule._repeated(*_recovered_form(tuple(steps), n), name=name, order=order, n=n)
 
 
-def _recovered_runs(steps: tuple, n: int) -> tuple:
+def _recovered_form(steps: tuple, n: int) -> tuple:
     """Loaded steps as ``head + body * n + tail``, head and tail shorter than the body, or degenerate.
 
     The longest body, then the shortest head: the run form every builder
-    writes, so a saved schedule loads back to the same evolve bits.  Steps
-    match by value and the sign of a zero phase, so the form spells the file.
+    writes, so a saved schedule loads back to the same evolve bits.  Equal
+    steps have equal bits, so the form spells the file.
     """
-    ids: dict[tuple, int] = {}
-    seq = np.array([ids.setdefault((s, math.copysign(1.0, s.phase)), len(ids)) for s in steps] if n > 1 else [])
+    ids: dict[PulseStep, int] = {}
+    seq = np.array([ids.setdefault(s, len(ids)) for s in steps] if n > 1 else [])
     for width in range(len(seq) // n, len(seq) // (n + 2), -1):
         if seq[width - 1] != seq[2 * width - 1]:  # a position every candidate head's repeats hold
             continue

@@ -160,6 +160,12 @@ class TestReport:
             assert r.fidelity[sector.name] == entanglement_fidelity(g, CNOT, sector)
             assert r.leakage[sector.name] == leakage(g, CNOT, sector)
 
+    def test_list_built_schedule_reports_as_tuple_built(self):
+        steps = cnot_spin1(2).steps
+        listed, tupled = PulseSchedule(list(steps)), PulseSchedule(steps)
+        assert type(listed.steps) is tuple and listed == tupled and hash(listed) == hash(tupled)
+        assert report(listed) == report(tupled)
+
     def test_monotone_improvement_within_tables(self):
         rows1 = table_rows(1)
         rows2 = table_rows(2)
@@ -418,9 +424,9 @@ class TestEvolveMany:
     def test_schedules_without_repeats_evolve_as_the_written_out_tree(self, name):
         """Fewer than two repeats: ``evolve`` and ``evolve_many`` give the written-out tree's bits."""
         stack = _BATCH_STACKS[name]
-        written = [sch for sch in _POOL if sch._runs[2] < 2]
+        written = [sch for sch in _POOL if sch._interned[1][2] < 2]
         written += [cnot_spin1(1), cancel_negatives(cnot_spin_independent(1, order=0))]
-        assert len(written) >= 8 and all(sch.steps and sch._runs[2] < 2 for sch in written[-2:])
+        assert len(written) >= 8 and all(sch.steps and sch._interned[1][2] < 2 for sch in written[-2:])
         want = [_tree_reference(sch, stack) for sch in written]
         assert all(np.array_equal(evolve(sch, stack), gate) for sch, gate in zip(written, want))
         assert np.array_equal(metrics.evolve_many(written, stack), np.array(want))
@@ -539,5 +545,5 @@ class TestRendering:
         assert row["time"] == pytest.approx(9.8, abs=0.05)
 
     def test_bad_table_number(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^table must be 1 or 2, got 3$"):
             table_rows(3)

@@ -110,8 +110,8 @@ def _run_forms(draw):
     The pool holds single-pair steps on disjoint blocks, which commute and
     merge, each with its doubles and negatives; ``scaled(-1.0)`` gives a
     phase of -0.0, and a merge that lands on an equal value gives +0.0.
-    Each step also has a twin, an equal step that is another object, with
-    the other sign where its phase is zero.  Few-pair steps bring
+    Each step also has a twin, another object: an equal step, or where its
+    phase is zero an unequal one with the other sign.  Few-pair steps bring
     cross-block negatives for ``cancel_negatives``.
     Coefficients lie on a 0.01 grid.
     """
@@ -232,6 +232,13 @@ def _written_ids(schedule):
     return head + body * reps + tail
 
 
+def _run_form(schedule):
+    """The run form of ``_interned`` spelled as steps: (head, body, reps, tail), each part a tuple."""
+    distinct, (head, body, reps, tail) = schedule._interned
+    head, body, tail = (tuple(distinct[k] for k in part) for part in (head, body, tail))
+    return head, body, reps, tail
+
+
 # the two irreps and the oracle's two closures
 _STACKS = [pair_stack(s) for s in SpinSector] + [oracle._closure_block(s)[0] for s in SpinSector]
 
@@ -267,7 +274,7 @@ def _assert_same_gates(schedule, flat):
     """``schedule`` evolves as its flat copy ``flat``: to the bit when written out (fewer than two repeats), else to 1e-12."""
     for stack in _STACKS[:2]:
         got, want = metrics.evolve(schedule, stack), metrics.evolve(flat, stack)
-        if schedule._runs[2] < 2:
+        if schedule._interned[1][2] < 2:
             assert np.array_equal(got, want)
         else:
             assert np.max(np.abs(got - want)) <= 1e-12
@@ -356,6 +363,20 @@ class TestPulseStep:
         assert hash(a) == hash(b)
         assert len({a, b}) == 1
 
+    @settings(max_examples=200, deadline=None)
+    @given(base=st.lists(
+        st.builds(PulseStep.make, _COEFF_MAPS, st.sampled_from([0.0, -0.0]) | st.floats(-1.0, 1.0)),
+        min_size=1, max_size=3,
+    ))
+    def test_equal_exactly_when_the_json_is(self, base):
+        # scaled(-1.0) flips the sign of a zero phase, twice restores it; replace makes a -0.0 twin
+        pool = [v for s in base for v in (s, s.scaled(-1.0), s.scaled(-1.0).scaled(-1.0), replace(s, phase=-0.0))]
+        text = [json.dumps(schedule_to_json(PulseSchedule((s,)))["steps"]) for s in pool]
+        for a, ta in zip(pool, text):
+            for b, tb in zip(pool, text):
+                assert (a == b) == (ta == tb) != (a != b)
+                assert a != b or hash(a) == hash(b)
+
     def test_derived_steps_hash_like_fresh_ones(self):
         s = PulseStep.make({(1, 2): 0.5}, phase=0.1)
         hash(s)  # the cached hash must not leak into derived steps
@@ -375,7 +396,7 @@ class TestInternedForm:
         distinct, (head, body, reps, tail) = sch._interned
         seq = _written_ids(sch)
         assert isinstance(distinct, tuple) and all(isinstance(part, tuple) for part in (head, body, tail))
-        h, b, r, t = sch._runs
+        h, b, r, t = _run_form(sch)
         assert (len(head), len(body), reps, len(tail)) == (len(h), len(b), r, len(t))
         assert len(seq) == len(sch.steps)
         assert all(distinct[k] is step for k, step in zip(seq, sch.steps))
@@ -426,7 +447,7 @@ class TestInternedForm:
         assert (_spelled(form)[form.finals[0]] if seq else ()) == seq
         products = sum(len(left) for left, _ in form.levels)
         assert products <= _products_bound(sch) and form.slots <= len(form.rows) + products
-        if sch._runs[2] < 2:  # written out: one pairwise tree, a level per halving
+        if sch._interned[1][2] < 2:  # written out: one pairwise tree, a level per halving
             assert len(form.levels) == max(len(seq) - 1, 0).bit_length()
 
     def test_long_run_form_plans_few_products(self):
@@ -436,7 +457,7 @@ class TestInternedForm:
 
 
 class TestRunForm:
-    """``PulseSchedule._runs``: a built schedule keeps its repeat structure, seen only in the evolve's rounding."""
+    """The run form of ``PulseSchedule._interned``: a built schedule keeps its repeat structure, seen only in the evolve's rounding."""
 
     @staticmethod
     def _flat(sch):
@@ -448,7 +469,7 @@ class TestRunForm:
 
     def _assert_invisible(self, sch):
         flat = self._flat(sch)
-        assert flat._runs == ((), (), 0, sch.steps)
+        assert _run_form(flat) == ((), (), 0, sch.steps)
         assert sch._interned[0] == flat._interned[0] and _written_ids(sch) == _written_ids(flat)
         assert all(a is b for a, b in zip(sch._interned[0], flat._interned[0]))
         _assert_same_gates(sch, flat)
@@ -466,11 +487,11 @@ class TestRunForm:
         head, body, reps, tail = runs
         sch = PulseSchedule._repeated(head, body, reps, tail, name="runs", order=0, n=3)
         assert sch.steps == tuple(head + body * reps + tail)
-        h, b, r, t = sch._runs
+        h, b, r, t = _run_form(sch)
         assert h + b * r + t == sch.steps
         self._assert_invisible(sch)
         out = consolidate(sch)
-        h, b, r, t = out._runs
+        h, b, r, t = _run_form(out)
         assert h + b * r + t == out.steps
 
     _BUILDERS = {
@@ -487,11 +508,11 @@ class TestRunForm:
     @pytest.mark.parametrize("n", [1, 2, 3, 7, 50])
     def test_builders_keep_n_repeats(self, build, n):
         sch = build(n)
-        head, body, reps, tail = sch._runs
+        head, body, reps, tail = _run_form(sch)
         assert reps == n and body
         assert head + body * reps + tail == sch.steps
         canceled = cancel_negatives(sch)
-        h, b, r, t = canceled._runs
+        h, b, r, t = _run_form(canceled)
         assert r == n and h + b * r + t == canceled.steps
         self._assert_invisible(sch)
 
@@ -506,7 +527,7 @@ class TestRunForm:
 
     def test_replay_keys_the_pending_object(self):
         # the repeats start with pending x, then with its -0.0 twin: equal
-        # values, but the output must pass the twin through, not x
+        # values but unequal steps, so the output must spell the twin, not x
         x = PulseStep.make({(1, 2): 0.5})
         twin = replace(x, phase=-0.0)
         y = PulseStep.make({(2, 3): 0.5})
@@ -521,13 +542,13 @@ class TestRunForm:
         # output keeps them as its own run form
         for n in (3, 200):
             out = consolidate(build(n))
-            head, body, reps, tail = out._runs
+            head, body, reps, tail = _run_form(out)
             assert reps == n - 1 and len(head) + len(body) + len(tail) <= 30
 
     def test_derived_schedules_compute_their_own(self):
         sch = cnot_spin1(4)
         moved = replace(sch, steps=sch.steps[1:])
-        assert "_runs" not in vars(moved) and moved._runs == ((), (), 0, moved.steps)
+        assert "_interned" not in vars(moved) and _run_form(moved) == ((), (), 0, moved.steps)
         assert moved._interned == PulseSchedule(moved.steps)._interned
 
     @pytest.mark.parametrize("reps", [0, 1])
@@ -535,7 +556,7 @@ class TestRunForm:
         a, b = PulseStep.make({(1, 2): 0.5}), PulseStep.make({(4, 5): 0.5})
         body = () if reps else (b,)
         sch = PulseSchedule._repeated((a,), body, reps, (b, a))
-        assert sch._runs == ((), (), 0, (a, b, a))
+        assert _run_form(sch) == ((), (), 0, (a, b, a))
 
 
 class TestStepArrays:
@@ -904,6 +925,22 @@ class TestCnotConstructions:
         with pytest.raises(ValueError, match="order must be an integer"):
             build(2, order)
 
+    _OUT_OF_RANGE = {
+        "n = 0": (lambda: cnot_spin1(0), f"iteration count must be between 1 and {MAX_ITERATIONS}, got 0"),
+        "n too large": (
+            lambda: trotter_product([{(1, 4): 1.0}], 1.0, MAX_ITERATIONS + 1),
+            f"iteration count must be between 1 and {MAX_ITERATIONS}, got {MAX_ITERATIONS + 1}",
+        ),
+        "order": (lambda: cnot_spin_independent(2, order=2), "order must be 0 or 1, got 2"),
+        "loaded order": (lambda: schedule_from_json({"version": 1, "steps": [], "order": -1}), "order must be 0 or 1, got -1"),
+        "block": (lambda: single_qubit_schedule(3, 0.1, 0, 0), "block must be 1 or 2, got 3"),
+    }
+
+    @pytest.mark.parametrize(("call", "message"), _OUT_OF_RANGE.values(), ids=_OUT_OF_RANGE.keys())
+    def test_out_of_range_messages(self, call, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call()
+
     @pytest.mark.parametrize("build", _BUILDS.values(), ids=_BUILDS.keys())
     def test_numpy_int_n_and_order_stored_as_int(self, build, tmp_path):
         from exgates.trotter import load_schedule, save_schedule
@@ -1116,6 +1153,21 @@ class TestConsolidate:
         got = schedule_to_json(consolidate(sch))
         assert got == schedule_to_json(_reference_consolidate(sch))
 
+    @settings(max_examples=100, deadline=None)
+    @given(runs=_run_forms())
+    def test_matches_pairwise_reference_on_zero_sign_twins(self, runs):
+        sch = PulseSchedule._repeated(*runs)
+        assert schedule_to_json(consolidate(sch)) == schedule_to_json(_reference_consolidate(sch))
+
+    def test_twins_resolve_their_own_transitions(self):
+        # a merges with b to phase 0.0 + -0.0 = 0.0, a's -0.0 twin to -0.0 + -0.0 = -0.0
+        a, c = PulseStep.make({(1, 2): 0.5}), PulseStep.make({(2, 3): 0.5})
+        b = PulseStep.make({(4, 5): 0.25}, -0.0)
+        sch = PulseSchedule((a, b, c, replace(a, phase=-0.0), b))
+        phases = [step["phase"] for step in schedule_to_json(consolidate(sch))["steps"]]
+        assert json.dumps(phases) == "[0.0, 0.0, -0.0]"
+        assert schedule_to_json(consolidate(sch)) == schedule_to_json(_reference_consolidate(sch))
+
     @settings(max_examples=300, deadline=None)
     @given(pairs=st.lists(_step_pairs(), min_size=1, max_size=6))
     def test_row_rule_equals_matrix_rule(self, pairs):
@@ -1162,6 +1214,12 @@ class TestConsolidate:
         out = consolidate(PulseSchedule._repeated((), (x,), reps, ()))
         assert len(out.steps) == 1 and (out.steps[0] is x) == (reps == 1)
         assert schedule_to_json(out) == schedule_to_json(_reference_consolidate(PulseSchedule((x,) * reps)))
+
+    def test_period_that_merges_away_is_degenerate(self):
+        # each repeat merges into the pending p and returns to p's bits: a period with no output step
+        p, x, back = PulseStep.make({(1, 2): 0.5}), PulseStep.make({(1, 2): 0.25}), PulseStep.make({(1, 2): -0.25})
+        out = consolidate(PulseSchedule._repeated((p,), (x, back), 5, ()))
+        assert out.steps == (p,) and _run_form(out) == ((), (), 0, (p,))
 
     def test_generators_built_once_per_distinct_step(self, monkeypatch):
         # counts generator rows on the one coefficient-to-matrix path
@@ -1287,7 +1345,7 @@ class TestScheduleJson:
         for sch in (build(n), cancel_negatives(build(n))):
             data = json.loads(json.dumps(schedule_to_json(sch)))
             back = schedule_from_json(data)
-            assert back._runs == sch._runs and back._runs[2] == n
+            assert _run_form(back) == _run_form(sch) and back._interned[1][2] == n
             assert schedule_to_json(back) == data
             for stack in _STACKS:
                 assert np.array_equal(metrics.evolve(back, stack), metrics.evolve(sch, stack))
@@ -1300,7 +1358,7 @@ class TestScheduleJson:
         sch = PulseSchedule._repeated(head, body, reps, tail, n=max(reps, 1))
         data = json.loads(json.dumps(schedule_to_json(sch)))
         back = schedule_from_json(data)
-        h, b, r, t = back._runs
+        h, b, r, t = _run_form(back)
         assert h + b * r + t == back.steps == sch.steps
         assert schedule_to_json(back) == data
         assert r == 0 or (r == sch.n and len(h) < len(b) > len(t))
@@ -1311,13 +1369,13 @@ class TestScheduleJson:
         x, y = PulseStep.make({(1, 2): 0.5}), PulseStep.make({(2, 3): 0.5})
         data = json.loads(json.dumps(schedule_to_json(PulseSchedule((x, y, replace(x, phase=-0.0), y), n=2))))
         back = schedule_from_json(data)
-        assert back._runs[2] == 0 and schedule_to_json(back) == data
-        assert schedule_from_json(schedule_to_json(PulseSchedule((x, y, x, y), n=2)))._runs == ((), (x, y), 2, ())
+        assert back._interned[1][2] == 0 and schedule_to_json(back) == data
+        assert _run_form(schedule_from_json(schedule_to_json(PulseSchedule((x, y, x, y), n=2)))) == ((), (x, y), 2, ())
 
     def test_loading_without_repeats_is_degenerate(self):
         sch = replace(_random_schedule(100), n=3)
         back = schedule_from_json(json.loads(json.dumps(schedule_to_json(sch))))
-        assert back._runs == ((), (), 0, back.steps) and back.steps == sch.steps
+        assert _run_form(back) == ((), (), 0, back.steps) and back.steps == sch.steps
 
     def test_loaded_steps_equal_make(self):
         # reversed and unsorted pairs, integer and zero coefficients, a signed zero phase
