@@ -95,7 +95,13 @@ def _chunk(d: int) -> int:
 
 
 def _evolved(form, stack: np.ndarray) -> np.ndarray:
-    """The gates of an ``_evolve_form`` on a (15, d, d) stack, one per schedule, as (S, d, d)."""
+    """The gates of an ``_evolve_form`` on a (15, d, d) stack, one per schedule, as (S, d, d).
+
+    A level of one product, as most of a repeated cycle's squaring ladder
+    is, is one ``matmul`` of two 2-d pool views into a third; a wider level
+    gathers its operands with ``take`` and multiplies them in chunked
+    batched products.  Either way each product has the bits of its own ``@``.
+    """
     d = stack.shape[1]
     rows, phases, phased, levels, finals, slots = form
     chunk = _chunk(d)
@@ -107,11 +113,15 @@ def _evolved(form, stack: np.ndarray) -> np.ndarray:
         steps[part] = np.where(phased[part, None, None], phases[part, None, None] * u, u)
     node = len(rows)
     for left, right in levels:
+        if len(left) == 1:  # a lone product multiplies pool views: no gather, no stacked call
+            np.matmul(pool[left[0]], pool[right[0]], out=pool[node % slots])
+            node += 1
+            continue
         start = 0
         while start < len(left):  # chunks end where the slots wrap around
             slot = (node + start) % slots
             part = slice(start, min(start + chunk, len(left), start + slots - slot))
-            np.matmul(pool[left[part]], pool[right[part]], out=pool[slot : slot + part.stop - start])
+            np.matmul(pool.take(left[part], axis=0), pool.take(right[part], axis=0), out=pool[slot : slot + part.stop - start])
             start = part.stop
         node += len(left)
     if None not in finals:
@@ -128,7 +138,8 @@ def evolve_many(schedules: Sequence[PulseSchedule], stack: np.ndarray) -> np.nda
     Gate s is bit for bit ``evolve(schedules[s], stack)``: the batch is
     evolved as one schedule is, on ``trotter._evolve_form(schedules)``, so a
     step repeated across schedules is exponentiated once and each level is
-    one chunked product for the whole batch.
+    one chunked product for the whole batch, or one ``matmul`` on pool
+    views when the level holds a single product.
 
     A call only builds and multiplies matrices, with no Python loop over
     steps or pairs.  Each distinct step's unitary is built once, from its
@@ -140,7 +151,8 @@ def evolve_many(schedules: Sequence[PulseSchedule], stack: np.ndarray) -> np.nda
     does; an in-place ``u *= f`` does not, and a factor of exactly 1 could
     still flip the sign of a zero.  The plan's products are evaluated a
     level at a time, in chunked batched products that write into the one
-    preallocated pool of ``slots`` matrices.  A schedule with fewer than two
+    preallocated pool of ``slots`` matrices; a lone product multiplies two
+    pool views, with no gather.  A schedule with fewer than two
     repeats is multiplied as its written-out pairwise tree; raising a cycle
     by squaring moves F and L from that tree's by rounding only, at most
     4.5e-14 on the CNOT families at n <= 200 and 1.9e-12 at n = 10000.  A

@@ -271,8 +271,9 @@ def _merge_steps(a: PulseStep, b: PulseStep) -> PulseStep:
 
 
 # Largest iteration count a builder accepts.  Cost is linear in n: at
-# n = 10000, `exgates synthesize cnot` takes 6.5-7.5 s on a 2-vCPU VM, writes
-# a 40 MB file and peaks at 449 MB RSS, most of it building that JSON text.
+# n = 10000, `exgates synthesize cnot` takes 0.3-0.4 s on a 2-vCPU VM, writes
+# a 40 MB file and peaks at 36 MB RSS.  `exgates simulate --oracle` on that
+# file takes about 3 s and peaks at 196 MB, most of it `json.load`'s objects.
 MAX_ITERATIONS = 10_000
 _ITERATIONS = range(1, MAX_ITERATIONS + 1)
 
@@ -770,8 +771,12 @@ def cancel_negatives(schedule: PulseSchedule) -> PulseSchedule:
     )
 
 
+def _step_json(step: PulseStep) -> dict:
+    return {"pairs": [list(p) for p in step.pairs], "coeffs": list(step.coeffs), "phase": step.phase}
+
+
 def schedule_to_json(schedule: PulseSchedule) -> dict:
-    steps = [{"pairs": [list(p) for p in s.pairs], "coeffs": list(s.coeffs), "phase": s.phase} for s in schedule.steps]
+    steps = [_step_json(s) for s in schedule.steps]
     return {"version": 1, "name": schedule.name, "order": schedule.order, "n": schedule.n, "steps": steps}
 
 
@@ -800,12 +805,48 @@ def _json_field(data: dict, key: str, kind: type, what: str):
     return value
 
 
+def _json_step(s, k: int) -> PulseStep:
+    """Step k of a schedule's JSON object, validated; any fault raises one ``ValueError`` naming k."""
+    if not isinstance(s, dict):
+        raise ValueError(f"step {k} must be an object")
+    pairs = []
+    for p in _json_field(s, "pairs", list, f"step {k} pairs"):
+        if not isinstance(p, list) or len(p) != 2:
+            raise ValueError(f"step {k} pair {reprlib.repr(p)} must have two entries")
+        pairs.append(_normalize_pair([plain_int(v, f"step {k} pair entry") for v in p]))
+    coeffs = [
+        _json_number(c, f"step {k} coefficient")
+        for c in _json_field(s, "coeffs", list, f"step {k} coeffs")
+    ]
+    if len(pairs) != len(coeffs):
+        raise ValueError(f"step {k}: pairs and coeffs differ in length")
+    if len(set(pairs)) != len(pairs):
+        raise ValueError(f"step {k}: a pair is listed twice")
+    phase = _json_number(s.get("phase", 0.0), f"step {k} phase")
+    # pairs normalized and distinct, values finite floats: nothing left for ``make`` to check
+    step = PulseStep._of(dict(zip(pairs, coeffs)), phase)
+    if step.max_coefficient() > MAX_COEFFICIENT:
+        raise ValueError(f"step {k}: coefficient magnitude above {MAX_COEFFICIENT:g}")
+    return step
+
+
+# ``json.dumps(..., sort_keys=True)`` with one encoder for all steps; a circular step fails
+# with ``RecursionError`` rather than ``ValueError``
+_spelling = json.JSONEncoder(sort_keys=True, check_circular=False).encode
+
+
 def schedule_from_json(data: dict) -> PulseSchedule:
     """Validated schedule from its JSON object; any fault raises one ``ValueError``.
 
     Each message names the field, and for a step its index, and what was
-    expected; callers add their own prefix.  Steps that repeat a body ``n``
-    times, the file's ``n``, keep that run form (``_recovered_form``).
+    expected; callers add their own prefix.  Each distinct raw step is
+    validated once (``_json_step``), at its first index, so the first
+    faulty step is the one named.  Raw steps share a result when their
+    ``_spelling`` texts are equal, which keeps ``1``, ``1.0`` and ``true``
+    and the two zeros apart, and so are the objects, which keeps a tuple
+    apart from a list; a step with no such text is validated on its own.
+    Steps that repeat a body ``n`` times, the file's ``n``, keep that run
+    form (``_recovered_form``).
     """
     if not isinstance(data, dict):
         raise ValueError(f"schedule JSON must be an object, got {type(data).__name__}")
@@ -813,27 +854,17 @@ def schedule_from_json(data: dict) -> PulseSchedule:
     if version != 1:
         raise ValueError(f"unsupported schedule version: {reprlib.repr(version)}")
     steps = []
+    seen: dict[str, tuple[dict, PulseStep]] = {}  # spelling -> (first raw step, its step)
     for k, s in enumerate(_json_field(data, "steps", list, "steps")):
-        if not isinstance(s, dict):
-            raise ValueError(f"step {k} must be an object")
-        pairs = []
-        for p in _json_field(s, "pairs", list, f"step {k} pairs"):
-            if not isinstance(p, list) or len(p) != 2:
-                raise ValueError(f"step {k} pair {reprlib.repr(p)} must have two entries")
-            pairs.append(_normalize_pair([plain_int(v, f"step {k} pair entry") for v in p]))
-        coeffs = [
-            _json_number(c, f"step {k} coefficient")
-            for c in _json_field(s, "coeffs", list, f"step {k} coeffs")
-        ]
-        if len(pairs) != len(coeffs):
-            raise ValueError(f"step {k}: pairs and coeffs differ in length")
-        if len(set(pairs)) != len(pairs):
-            raise ValueError(f"step {k}: a pair is listed twice")
-        phase = _json_number(s.get("phase", 0.0), f"step {k} phase")
-        # pairs normalized and distinct, values finite floats: nothing left for ``make`` to check
-        step = PulseStep._of(dict(zip(pairs, coeffs)), phase)
-        if step.max_coefficient() > MAX_COEFFICIENT:
-            raise ValueError(f"step {k}: coefficient magnitude above {MAX_COEFFICIENT:g}")
+        try:
+            key = _spelling(s)
+        except (TypeError, ValueError, RecursionError):
+            key = None
+        raw, step = seen.get(key, (None, None))
+        if step is None or raw != s:
+            step = _json_step(s, k)
+            if key is not None:
+                seen.setdefault(key, (s, step))
         steps.append(step)
     order = _checked_int(data.get("order", 1), "order", range(2))
     n = _checked_int(plain_int(data.get("n", 1), "n"), "iteration count", _ITERATIONS)
@@ -865,10 +896,25 @@ def _recovered_form(steps: tuple, n: int) -> tuple:
 
 
 def save_schedule(schedule: PulseSchedule, path) -> None:
-    """Write a schedule's JSON; the text is built before the file is opened, so a failure leaves none."""
-    text = json.dumps(schedule_to_json(schedule), indent=1) + "\n"
+    """Write ``json.dumps(schedule_to_json(schedule), indent=1)`` and a newline, byte for byte.
+
+    The text is encoded before the file is opened, so a failure leaves
+    none: the fields around the steps, and each distinct step once
+    (``_interned``), indented two levels deep.  The steps' texts are then
+    written in id order, never joined into one string, so a long built
+    schedule saves in about the memory of its ids.
+    """
+    distinct, (head, body, reps, tail) = schedule._interned
+    top = json.dumps(schedule_to_json(PulseSchedule((), schedule.name, schedule.order, schedule.n)), indent=1)
+    texts = [json.dumps(_step_json(s), indent=1).replace("\n", "\n  ") for s in distinct]
+    ids = head + body * reps + tail
     with open(path, "w") as fh:
-        fh.write(text)
+        if not ids:
+            fh.write(top + "\n")
+        else:  # top ends in '[]\n}': open the list, write the steps, close it
+            fh.writelines((top[:-3], "\n  ", texts[ids[0]]))
+            fh.writelines(",\n  " + texts[i] for i in ids[1:])
+            fh.write("\n ]\n}\n")
 
 
 def load_schedule(path) -> PulseSchedule:

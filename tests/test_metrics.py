@@ -267,11 +267,11 @@ class TestInternedOnce:
         assert peak <= 1.05 * 4043 * 1024
 
 
-def _reference_steps(schedule, stack):
-    """Each distinct step's unitary: its own 1-d coefficient product and ``expi``, a nonzero phase as a scalar."""
+def _reference_steps(steps, stack):
+    """Each step's unitary: its own 1-d coefficient product and ``expi``, a nonzero phase as a scalar."""
     flat = stack.reshape(len(ALL_PAIRS), -1)
     mats = []
-    for step in schedule._interned[0]:
+    for step in steps:
         coeffs = np.zeros(len(ALL_PAIRS))
         for pair, c in zip(step.pairs, step.coeffs):
             coeffs[ALL_PAIRS.index(pair)] += c
@@ -280,29 +280,35 @@ def _reference_steps(schedule, stack):
     return mats
 
 
-def _reference_evolve(schedule, stack):
-    """The per-step algorithm ``evolve`` replaced, kept to pin its bits.
+def _reference_evolve_many(schedules, stack):
+    """The per-step algorithm ``evolve_many`` replaced, kept to pin its bits, as (S, d, d).
 
-    The step unitaries are ``_reference_steps``'s, and each pair of the
-    product plan is one ``@``, read from and written to the plan's pool.
+    The step unitaries are ``_reference_steps``'s on the batch's distinct
+    steps, and each pair of the batch's product plan is one ``@``, read
+    from and written to the plan's pool.
     """
-    if not schedule.steps:
-        return np.eye(stack.shape[1], dtype=complex)
-    form = schedule._form
-    pool = _reference_steps(schedule, stack) + [None] * (form.slots - len(form.rows))
+    form = trotter._evolve_form(schedules)
+    distinct = list(dict.fromkeys(step for schedule in schedules for step in schedule._interned[0]))
+    pool = _reference_steps(distinct, stack) + [None] * (form.slots - len(form.rows))
     node = len(form.rows)
     for left, right in form.levels:
         for product in [pool[a] @ pool[b] for a, b in zip(left, right)]:
             pool[node % form.slots] = product
             node += 1
-    return pool[form.finals[0]]
+    identity = np.eye(stack.shape[1], dtype=complex)
+    return np.array([identity if final is None else pool[final] for final in form.finals])
+
+
+def _reference_evolve(schedule, stack):
+    """``_reference_evolve_many`` of a batch of one."""
+    return _reference_evolve_many((schedule,), stack)[0]
 
 
 def _tree_reference(schedule, stack):
     """The written-out pairwise tree: one ``@`` per pair (0, 1), (2, 3), ... a layer, an odd last step waiting."""
     if not schedule.steps:
         return np.eye(stack.shape[1], dtype=complex)
-    mats = _reference_steps(schedule, stack)
+    mats = _reference_steps(schedule._interned[0], stack)
     layer = [mats[k] for k in _written_ids(schedule)]
     while len(layer) > 1:
         layer = [a @ b for a, b in zip(layer[::2], layer[1::2])] + layer[len(layer) - len(layer) % 2 :]
@@ -459,6 +465,31 @@ class TestEvolveMany:
         planned.clear()
         metrics.evolve_many(_POOL[2:4], stack)
         assert planned == [2]  # one merged plan for the batch
+
+    @pytest.mark.parametrize("canceled", [False, True], ids=["plain", "canceled"])
+    @pytest.mark.parametrize("builder", [cnot_spin_independent, cnot_spin1], ids=["independent", "spin1"])
+    def test_squaring_ladder_equals_per_step_reference(self, builder, canceled):
+        """At n = 1000 most levels hold one product, multiplied on pool views, to the reference's bits."""
+        sch = cancel_negatives(builder(1000)) if canceled else builder(1000)
+        assert sum(len(left) == 1 for left, _ in sch._form.levels) >= len(sch._form.levels) // 2
+        for name, stack in _BATCH_STACKS.items():
+            assert np.array_equal(evolve(sch, stack), _reference_evolve(sch, stack)), name
+
+    def test_mixed_batch_equals_per_step_reference(self):
+        """One plan with one-product levels, levels over a chunk, and a chunk cut where the slots wrap."""
+        rng = np.random.default_rng(29)
+        flats = []
+        for _ in range(2):
+            steps = _random_steps(rng, 10, phased=True)
+            flats.append(PulseSchedule(tuple(steps[j] for j in rng.integers(0, 10, size=300))))
+        batch = [*flats, cnot_spin1(1000)]
+        form = trotter._evolve_form(batch)
+        sizes = [len(left) for left, _ in form.levels]
+        firsts = len(form.rows) + np.cumsum([0, *sizes[:-1]])
+        assert 1 in sizes and max(sizes) > metrics._chunk(9)
+        assert any(size > 1 and first % form.slots + size > form.slots for first, size in zip(firsts, sizes))
+        for name, stack in _BATCH_STACKS.items():
+            assert np.array_equal(metrics.evolve_many(batch, stack), _reference_evolve_many(batch, stack)), name
 
     def test_empty_batch_and_all_empty_schedules(self):
         stack = _BATCH_STACKS["irrep-SPIN0"]

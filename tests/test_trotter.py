@@ -1,4 +1,5 @@
 import json
+import math
 import re
 import reprlib
 import warnings
@@ -1376,6 +1377,65 @@ class TestScheduleJson:
         sch = replace(_random_schedule(100), n=3)
         back = schedule_from_json(json.loads(json.dumps(schedule_to_json(sch))))
         assert _run_form(back) == ((), (), 0, back.steps) and back.steps == sch.steps
+
+    @staticmethod
+    def _saved_text(sch, path):
+        from exgates.trotter import save_schedule
+
+        save_schedule(sch, path)
+        with open(path) as fh:
+            return fh.read()
+
+    @pytest.mark.parametrize("canceled", [False, True], ids=["plain", "canceled"])
+    @pytest.mark.parametrize("family", ["order-1", "order-0", "spin-1"])
+    def test_saved_bytes_equal_the_indented_dump(self, family, canceled, tmp_path):
+        """``save_schedule`` writes each distinct step's text once, in id order: the bytes of one dump."""
+        for n in [*range(1, 13), 50, 200]:
+            sch = TestRunForm._BUILDERS[family](n)
+            if canceled:
+                sch = cancel_negatives(sch)
+            want = json.dumps(schedule_to_json(sch), indent=1) + "\n"
+            assert self._saved_text(sch, tmp_path / "s.json") == want, n
+
+    def test_saved_bytes_of_random_empty_and_signed_zero_schedules(self, tmp_path):
+        rng = np.random.default_rng(29)
+        schedules = [PulseSchedule((), name="empty"), PulseSchedule((PulseStep.make({}, -0.0),), name='a "b"\n')]
+        for k in range(30):
+            pool = _random_schedule(12).steps[:6]
+            pool += tuple(replace(step, phase=-0.0) for step in pool[:3]) + tuple(step.scaled(-1.0) for step in pool[3:])
+            head, body, tail = ([pool[j] for j in rng.integers(0, len(pool), size=size)] for size in rng.integers((0, 0, 0), (4, 7, 40)))
+            schedules.append(PulseSchedule._repeated(head, body, int(rng.integers(0, 30)), tail, n=k + 1))
+        assert any(s._interned[1][2] > 1 for s in schedules) and any(s._interned[1][2] == 0 and s.steps for s in schedules)
+        assert any(math.copysign(1.0, step.phase) < 0 for s in schedules for step in s.steps)
+        for sch in schedules:
+            assert self._saved_text(sch, tmp_path / "s.json") == json.dumps(schedule_to_json(sch), indent=1) + "\n"
+
+    def test_equal_valued_steps_spelled_apart_load_as_their_own(self):
+        """Raw steps are validated once per spelling: ``1`` and ``1.0``, ``0.0`` and ``-0.0`` each load as alone."""
+        raw = [
+            {"pairs": [[1, 2]], "coeffs": [1], "phase": 0.0},
+            {"pairs": [[1, 2]], "coeffs": [1.0], "phase": 0.0},
+            {"pairs": [[1, 2]], "coeffs": [1], "phase": -0.0},
+            {"coeffs": [1], "phase": 0.0, "pairs": [[2, 1]]},
+            {"pairs": [[1, 2]], "coeffs": [1], "phase": 0.0},
+        ]
+        back = schedule_from_json({"version": 1, "steps": raw})
+        alone = [schedule_from_json({"version": 1, "steps": [s]}).steps[0] for s in raw]
+        assert back.steps == tuple(alone)
+        assert [math.copysign(1.0, step.phase) for step in back.steps] == [1.0, 1.0, -1.0, 1.0, 1.0]
+        assert json.dumps(schedule_to_json(back)) == json.dumps(schedule_to_json(PulseSchedule(tuple(alone))))
+
+    _BAD_REPEATS = {
+        "bool coefficient": ({"pairs": [[1, 2]], "coeffs": [True]}, "step 2 coefficient must be a number, got True"),
+        "float pair entry": ({"pairs": [[1.0, 2]], "coeffs": [1]}, "step 2 pair entry must be an integer, got 1.0"),
+        "tuple pair": ({"pairs": [(1, 2)], "coeffs": [1]}, "step 2 pair (1, 2) must have two entries"),
+    }
+
+    @pytest.mark.parametrize(("bad", "message"), _BAD_REPEATS.values(), ids=_BAD_REPEATS.keys())
+    def test_bad_repeat_of_a_good_looking_step_named_by_its_index(self, bad, message):
+        good = {"pairs": [[1, 2]], "coeffs": [1]}
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            schedule_from_json({"version": 1, "steps": [good, good, bad, good]})
 
     def test_loaded_steps_equal_make(self):
         # reversed and unsorted pairs, integer and zero coefficients, a signed zero phase
