@@ -41,6 +41,7 @@ from .trotter import (
     PulseSchedule,
     _checked_int,
     _evolve_form,
+    _fill_commutes,
     _negative_local_steps,
     cancel_negatives,
     cnot_spin1,
@@ -247,10 +248,13 @@ def report_many(
 
     The batch's ``_evolve_form`` is built once and evolved in both irreps,
     as ``evolve_many`` evolves it; each gate is scored with
-    ``frame_scores`` and each schedule consolidated on its own.
+    ``frame_scores``.  The commutation checks of the whole batch are made
+    first, in at most two stacked calls (``trotter._fill_commutes``), and
+    each schedule is then consolidated on its own, reading its own.
     """
     if target is None:
         target = CNOT
+    _fill_commutes(schedules)
     form = _evolve_form(schedules)
     gates = {sector: _evolved(form, pair_stack(sector)) for sector in SpinSector}
     return [

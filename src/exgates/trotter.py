@@ -24,6 +24,7 @@ import math
 import reprlib
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import accumulate, combinations, islice
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -88,7 +89,7 @@ def _normalize_pair(pair) -> tuple[int, int]:
     return i, j
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class PulseStep:
     """One exponential factor exp(i sum_c c_ij (i j) + i phase).
 
@@ -97,12 +98,20 @@ class PulseStep:
     also compares the sign of a zero phase, so equal steps have equal bits
     and equal JSON; the hash ignores that sign.  ``make`` rejects complex
     coefficients and phases (``TypeError``) and strings, bools, NaN or
-    infinite ones (``ValueError``).
+    infinite ones (``ValueError``).  ``PulseStep(pairs, coeffs, phase)``, and
+    so ``dataclasses.replace``, is ``make(dict(zip(pairs, coeffs)), phase)``;
+    a pair listed twice or a coefficient too many or few raises ``ValueError``.
     """
 
     pairs: tuple[tuple[int, int], ...]
     coeffs: tuple[float, ...]
     phase: float = 0.0
+
+    def __init__(self, pairs: Iterable, coeffs: Iterable, phase: float = 0.0) -> None:
+        keys, coeffs = [_normalize_pair(p) for p in pairs], tuple(coeffs)
+        if len(keys) != len(coeffs) or len(set(keys)) != len(keys):
+            raise ValueError(f"{len(keys)} pairs, {len(coeffs)} coefficients: need one each, no pair twice")
+        self.__dict__.update(vars(PulseStep.make(dict(zip(keys, coeffs)), phase)))
 
     @classmethod
     def make(cls, coeffs: Mapping[tuple[int, int], float], phase: float = 0.0) -> "PulseStep":
@@ -116,16 +125,15 @@ class PulseStep:
 
     @classmethod
     def _of(cls, coeffs: Mapping[tuple[int, int], float], phase: float) -> "PulseStep":
-        """``make`` for float values on normalized pairs, each given once, as derived and loaded steps have them.
-
-        Only the finite check of each value stays (``ValueError``); zeros are dropped and pairs sorted.
-        """
+        """``make`` for derived and loaded steps, float values on normalized pairs: only finiteness is checked."""
         items = sorted([(p, c) for p, c in coeffs.items() if c != 0.0])
         pairs, values = zip(*items) if items else ((), ())
         if not (all(map(math.isfinite, values)) and math.isfinite(phase)):
             bad = next(c for c in (*values, phase) if not math.isfinite(c))
             raise ValueError(f"coefficient must be finite, got {reprlib.repr(bad)}")
-        return cls(pairs, values, phase)
+        step = object.__new__(cls)  # not through ``__init__``: the values are ``make``'s already
+        step.__dict__.update(pairs=pairs, coeffs=values, phase=phase)
+        return step
 
     def __eq__(self, other) -> bool:
         # phases compare as the JSON spells them, so a zero's sign counts (``u.scaled(-1.0)`` has -0.0)
@@ -159,10 +167,8 @@ class PulseStep:
 class _EvolveForm(NamedTuple):
     """A batch's distinct steps and product plan, read-only, from ``_evolve_form``.
 
-    ``rows`` holds the (k, 15) coefficients in ALL_PAIRS order, ``phases[i]``
-    the scalar ``np.exp(1j * phase)`` of step i and ``phased[i]`` whether
-    that phase is nonzero; ``levels``, ``finals`` and ``slots`` are
-    ``products.product_plan``'s.
+    ``rows`` holds the (k, 15) coefficients in ALL_PAIRS order, ``phases[i]`` step i's
+    ``np.exp(1j * phase)`` and ``phased[i]`` whether it is nonzero; the rest is ``product_plan``'s.
     """
 
     rows: np.ndarray
@@ -182,22 +188,20 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 class PulseSchedule:
     """An ordered pulse sequence with construction metadata; ``steps`` is stored as a tuple.
 
-    Its run form (``_interned``), coefficient rows (``_rows``) and evolve
-    form (``_form``, ``_evolve_form`` of the schedule alone) are computed on
-    first use and kept on the instance, as ``PulseStep._hash`` is.  They are
-    not fields: equality, hashing and JSON see only the steps and metadata,
-    and ``replace`` makes a schedule that computes its own.
+    Its run form (``_interned``), coefficient rows (``_rows``), evolve form
+    (``_form``) and commutation checks (``_commutes``) are derived once, on
+    first use, and kept on the instance; ``_form`` and ``_commutes`` can also
+    be made for a whole batch.  They are not fields: equality, hashing and
+    JSON see only the steps and metadata, and ``replace`` derives anew.
 
     The run form is ``(distinct, (head, body, reps, tail))``: the ids
     ``head + body * reps + tail`` index the distinct steps in step order.
-    The builders repeat one cycle n times and keep that structure through
-    ``_of_form``, its only writer, as do ``schedule_from_json`` when it
-    finds it and ``consolidate``; any other schedule has the degenerate
-    form, all ids in the tail.  Every per-step pass reads it, so on a built
-    schedule it costs O(cycle) or O(cycle log n) rather than O(n) Python
-    steps.  Only the evolve sees the form in its bits: it raises the body's
-    product by squaring, so a built gate equals its flat copy's to rounding
-    only.
+    The builders, ``schedule_from_json`` and ``consolidate`` keep a repeated
+    cycle through ``_of_form``, its only writer; any other schedule has the
+    degenerate form, all ids in the tail.  Every per-step pass reads it, so
+    a built schedule costs O(cycle) or O(cycle log n) Python steps, not
+    O(n).  Only the evolve sees it in its bits: it raises the body's
+    product by squaring, so a built gate equals its flat copy's to rounding.
     """
 
     steps: tuple[PulseStep, ...]
@@ -220,8 +224,7 @@ class PulseSchedule:
     def _of_form(cls, form: tuple, **meta) -> "PulseSchedule":
         """The schedule that the run form ``form`` spells, with ``form`` stored as its ``_interned``.
 
-        Repeats are joined as lists: joining tuples grew peak RSS by ~0.6 MB
-        over 1600 rebuilds of the CNOT families.
+        Repeats are joined as lists: tuples grew peak RSS by ~0.6 MB over 1600 CNOT builds.
         """
         distinct, (head, body, reps, tail) = form
         head, body, tail = ([distinct[i] for i in part] for part in (head, body, tail))
@@ -244,16 +247,19 @@ class PulseSchedule:
         """``_evolve_form((self,))``, built once per schedule: both irreps and both oracle closures read it."""
         return _evolve_form((self,))
 
+    @cached_property
+    def _commutes(self) -> dict[tuple, bool]:
+        """``consolidate``'s commutation checks on ``_interned``'s ids, ``_fill_commutes`` of the schedule alone."""
+        _fill_commutes((self,))
+        return self.__dict__["_commutes"]
+
 
 def _intern(head: Sequence, body: Sequence, reps: int, tail: Sequence) -> tuple[tuple[PulseStep, ...], tuple]:
     """(distinct steps, (head ids, body ids, reps, tail ids)): the run form of ``head + body * reps + tail``.
 
     An empty body or zero repeats gives the degenerate form.  Ids follow
-    first occurrence and ``distinct[i]`` is id i's first step, so the ids
-    ``head + body * reps + tail`` index ``distinct`` in step order; equal
-    steps have equal bits, so ``distinct`` spells every occurrence.  Only
-    here are a schedule's steps hashed: head, one body, tail.
-    ``consolidate`` interns ids in place of steps.
+    first occurrence; equal steps have equal bits, so ``distinct`` spells
+    every occurrence.  Only here are a schedule's steps hashed, one body's.
     """
     if not (body and reps):
         head, body, reps, tail = (), (), 0, (*head, *tail)
@@ -288,10 +294,7 @@ def _checked_int(value, what: str, allowed: range) -> int:
 
 
 def trotter_product(
-    terms: Sequence[Mapping[tuple[int, int], float]],
-    alpha: float,
-    n: int,
-    order: int = 1,
+    terms: Sequence[Mapping[tuple[int, int], float]], alpha: float, n: int, order: int = 1
 ) -> PulseSchedule:
     """Product-formula schedule approximating exp(i alpha sum(terms)).
 
@@ -313,9 +316,11 @@ def trotter_product(
     return PulseSchedule._repeated((), cycle, n, (), name="trotter-product", order=order, n=n)
 
 
-def _decoupler_step(weight: float, pairs: Iterable[tuple[int, int]]) -> PulseStep:
-    """Step exp(i weight/3 sum(pairs)): a block sum, or part of one."""
-    return PulseStep.make({p: weight / 3.0 for p in pairs})
+@lru_cache(maxsize=32)
+def _decoupler_steps(weight: float, pairs: tuple[tuple[int, int], ...]) -> tuple[PulseStep, PulseStep]:
+    """Step exp(i weight/3 sum(pairs)), a block sum or part of one, and its inverse: made once per process."""
+    step = PulseStep.make({p: weight / 3.0 for p in pairs})
+    return step, step.scaled(-1.0)
 
 
 # Decoupled cycles, left factor first: a number w is the Hamiltonian step
@@ -328,53 +333,45 @@ _DECOUPLED_CYCLES = {1: (("u'",), _ORDER1_CYCLE, ("u",)), 0: ((), _ORDER0_CYCLE,
 
 
 def _cycle_steps(
-    h: Mapping[tuple[int, int], float], dt: float, decouplers: Mapping[str, tuple],
+    h: Mapping[tuple[int, int], float] | PulseStep, dt: float, decouplers: Mapping[str, tuple],
     cycle: Sequence, prefix: Sequence = (), suffix: Sequence = (),
 ) -> tuple[list[PulseStep], list[PulseStep], list[PulseStep]]:
     """The steps of ``prefix``, ``cycle`` and ``suffix``: a run form's head, body and tail.
 
-    The builders repeat the body n times through ``PulseSchedule._repeated``,
-    which keeps this run form for the per-step passes.  ``decouplers`` maps
-    a name to the (weight, pairs) of its ``_decoupler_step``, built only if
-    a factor uses it.  Each distinct factor is one ``PulseStep`` object,
-    shared by all its occurrences, so interning never compares copies.
+    ``decouplers`` maps a name to the (weight, pairs) of its ``_decoupler_steps``, made once per
+    process as ``_STEP_N`` and ``_STEP_N1`` are; only h scaled by dt is made per call.  Each factor
+    is one object for all its occurrences, so interning never compares copies.
     """
-    h_step = PulseStep.make(h)
-    factors = {*prefix, *cycle, *suffix}
-    made = {k: _decoupler_step(*spec) for k, spec in decouplers.items() if {k, k + "'"} & factors}
-    for f in factors - made.keys():
-        made[f] = made[f[:-1]].scaled(-1.0) if isinstance(f, str) else h_step.scaled(dt * f)
+    h = h if isinstance(h, PulseStep) else PulseStep.make(h)
+    made = {f: h.scaled(dt * f) for f in {*prefix, *cycle, *suffix} if not isinstance(f, str)}
+    for k, spec in decouplers.items():
+        made[k], made[k + "'"] = _decoupler_steps(*spec)
     return tuple([made[f] for f in fs] for fs in (prefix, cycle, suffix))
 
 
-def _decoupled_cycle(h: Mapping[tuple[int, int], float], alpha: float, n, order, drop_from_decoupler) -> tuple:
-    """The checked n and order, and the head, body and tail of ``decoupled_evolution``.
-
-    ``cnot_spin_independent`` puts its prefactor in front of the head, so it
-    never builds the steps of the decoupled evolution alone.
-    """
+def _decoupled_cycle(h: Mapping | PulseStep, alpha: float, n, order, drop_from_decoupler) -> tuple:
+    """The checked n and order, and the head, body and tail of ``decoupled_evolution``; h may be a step."""
     n = _checked_int(n, "iteration count", _ITERATIONS)
     drop = {_normalize_pair(p) for p in drop_from_decoupler}
+    if stray := sorted(drop.difference(BLOCK_A_PAIRS + BLOCK_B_PAIRS)):
+        raise ValueError(f"drop_from_decoupler: {stray[0]} is not a decoupler pair")
     order = _checked_int(order, "order", range(2))
     prefix, cycle, suffix = _DECOUPLED_CYCLES[order]
-    pairs = [p for p in BLOCK_A_PAIRS + BLOCK_B_PAIRS if p not in drop]
+    pairs = tuple(p for p in BLOCK_A_PAIRS + BLOCK_B_PAIRS if p not in drop)
     decouplers = {"u": (np.pi / 2, pairs), "u2": (np.pi, pairs)}
     return n, order, _cycle_steps(h, real_coefficient(alpha, "alpha") / (4 * n), decouplers, cycle, prefix, suffix)
 
 
 def decoupled_evolution(
-    h: Mapping[tuple[int, int], float],
-    alpha: float,
-    n: int,
-    *,
-    order: int = 1,
-    drop_from_decoupler: Iterable[tuple[int, int]] = (),
+    h: Mapping[tuple[int, int], float], alpha: float, n: int, *,
+    order: int = 1, drop_from_decoupler: Iterable[tuple[int, int]] = (),
 ) -> PulseSchedule:
     """Schedule approximating exp(i alpha D(rep(h))) by decoupled pulses.
 
-    ``h`` is a pair map, transposition (i, j) to its real coefficient.
-    ``drop_from_decoupler`` removes local transpositions from the
-    decoupler generator; this is exact whenever the dropped transpositions
+    ``h`` is a pair map, transposition (i, j) to its real coefficient; its
+    step is made on each call, the decoupler steps once per process.
+    ``drop_from_decoupler`` removes block pairs from the decoupler generator
+    (any other pair raises ``ValueError``); this is exact whenever they
     commute with h, since their phase factors then cancel in pairs.  The
     cycle is ``_DECOUPLED_CYCLES[order]`` with dt = alpha/4n; unless h
     commutes with U, consolidation leaves 12n+3 cycles (order 1) or 8n+1.
@@ -384,6 +381,8 @@ def decoupled_evolution(
 
 
 _CNOT_PREFACTOR = PulseStep.make({(1, 2): -np.pi / 4}, phase=-np.pi / 4)
+# the CNOT generators' steps, made once; ``_cycle_steps`` scales them per call
+_STEP_N, _STEP_N1 = PulseStep.make(SWAP_GENERATOR_N), PulseStep.make(SWAP_GENERATOR_N1)
 
 
 def cnot_spin_independent(n: int, order: int = 1) -> PulseSchedule:
@@ -392,12 +391,11 @@ def cnot_spin_independent(n: int, order: int = 1) -> PulseSchedule:
     The decoupler omits (12), which commutes with the generator, matching
     the planar interaction geometry; the local prefactor
     exp(-i pi/4 (1 + (12))) turns the decoupled evolution into CNOT on the
-    computational subspace of both sectors.
+    computational subspace of both sectors.  Only the generator's scaled
+    steps are made per call: the other steps are the same objects at every n.
     """
-    n, order, (head, body, tail) = _decoupled_cycle(SWAP_GENERATOR_N, np.pi / 2, n, order, [(1, 2)])
-    return PulseSchedule._repeated(
-        [_CNOT_PREFACTOR, *head], body, n, tail, name="cnot-independent", order=order, n=n
-    )
+    n, order, (head, body, tail) = _decoupled_cycle(_STEP_N, np.pi / 2, n, order, [(1, 2)])
+    return PulseSchedule._repeated([_CNOT_PREFACTOR, *head], body, n, tail, name="cnot-independent", order=order, n=n)
 
 
 def cnot_spin1(n: int) -> PulseSchedule:
@@ -411,16 +409,12 @@ def cnot_spin1(n: int) -> PulseSchedule:
     """
     n = _checked_int(n, "iteration count", _ITERATIONS)
     decouplers = {"ua": (np.pi, ((1, 3), (2, 3))), "ub": (np.pi, BLOCK_B_PAIRS)}
-    _, body, _ = _cycle_steps(SWAP_GENERATOR_N1, np.pi / (8 * n), decouplers, _SPIN1_CYCLE)
+    _, body, _ = _cycle_steps(_STEP_N1, np.pi / (8 * n), decouplers, _SPIN1_CYCLE)
     return PulseSchedule._repeated((_CNOT_PREFACTOR,), body, n, (), name="cnot-spin1", order=1, n=n)
 
 
 def _local_step(axis: str, block: int, angle: float) -> PulseStep:
-    """exp(i angle X) or exp(i angle Z) on one block's qubit.
-
-    Uses the (12),(13) entry of the within-block dictionary
-    ``LOCAL_TO_PAULI``, shifted to (45),(46) for block two.
-    """
+    """exp(i angle X) or exp(i angle Z) on one block's qubit: ``LOCAL_TO_PAULI``'s (12),(13) entry, or (45),(46)."""
     pairs, coeff = LOCAL_TO_PAULI[0]
     offset = 0 if block == 1 else 3
     row = coeff["xz".index(axis)]
@@ -488,12 +482,9 @@ def canonical_two_qubit_schedule(
     With ``sector`` given, the entangling exponentials use that sector's
     exchange dictionary and the gate is exact there up to Trotter error.
     With ``sector=None`` the schedule is sector-independent, which
-    restricts the canonical angles to multiples of pi/2 (the two sectors'
-    exponentials then agree because the cross-block scaling -3 only shifts
-    the phase by full periods).
-
-    The YY factor is realized by conjugating a ZZ evolution with
-    exp(i pi/4 (XI + IX)).
+    restricts the canonical angles to multiples of pi/2 (the cross-block
+    scaling -3 then shifts the phase by full periods).  The YY factor
+    conjugates a ZZ evolution with exp(i pi/4 (XI + IX)).
     """
     n = _checked_int(n, "iteration count", _ITERATIONS)
     angles = [real_coefficient(getattr(gate, name), name) for name in ("alpha", "beta", "gamma")]
@@ -525,9 +516,7 @@ _PAIR_INDEX = {pair: k for k, pair in enumerate(ALL_PAIRS)}
 @lru_cache(maxsize=None)
 def pair_stack(sector: SpinSector) -> np.ndarray:
     """The 15 transposition matrices of a sector's irrep, (15, dim, dim) in ALL_PAIRS order."""
-    stack = np.stack([rep_transposition(sector.partition, *pair) for pair in ALL_PAIRS])
-    stack.setflags(write=False)
-    return stack
+    return _read_only(np.stack([rep_transposition(sector.partition, *pair) for pair in ALL_PAIRS]))
 
 
 def _coefficient_rows(steps: Sequence[PulseStep]) -> np.ndarray:
@@ -542,13 +531,12 @@ def _coefficient_rows(steps: Sequence[PulseStep]) -> np.ndarray:
 def _evolve_form(schedules: Sequence[PulseSchedule]) -> _EvolveForm:
     """The numeric form of a batch's distinct steps and one product plan of all its schedules.
 
-    The steps are interned as ``_intern`` interns one schedule's, first
-    occurrence first, and each schedule's id run form is renumbered to
-    batch ids; one ``product_plan`` call plans them all.  The steps new to the
-    batch come in each schedule's id order, so their rows are that
-    schedule's ``_rows`` under a mask, bit for bit the batch's own.  The
-    phase factors are one elementwise ``np.exp``, the bits of a scalar call
-    per step.  A schedule's ``_form`` is this for a batch of one.
+    Steps are interned first occurrence first and each schedule's id run
+    form renumbered to batch ids; one ``product_plan`` call plans them all.
+    The rows of the steps new to the batch are that schedule's ``_rows``
+    under a mask, bit for bit; the phase factors are one elementwise
+    ``np.exp``, the bits of a scalar call per step.  A schedule's ``_form``
+    is this for a batch of one.
     """
     ids: dict[PulseStep, int] = {}
     runs, rows = [], [np.empty((0, len(ALL_PAIRS)))]
@@ -571,46 +559,92 @@ def _evolve_form(schedules: Sequence[PulseSchedule]) -> _EvolveForm:
 def row_generators(rows: np.ndarray, stack: np.ndarray) -> np.ndarray:
     """Generators sum_c c_ij P_ij of (k, 15) coefficient rows as a (k, d, d) stack.
 
-    ``stack`` is (15, d, d) in ALL_PAIRS order.  This is the one
-    coefficient-to-matrix path.  One batched ``matmul`` makes each row its
-    own (1, 15) @ (15, d*d) vector-matrix product, the one ``tensordot``
-    makes, bit for bit; a single (k, 15) @ (15, d*d) matrix product would
-    round some entries differently in the last place and move F and L by
-    up to 3e-12 at n = 200.
+    ``stack`` is (15, d, d) in ALL_PAIRS order: the one coefficient-to-matrix
+    path.  Each row is its own (1, 15) @ (15, d*d) product; one (k, 15)
+    matrix product would round some entries otherwise, moving F and L by up
+    to 3e-12 at n = 200.
     """
     flat = stack.reshape(len(ALL_PAIRS), -1)
     return np.matmul(rows[:, None, :], flat).reshape(len(rows), *stack.shape[1:])
+
+
+# (p, q), p < q: the 60 pairs of transpositions that share one spin, as two rows.  Any other two commute exactly.
+_SHARED = np.array([(p, q) for p, q in combinations(range(15), 2) if len({*ALL_PAIRS[p], *ALL_PAIRS[q]}) == 3]).T.copy()
 
 
 @lru_cache(maxsize=None)
 def _commutator_table() -> tuple[np.ndarray, np.ndarray, tuple, tuple]:
     """(table, flat, table cuts, flat cuts): both irreps side by side in SpinSector order, read-only.
 
-    Row 15p + q of the (225, 10 + 36) table is the antisymmetric [P_p, P_q]'s strict upper
-    triangle; flat is the (15, 25 + 81) pair stacks.  A cut is an irrep's first column.
+    Row k of the (60, 10 + 36) table is the strict upper triangle of [P_p, P_q],
+    (p, q) = ``_SHARED[:, k]``; flat is the (15, 25 + 81) pair stacks.  A cut is an irrep's first column.
     """
     stacks = [pair_stack(s) for s in SpinSector]
+    p, q = _SHARED
     table = []
     for m in stacks:
         i, j = np.triu_indices(m.shape[1], 1)
-        upper = np.matmul(m[:, None], m[None])[:, :, i, j]  # (P_p P_q)_ij, i < j
-        table.append((upper - upper.transpose(1, 0, 2)).reshape(len(m) ** 2, -1))
+        table.append((m[p] @ m[q] - m[q] @ m[p])[:, i, j])
     flat = [m.reshape(len(m), -1) for m in stacks]
     table_cuts, flat_cuts = (tuple(np.cumsum([0] + [x.shape[1] for x in xs[:-1]])) for xs in (table, flat))
     return _read_only(np.concatenate(table, axis=1)), _read_only(np.concatenate(flat, axis=1)), table_cuts, flat_cuts
 
 
 def _rows_commute(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Per row k, whether the steps of (k, 15) coefficient rows a[k] and b[k] commute, by ``consolidate``'s rule."""
-    # 16 rows a product at most: OpenBLAS runs larger ones on worker threads that spin on and slow later work
-    if len(a) > 16:
-        return np.concatenate([_rows_commute(a[k : k + 16], b[k : k + 16]) for k in range(0, len(a), 16)])
+    """Per row k, whether the steps of (k, 15) coefficient rows a[k] and b[k] commute, by ``consolidate``'s rule.
+
+    [A, B] sums (a_p b_q - a_q b_p) [P_p, P_q] over ``_SHARED``: one (k, 60) @ (60, 46) product, and
+    the generators' largest entries one (2k, 15) @ (15, 106).
+    """
+    # 256 rows a call at most: OpenBLAS (0.3.31, 2 vCPUs) runs a product of more than about 1e6
+    # multiply-adds, 362 rows of the first or 314 of the second, on threads that spin on after it
+    if len(a) > 256:
+        return np.concatenate([_rows_commute(a[k : k + 256], b[k : k + 256]) for k in range(0, len(a), 256)])
     table, flat, table_cuts, flat_cuts = _commutator_table()
-    comm = (a[:, :, None] * b[:, None, :]).reshape(len(a), len(table)) @ table
+    p, q = _SHARED
+    comm = (a.take(p, 1) * b.take(q, 1) - a.take(q, 1) * b.take(p, 1)) @ table
     comm = np.maximum.reduceat(np.abs(comm, out=comm), table_cuts, axis=1)
     g = np.concatenate([a, b]) @ flat
     g = np.maximum.reduceat(np.abs(g, out=g), flat_cuts, axis=1)
     return ~(comm > 1e-12 * np.maximum(1.0, g[: len(a)] * g[len(a) :])).any(axis=1)
+
+
+def _fill_commutes(schedules: Sequence[PulseSchedule]) -> None:
+    """Store ``_commutes`` on each schedule of a batch lacking it, from at most two ``_rows_commute`` calls.
+
+    The first decides each schedule's distinct adjacent input id pairs, key (a, b).  The second decides,
+    for commuting (a, b), the transition from the merge, row ``_rows[a] + _rows[b]``, to each c that
+    follows b, key (a, b, c), at most as many as there are pairs: the walk checks any other.  Each call
+    stacks the rows of the whole batch.
+    """
+    todo = [s for s in schedules if "_commutes" not in s.__dict__]
+    facts: list[dict[tuple, bool]] = [{} for _ in todo]
+    rows = np.concatenate([np.empty((0, len(ALL_PAIRS))), *(s._rows for s in todo)])
+    starts = list(accumulate([len(s._rows) for s in todo], initial=0))  # each schedule's first row in ``rows``
+
+    def check(keys: list[list[tuple]], width: int) -> None:
+        # per key, its last id's row against its first's, or the sum of its first two
+        cols = [[start + key[j] for start, ks in zip(starts, keys) for key in ks] for j in range(width)]
+        if cols[0]:
+            cols = [rows.take(col, axis=0) for col in cols]
+            commute = iter(_rows_commute(cols[0] if width == 2 else cols[0] + cols[1], cols[-1]).tolist())
+            for fact, ks in zip(facts, keys):
+                fact.update(zip(ks, commute))  # ks first: zip stops at its end without taking one more
+
+    pairs, triples = [], []
+    for s in todo:
+        _, (head, body, reps, tail) = s._interned
+        short = head + body * min(reps, 2) + tail
+        pairs.append(list(dict.fromkeys(zip(short, short[1:]))))
+    check(pairs, 2)
+    for ks, fact in zip(pairs, facts):
+        after: dict[int, list[int]] = {}
+        for b, c in ks:
+            after.setdefault(b, []).append(c)
+        triples.append(list(islice(((a, b, c) for a, b in ks if fact[a, b] for c in after.get(b, ())), len(ks))))
+    check(triples, 3)
+    for s, fact in zip(todo, facts):
+        s.__dict__["_commutes"] = fact
 
 
 def consolidate(schedule: PulseSchedule) -> PulseSchedule:
@@ -620,41 +654,26 @@ def consolidate(schedule: PulseSchedule) -> PulseSchedule:
     simulated unitary is unchanged.  The resulting step count is the
     clock-cycle count of the schedule.  Two steps commute unless, in some
     irrep, an entry of [A, B] exceeds 1e-12 * max(1, |ga| |gb|), |g| the
-    largest entry magnitude of a step's generator there.  No irrep matrix
-    is built: [A, B] = sum a_p b_q [P_p, P_q] is one matmul of coefficient
-    rows against a cached table of transposition commutators.
+    largest entry magnitude of a step's generator there; ``_rows_commute``
+    decides it on coefficient rows, building no irrep matrix.
 
-    The walk runs on the schedule's run form (``_interned``), on ids
-    alone, so no input step is hashed in it; the id table is seeded from its
-    distinct steps and grows only by merged steps.  Every distinct adjacent
-    pair of input steps is decided up front by one stacked check on the
-    cached ``_rows``, which the evolve form reads too.  Each distinct
-    transition (last output id, next id) is then resolved once per call, to
-    the merged step's id (interned through the same dict, its row the sum of
-    its parts' rows) or to no merge; a transition from a merged step falls
-    back to the same check.  A schedule of repeated cycles thus merges once
-    per distinct pair, not once per step.  The id, pair and transition
-    tables live only for the call, so schedules of fresh steps do not grow
-    memory across calls.
-
-    The walk takes the head, then the repeats of the body, then the tail.
-    Past the head, the walk is fixed by its last output id, since every
-    transition it takes is resolved once and kept.  So when a repeat starts
-    with the same last id as an earlier one, the output between them is a
-    period: it is repeated (reps - r) // period more times without a walk,
-    and only the rest of the repeats and the tail are walked.  The output
-    keeps that run form, interned on output ids and spelled as steps at
-    the end.
+    The walk runs on the run form's ids (``_interned``); the id table grows
+    only by merged steps, each with its row, the sum of its parts'.  Its
+    checks are the schedule's ``_commutes``, which ``report_many`` fills for
+    its batch: only a transition from a merge of three or more steps is
+    checked here, one row.  Each distinct transition (last output id, next
+    id) is resolved once per call, so repeated cycles merge once per
+    distinct pair.  Past the head the walk is fixed by its last output id:
+    when a repeat of the body starts with the same one as an earlier
+    repeat, the output between them is a period, repeated without a walk.
+    The output keeps that run form.
     """
     distinct, (head, body, reps, tail) = schedule._interned
     steps = list(distinct)  # per id; merged steps append theirs, as do their rows
     rows = list(schedule._rows)
     ids = {step: i for i, step in enumerate(distinct)}
-    # two repeats of the body hold every adjacent pair of the schedule
-    short = head + body * min(reps, 2) + tail
-    pairs = list(dict.fromkeys(zip(short, short[1:])))
-    left, right = [a for a, _ in pairs], [b for _, b in pairs]
-    commuting = dict(zip(pairs, _rows_commute(schedule._rows[left], schedule._rows[right])))
+    decided = schedule._commutes
+    made_of: dict[int, tuple[int, int]] = {}  # per id: the first two ids found to merge to it
     transitions: dict[tuple[int, int], int | None] = {}
     undecided = object()
     out: list[int] = []
@@ -665,7 +684,7 @@ def consolidate(schedule: PulseSchedule) -> PulseSchedule:
                 a = out[-1]
                 to = transitions.get((a, b), undecided)
                 if to is undecided:
-                    commute = commuting.get((a, b))
+                    commute = decided.get((a, b), decided.get(made_of.get(a, ()) + (b,)))
                     if commute is None:
                         commute = _rows_commute(rows[a][None], rows[b][None])[0]
                     to = None
@@ -675,6 +694,7 @@ def consolidate(schedule: PulseSchedule) -> PulseSchedule:
                         if to == len(steps):
                             steps.append(merged)
                             rows.append(rows[a] + rows[b])
+                        made_of.setdefault(to, (a, b))
                     transitions[a, b] = to
                 if to is not None:
                     out[-1] = to
@@ -684,8 +704,7 @@ def consolidate(schedule: PulseSchedule) -> PulseSchedule:
     walk(head)
     starts: dict[int, tuple[int, int]] = {}  # per last output id: the repeat it started, the output length
     # the output's run form: out[:cut] + out[cut:end] * k + out[end:]
-    cut, end, k = 0, 0, 0
-    r = 0
+    cut, end, k, r = 0, 0, 0, 0
     while r < reps:
         if out and not k:
             if out[-1] in starts:
@@ -707,13 +726,10 @@ def consolidate(schedule: PulseSchedule) -> PulseSchedule:
 def normalized_time(schedule: PulseSchedule) -> float:
     """Summed per-step maximum coefficient magnitude in swap durations.
 
-    One unit is the duration of a full swap (coefficient pi/2); the
-    identity phase does not count toward a step's duration.  Computed on
-    the schedule as constructed, before any consolidation: each printed
-    exponential factor is one parallel pulse.  Each distinct step's
-    maximum is taken once, and the values of the run form's head, one body
-    and tail are written out as a list, ``head + body * reps + tail``, so
-    the builtin ``sum`` adds the per-step values in schedule order.
+    One unit is a full swap (coefficient pi/2); the identity phase does not
+    count.  Computed before any consolidation: each printed factor is one
+    parallel pulse.  Each distinct step's maximum is taken once, and
+    ``sum`` adds the run form's values written out, in schedule order.
     """
     distinct, (head, body, reps, tail) = schedule._interned
     width = [step.max_coefficient() for step in distinct].__getitem__
@@ -749,26 +765,17 @@ def _cancel_step(step: PulseStep) -> PulseStep:
 def cancel_negatives(schedule: PulseSchedule) -> PulseSchedule:
     """Remove negative coefficients from Hamiltonian-bearing steps.
 
-    A step is Hamiltonian-bearing when it involves a cross-block
-    transposition.  Such a step gets the all-transposition sum, scaled by
-    its largest negative magnitude.  The sum is central: it acts as a
-    constant in each irrep, so each step, and the logical action, changes
-    by a global phase per sector only.  A Hamiltonian step holding a
-    single exchange interaction is instead shifted by a full period, which
-    leaves its unitary untouched.
-    Purely local steps (decouplers, prefactors, one-qubit factors) are
-    left alone; their negatives are reported rather than rewritten.  Each
-    distinct step of the schedule's interned form is rewritten once per
-    call, and the output is read off by id from the run form's head, body
-    and tail, so it keeps the input's run form (same repeats); it interns
-    its own steps anew.
+    A step is Hamiltonian-bearing when it involves a cross-block transposition.  Such a step
+    gets the all-transposition sum, scaled by its largest negative magnitude.  The sum is
+    central, so each step, and the logical action, changes by a global phase per sector only.
+    A Hamiltonian step of one exchange interaction is instead shifted by a full period.  Purely
+    local steps (decouplers, prefactors, one-qubit factors) are left alone; their negatives are
+    reported.  Each distinct step is rewritten once, and the output keeps the input's run form.
     """
     distinct, (head, body, reps, tail) = schedule._interned
     rewritten = [_cancel_step(s) if s.is_cross_block() else s for s in distinct]
     head, body, tail = (tuple(map(rewritten.__getitem__, ids)) for ids in (head, body, tail))
-    return PulseSchedule._repeated(
-        head, body, reps, tail, name=schedule.name, order=schedule.order, n=schedule.n
-    )
+    return PulseSchedule._repeated(head, body, reps, tail, name=schedule.name, order=schedule.order, n=schedule.n)
 
 
 def _step_json(step: PulseStep) -> dict:
@@ -780,11 +787,9 @@ def schedule_to_json(schedule: PulseSchedule) -> dict:
     return {"version": 1, "name": schedule.name, "order": schedule.order, "n": schedule.n, "steps": steps}
 
 
-# Largest coefficient magnitude (radians) a schedule file may carry.  The
-# rounding error of exp(i h) grows with |h|: on 100-step random schedules
-# with coefficients near 1e4 the irrep and oracle F/L agree to about 2e-11,
-# near 1e6 only to about 3e-9, within a factor of three of the 1e-8
-# cross-check tolerance.  Physical pulses stay within a few pi.
+# Largest coefficient magnitude (radians) a schedule file may carry: the rounding of exp(i h) grows
+# with |h|, and on 100-step random schedules the irrep and oracle F/L agree to about 2e-11 near 1e4,
+# to 3e-9 near 1e6, a third of the 1e-8 cross-check tolerance.  Physical pulses stay within a few pi.
 MAX_COEFFICIENT = 1e4
 
 
@@ -838,15 +843,12 @@ _spelling = json.JSONEncoder(sort_keys=True, check_circular=False).encode
 def schedule_from_json(data: dict) -> PulseSchedule:
     """Validated schedule from its JSON object; any fault raises one ``ValueError``.
 
-    Each message names the field, and for a step its index, and what was
-    expected; callers add their own prefix.  Each distinct raw step is
-    validated once (``_json_step``), at its first index, so the first
-    faulty step is the one named.  Raw steps share a result when their
-    ``_spelling`` texts are equal, which keeps ``1``, ``1.0`` and ``true``
-    and the two zeros apart, and so are the objects, which keeps a tuple
-    apart from a list; a step with no such text is validated on its own.
-    Steps that repeat a body ``n`` times, the file's ``n``, keep that run
-    form (``_recovered_form``).
+    Each message names the field, a step's index and what was expected;
+    callers add their own prefix.  Each distinct raw step is validated once
+    (``_json_step``), at its first index.  Raw steps share a result when
+    their ``_spelling`` texts (which keep ``1``, ``1.0``, ``true`` and the
+    two zeros apart) and the objects (a tuple is not a list) are equal.
+    Steps repeating a body the file's ``n`` times keep that run form.
     """
     if not isinstance(data, dict):
         raise ValueError(f"schedule JSON must be an object, got {type(data).__name__}")
@@ -878,8 +880,7 @@ def _recovered_form(steps: tuple, n: int) -> tuple:
     """Loaded steps as ``head + body * n + tail``, head and tail shorter than the body, or degenerate.
 
     The longest body, then the shortest head: the run form every builder
-    writes, so a saved schedule loads back to the same evolve bits.  Equal
-    steps have equal bits, so the form spells the file.
+    writes, so a saved schedule loads back to the same evolve bits.
     """
     ids: dict[PulseStep, int] = {}
     seq = np.array([ids.setdefault(s, len(ids)) for s in steps] if n > 1 else [])
@@ -898,11 +899,10 @@ def _recovered_form(steps: tuple, n: int) -> tuple:
 def save_schedule(schedule: PulseSchedule, path) -> None:
     """Write ``json.dumps(schedule_to_json(schedule), indent=1)`` and a newline, byte for byte.
 
-    The text is encoded before the file is opened, so a failure leaves
-    none: the fields around the steps, and each distinct step once
-    (``_interned``), indented two levels deep.  The steps' texts are then
-    written in id order, never joined into one string, so a long built
-    schedule saves in about the memory of its ids.
+    The fields around the steps and each distinct step's text are encoded
+    before the file is opened, so a failure leaves none; the texts are then
+    written in id order, never joined, so a long built schedule saves in
+    about the memory of its ids.
     """
     distinct, (head, body, reps, tail) = schedule._interned
     top = json.dumps(schedule_to_json(PulseSchedule((), schedule.name, schedule.order, schedule.n)), indent=1)

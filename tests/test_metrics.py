@@ -523,6 +523,15 @@ class TestReportMany:
     def test_empty_batch(self):
         assert metrics.report_many([]) == []
 
+    @pytest.mark.parametrize("which", [1, 2])
+    @pytest.mark.parametrize("cancel", [False, True])
+    def test_table_takes_two_stacked_checks(self, monkeypatch, which, cancel):
+        calls = []
+        original = trotter._rows_commute
+        monkeypatch.setattr(trotter, "_rows_commute", lambda a, b: calls.append(len(a)) or original(a, b))
+        table_rows(which, cancel=cancel)
+        assert len(calls) <= 2
+
     @pytest.mark.parametrize("cancel", [False, True])
     @pytest.mark.parametrize(("which", "distinct"), [(1, 9), (2, 10)])
     def test_table_exponentiates_each_distinct_step_once(self, monkeypatch, which, distinct, cancel):

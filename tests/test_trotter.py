@@ -173,6 +173,19 @@ def _reference_consolidate(schedule):
     return replace(schedule, steps=tuple(out))
 
 
+def _rows_commute_225(a, b):
+    """The row rule on all 225 ordered transposition pairs, row 15p + q the strict upper triangle of [P_p, P_q]."""
+    commute = np.ones(len(a), dtype=bool)
+    for m in (pair_stack(s) for s in SpinSector):
+        i, j = np.triu_indices(m.shape[1], 1)
+        upper = np.matmul(m[:, None], m[None])[:, :, i, j]
+        table = (upper - upper.transpose(1, 0, 2)).reshape(len(m) ** 2, -1)
+        comm = np.abs((a[:, :, None] * b[:, None, :]).reshape(len(a), -1) @ table).max(axis=1, initial=0.0)
+        ga, gb = (np.abs(x @ m.reshape(len(m), -1)).max(axis=1) for x in (a, b))
+        commute &= comm <= 1e-12 * np.maximum(1.0, ga * gb)
+    return commute
+
+
 def _magnitudes(low, high):
     """Signed values from 10**low to 10**(high + 1), log-uniform by decade."""
     return st.builds(
@@ -183,11 +196,13 @@ def _magnitudes(low, high):
 
 # from 1e-7 to MAX_COEFFICIENT
 _MAGNITUDES = _magnitudes(-7, 3)
+# from 1e-7 to 3e2
+_UP_TO_3E2 = _magnitudes(-7, 2).map(lambda c: math.copysign(min(abs(c), 3e2), c))
 _CENTRAL_SUMS = ((1, 2), (1, 3), (2, 3)), ((4, 5), (4, 6), (5, 6)), ALL_PAIRS
 
 
 @st.composite
-def _step_pairs(draw):
+def _step_pairs(draw, magnitudes=_MAGNITUDES):
     """Steps (a, b): any two, two small ones, two on disjoint spins, a step and a central sum, or equal.
 
     Small steps, of magnitudes 1e-7 to 1e-5, have commutators near the
@@ -196,7 +211,7 @@ def _step_pairs(draw):
     with local steps, and the all-transposition sum with every step.
     """
 
-    def step(pairs, min_size=1, magnitudes=_MAGNITUDES):
+    def step(pairs, min_size=1, magnitudes=magnitudes):
         return PulseStep.make(draw(st.dictionaries(st.sampled_from(pairs), magnitudes, min_size=min_size, max_size=4)))
 
     kind = draw(st.sampled_from(["any", "small", "disjoint", "sum", "equal"]))
@@ -209,7 +224,7 @@ def _step_pairs(draw):
         a = step(draw(st.sampled_from([ALL_PAIRS, *_CENTRAL_SUMS[:2]])), min_size=0)
         b = step(ALL_PAIRS, min_size=0) if kind == "any" else a
         if kind == "sum":
-            c = draw(_MAGNITUDES)
+            c = draw(magnitudes)
             added = {p: c for p in draw(st.sampled_from(_CENTRAL_SUMS))}
             b = PulseStep.make(added) if draw(st.booleans()) else trotter._merge_steps(a, PulseStep.make(added))
     return (a, b) if draw(st.booleans()) else (b, a)
@@ -286,6 +301,17 @@ def computational_block(schedule, sector):
     return pi @ simulate(schedule, sector) @ pi.T
 
 
+_FAMILIES = {"order-1": cnot_spin_independent, "order-0": lambda n: cnot_spin_independent(n, order=0), "spin-1": cnot_spin1}
+
+
+def _respelled(step):
+    """``step`` through the raw constructor: pairs reversed and flipped, integral values as ints, a zero on a free pair."""
+    free = [p for p in ALL_PAIRS if p not in step.pairs][:1]
+    pairs = [(j, i) for i, j in reversed(step.pairs)] + free
+    coeffs = [int(c) if c.is_integer() else c for c in reversed(step.coeffs)] + [0] * len(free)
+    return PulseStep(pairs, coeffs, step.phase)
+
+
 class TestPulseStep:
     def test_zero_coefficients_dropped(self):
         s = PulseStep.make({(1, 2): 0.0, (1, 4): 0.5})
@@ -357,6 +383,25 @@ class TestPulseStep:
         assert s == PulseStep(((1, 2), (3, 4), (5, 6)), (1.0, 0.5, -2.0), 0.25)
         assert all(type(c) is float for c in (*s.coeffs, s.phase))
 
+    def test_raw_constructor_normalizes_as_make(self):
+        raw = PulseStep(((2, 1), (4, 3), (6, 5)), (1, 0, np.float32(0.5)), np.int64(0))
+        made = PulseStep.make({(1, 2): 1.0, (5, 6): 0.5})
+        assert raw == made and repr(raw) == repr(made)
+        assert all(type(c) is float for c in (*raw.coeffs, raw.phase))
+        assert json.dumps(schedule_to_json(PulseSchedule((raw,)))) == json.dumps(schedule_to_json(PulseSchedule((made,))))
+
+    @pytest.mark.parametrize(("pairs", "coeffs", "phase", "message"), [
+        (((1, 2),), (1.0, 2.0), 0.0, "^1 pairs, 2 coefficients: need one each, no pair twice$"),
+        (((1, 2), (2, 1)), (1.0, 2.0), 0.0, "^2 pairs, 2 coefficients: need one each, no pair twice$"),
+        (((1, 7),), (1.0,), 0.0, "not a transposition pair"),
+        (((1, 2),), ("1",), 0.0, "must be a real number"),
+        (((1, 2),), (float("nan"),), 0.0, "must be finite"),
+        (((1, 2),), (1.0,), float("inf"), "must be finite"),
+    ])
+    def test_raw_constructor_rejects_what_make_rejects(self, pairs, coeffs, phase, message):
+        with pytest.raises(ValueError, match=message):
+            PulseStep(pairs, coeffs, phase)
+
     def test_equal_steps_hash_equal(self):
         a = PulseStep.make({(1, 2): 0.5, (3, 4): -0.25}, phase=0.1)
         b = PulseStep.make({(4, 3): -0.25, (2, 1): 0.5}, phase=0.1)
@@ -370,8 +415,10 @@ class TestPulseStep:
         min_size=1, max_size=3,
     ))
     def test_equal_exactly_when_the_json_is(self, base):
-        # scaled(-1.0) flips the sign of a zero phase, twice restores it; replace makes a -0.0 twin
-        pool = [v for s in base for v in (s, s.scaled(-1.0), s.scaled(-1.0).scaled(-1.0), replace(s, phase=-0.0))]
+        # scaled(-1.0) flips the sign of a zero phase, twice restores it; replace makes a -0.0 twin,
+        # and the raw constructor an equal step from another spelling
+        twins = (lambda s: s.scaled(-1.0), lambda s: s.scaled(-1.0).scaled(-1.0), lambda s: replace(s, phase=-0.0))
+        pool = [v for s in base for t in (lambda s: s, *twins) for v in (t(s), _respelled(t(s)))]
         text = [json.dumps(schedule_to_json(PulseSchedule((s,)))["steps"]) for s in pool]
         for a, ta in zip(pool, text):
             for b, tb in zip(pool, text):
@@ -791,6 +838,20 @@ class TestDecoupledEvolution:
             target = expi(1.3 * decouple_map(m, sector, "power"))
             assert np.max(np.abs(simulate(sch, sector) - target)) <= 1e-12
 
+    @pytest.mark.parametrize("pair", [(1, 4), (4, 1), (3, 6)])
+    def test_dropping_a_pair_outside_the_decoupler_raises(self, pair):
+        message = f"^drop_from_decoupler: {re.escape(str(tuple(sorted(pair))))} is not a decoupler pair$"
+        with pytest.raises(ValueError, match=message):
+            decoupled_evolution(SWAP_GENERATOR_N, np.pi / 2, 3, drop_from_decoupler=[(1, 2), pair])
+
+    def test_callers_generator_made_on_each_call(self):
+        h = dict(SWAP_GENERATOR_N)
+        first = decoupled_evolution(h, np.pi / 2, 2)
+        h[(3, 6)] = 0.5
+        second = decoupled_evolution(h, np.pi / 2, 2)
+        assert first.steps != second.steps
+        assert all(s.coefficients().get((3, 6)) for s in second.steps if s.is_cross_block())
+
     def test_dropping_commuting_transposition_is_exact(self):
         kept = decoupled_evolution(SWAP_GENERATOR_N, np.pi / 2, 3)
         dropped = decoupled_evolution(
@@ -952,6 +1013,19 @@ class TestCnotConstructions:
         path = tmp_path / "schedule.json"
         save_schedule(sch, path)
         assert load_schedule(path) == sch
+
+    @pytest.mark.parametrize("build", _FAMILIES.values(), ids=_FAMILIES.keys())
+    def test_builders_share_their_constant_steps(self, build):
+        # the prefactor, the decoupler steps and their inverses are the same objects at every n,
+        # and the generator's steps are the process's one generator step scaled
+        generator = trotter._STEP_N1 if build is cnot_spin1 else trotter._STEP_N
+        local = []
+        for n in (1, 2, 9, 200):
+            distinct = build(n)._interned[0]
+            local.append([id(s) for s in distinct if not s.is_cross_block()])
+            dt = np.pi / (8 * n)
+            assert {s for s in distinct if s.is_cross_block()} <= {generator.scaled(dt * w) for w in (0.5, 1)}
+        assert len(local[0]) >= 3 and all(ids == local[0] for ids in local)
 
     def test_is_prefactored_decoupled_evolution(self):
         # the construction is exactly the first-order decoupled evolution
@@ -1186,6 +1260,46 @@ class TestConsolidate:
         one_by_one = [trotter._rows_commute(x[None], y[None])[0] for x, y in zip(a, b)]
         assert trotter._rows_commute(a, b).tolist() == one_by_one == [_matrix_commute(*pair) for pair in pairs]
         assert 0 < sum(one_by_one) < len(pairs)
+
+    @settings(max_examples=300, deadline=None)
+    @given(pairs=st.lists(_step_pairs(_UP_TO_3E2), min_size=1, max_size=6))
+    def test_shared_spin_table_decides_as_all_pairs(self, pairs):
+        # the 60 pairs that share a spin decide as all 225 and as the matrix rule, some near the threshold
+        a, b = (trotter._coefficient_rows(steps) for steps in zip(*pairs))
+        expected = [_matrix_commute(*pair) for pair in pairs]
+        assert trotter._rows_commute(a, b).tolist() == _rows_commute_225(a, b).tolist() == expected
+
+    def test_pairs_off_the_table_commute(self):
+        # two transpositions sharing no spin commute: their commutator is rounding noise in both irreps
+        shared = set(zip(*trotter._SHARED.tolist()))
+        assert len(shared) == 60 and all(len({*ALL_PAIRS[p], *ALL_PAIRS[q]}) == 3 for p, q in shared)
+        for m in (pair_stack(s) for s in SpinSector):
+            comm = np.abs(m[:, None] @ m[None] - m[None] @ m[:, None]).max(axis=(2, 3))
+            assert all((comm[p, q] > 0.5) == ((min(p, q), max(p, q)) in shared) for p in range(15) for q in range(15))
+            assert comm[comm <= 0.5].max() <= 1e-15
+
+    @settings(max_examples=40, deadline=None)
+    @given(forms=st.lists(_run_forms(), max_size=3), merging=st.lists(_merging_schedules(), max_size=2))
+    def test_batch_decides_as_each_schedule_alone(self, forms, merging):
+        built = [cnot_spin_independent(3), cnot_spin_independent(2, order=0), cnot_spin1(4)]
+        batch = [*built, *map(cancel_negatives, built), _random_schedule(60), *merging]
+        batch += [PulseSchedule._repeated(*form) for form in forms]
+        trotter._fill_commutes(batch)
+        for s in batch:
+            alone = PulseSchedule._of_form(s._interned, name=s.name, order=s.order, n=s.n)
+            assert s.__dict__["_commutes"] == alone._commutes
+            assert schedule_to_json(consolidate(s)) == schedule_to_json(consolidate(alone))
+
+    @pytest.mark.parametrize("cancel", [False, True])
+    @pytest.mark.parametrize("n", [1, 3, 50])
+    @pytest.mark.parametrize("build", _FAMILIES.values(), ids=_FAMILIES.keys())
+    def test_cnot_families_take_two_stacked_checks(self, monkeypatch, build, n, cancel):
+        calls = []
+        original = trotter._rows_commute
+        monkeypatch.setattr(trotter, "_rows_commute", lambda a, b: calls.append(len(a)) or original(a, b))
+        schedule = build(n)
+        consolidate(cancel_negatives(schedule) if cancel else schedule)
+        assert len(calls) <= 2
 
     def test_builds_no_irrep_matrix(self, monkeypatch):
         schedules = [cnot_spin1(50), cnot_spin_independent(3, order=0), _random_schedule(60)]
