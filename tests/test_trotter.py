@@ -1290,6 +1290,15 @@ class TestConsolidate:
             assert s.__dict__["_commutes"] == alone._commutes
             assert schedule_to_json(consolidate(s)) == schedule_to_json(consolidate(alone))
 
+    def test_merge_transitions_capped_at_the_pair_count(self):
+        # 40 distinct commuting steps in 2000 random places: about 1600 pairs, each with about 40
+        # transitions out of its merge; only as many as there are pairs are checked up front
+        pool = [PulseStep.make({(1, 2): 0.01 * (k + 1)}) for k in range(40)]
+        sch = PulseSchedule(tuple(pool[k] for k in np.random.default_rng(5).integers(0, 40, size=2000)))
+        widths = [len(key) for key in sch._commutes]
+        assert widths.count(3) == widths.count(2) > 1000
+        assert schedule_to_json(consolidate(sch)) == schedule_to_json(_reference_consolidate(sch))
+
     @pytest.mark.parametrize("cancel", [False, True])
     @pytest.mark.parametrize("n", [1, 3, 50])
     @pytest.mark.parametrize("build", _FAMILIES.values(), ids=_FAMILIES.keys())
