@@ -11,7 +11,9 @@ Submodules:
 * ``symrep``   - partitions, tableaux, Young's orthogonal form, pair-map sums
 * ``encoding`` - computational-basis embeddings and Pauli dictionaries
 * ``decouple`` - block sums, decoupler unitaries, decoupling average
-* ``trotter``  - pulse schedules: product formulas and CNOT constructions
+* ``schedule`` - pulse steps and schedules, their run and numeric forms
+* ``trotter``  - product formulas, CNOT constructions, consolidation, files
+* ``gates``    - one-qubit and canonical two-qubit gate schedules
 * ``products`` - product plans of repeated schedules, for the evolve
 * ``metrics``  - simulation, fidelity, leakage, benchmark tables
 * ``oracle``   - independent 64-dimensional physical-space validation
@@ -19,20 +21,16 @@ Submodules:
 """
 
 from .encoding import SpinSector
+from .gates import CanonicalGateSpec, canonical_two_qubit_schedule, single_qubit_schedule
 from .metrics import CNOT, SynthesisReport, entanglement_fidelity, leakage, report, simulate
+from .schedule import PulseSchedule, PulseStep, normalized_time
 from .symrep import Partition, Permutation, StandardTableau
 from .trotter import (
-    CanonicalGateSpec,
-    PulseSchedule,
-    PulseStep,
     cancel_negatives,
-    canonical_two_qubit_schedule,
     cnot_spin1,
     cnot_spin_independent,
     consolidate,
     decoupled_evolution,
-    normalized_time,
-    single_qubit_schedule,
     trotter_product,
 )
 

@@ -12,6 +12,7 @@ import numpy as np
 from . import decouple, encoding, metrics, oracle, trotter
 from .encoding import CheckResult, SpinSector
 from .linalg import max_abs
+from .schedule import pair_stack
 from .symrep import Permutation, rep_adjacent, rep_element, rep_permutation, standard_tableaux
 
 # Irrep dimension, and the constant the all-transposition sum acts as, per sector.
@@ -106,7 +107,7 @@ def _suite_decouple() -> list[CheckResult]:
         pi_perp = np.eye(sector.dim) - pi.T @ pi
         # D is linear and the 15 transpositions span every exchange Hamiltonian,
         # so the three claims checked on them hold for every H
-        h = trotter.pair_stack(sector)
+        h = pair_stack(sector)
         dp = decouple.decouple_map(h, sector, "pair")
         dw = decouple.decouple_map(h, sector, "power")
         worst_cross = max(max_abs(pi @ d @ pi_perp) for d in (dp, dw))

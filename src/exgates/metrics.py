@@ -6,7 +6,7 @@ schedule is evolved on a (15, d, d) stack of transposition matrices, and a
 gate is scored through a 4 x d frame Pi whose rows are the computational
 states (``frame_scores``).  ``evolve_many`` evolves a batch of schedules
 and ``evolve`` a batch of one, both on the one numeric form
-``trotter._evolve_form`` builds: the distinct steps' coefficient rows and
+``schedule._evolve_form`` builds: the distinct steps' coefficient rows and
 one product plan (``products.product_plan``) in which each repeated cycle
 is multiplied once and raised to its repeats by squaring, so n repeats
 cost O(cycle + log n) products.  A schedule keeps its own form as
@@ -30,6 +30,7 @@ Pi_perp).
 from __future__ import annotations
 
 import json
+import reprlib
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -37,20 +38,16 @@ import numpy as np
 
 from .encoding import SpinSector, projector
 from .linalg import expi
-from .trotter import (
+from .schedule import (
     PulseSchedule,
-    _checked_int,
     _evolve_form,
     _fill_commutes,
     _negative_local_steps,
-    cancel_negatives,
-    cnot_spin1,
-    cnot_spin_independent,
-    consolidate,
     normalized_time,
     pair_stack,
     row_generators,
 )
+from .trotter import _checked_int, cancel_negatives, cnot_spin1, cnot_spin_independent, consolidate
 
 __all__ = [
     "CNOT",
@@ -137,7 +134,7 @@ def evolve_many(schedules: Sequence[PulseSchedule], stack: np.ndarray) -> np.nda
     """Unitaries of a batch of schedules on a (15, d, d) transposition stack, as (S, d, d).
 
     Gate s is bit for bit ``evolve(schedules[s], stack)``: the batch is
-    evolved as one schedule is, on ``trotter._evolve_form(schedules)``, so a
+    evolved as one schedule is, on ``schedule._evolve_form(schedules)``, so a
     step repeated across schedules is exponentiated once and each level is
     one chunked product for the whole batch, or one ``matmul`` on pool
     views when the level holds a single product.
@@ -226,6 +223,23 @@ def _scorecard(schedule: PulseSchedule, scores: dict[str, tuple[float, float]]) 
     )
 
 
+def _checked_target(target) -> np.ndarray:
+    """``CNOT`` for None; else ``target``, which must be a 4 x 4 unitary to 1e-12 (``ValueError``)."""
+    if target is None:
+        return CNOT
+    try:
+        t = np.asarray(target, dtype=complex)
+    except (TypeError, ValueError):
+        t = None
+    if t is None or t.shape != (4, 4) or not np.isfinite(t).all():
+        got = f"shape {t.shape}" if t is not None and t.shape != (4, 4) else reprlib.repr(target)
+        raise ValueError(f"target must be a finite 4 x 4 matrix, got {got}")
+    deviation = np.abs(t.conj().T @ t - np.eye(4)).max()
+    if deviation > 1e-12:
+        raise ValueError(f"target must be unitary to 1e-12, got |T^dag T - 1| = {deviation:.1e}")
+    return target
+
+
 def report(schedule: PulseSchedule, target: np.ndarray | None = None) -> SynthesisReport:
     """Scorecard of one schedule against a 4 x 4 target (default ``CNOT``).
 
@@ -234,8 +248,7 @@ def report(schedule: PulseSchedule, target: np.ndarray | None = None) -> Synthes
     negative local steps; see ``SynthesisReport``.  ``report_many`` scores
     several schedules at once, to the same bits.
     """
-    if target is None:
-        target = CNOT
+    target = _checked_target(target)
     return _scorecard(schedule, {
         sector.name: frame_scores(simulate(schedule, sector), target, projector(sector)) for sector in SpinSector
     })
@@ -249,11 +262,10 @@ def report_many(
     The batch's ``_evolve_form`` is built once and evolved in both irreps,
     as ``evolve_many`` evolves it; each gate is scored with
     ``frame_scores``.  The commutation checks of the whole batch are made
-    first, in at most two stacked calls (``trotter._fill_commutes``), and
+    first, in at most two stacked calls (``schedule._fill_commutes``), and
     each schedule is then consolidated on its own, reading its own.
     """
-    if target is None:
-        target = CNOT
+    target = _checked_target(target)
     _fill_commutes(schedules)
     form = _evolve_form(schedules)
     gates = {sector: _evolved(form, pair_stack(sector)) for sector in SpinSector}

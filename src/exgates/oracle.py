@@ -31,7 +31,7 @@ from .encoding import ALL_PAIRS, SpinSector
 from .linalg import integer_pair, real_coefficient
 from .metrics import evolve, frame_scores
 from .symrep import Permutation
-from .trotter import PulseSchedule
+from .schedule import PulseSchedule
 
 __all__ = [
     "DIM",

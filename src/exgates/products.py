@@ -1,7 +1,7 @@
 """Product plans: the matrix products that multiply out a batch of id run forms.
 
 A run form ``(head, body, reps, tail)`` over the ids 0..k-1 of a batch's
-distinct steps spells ``head + body * reps + tail``.  ``trotter._evolve_form``
+distinct steps spells ``head + body * reps + tail``.  ``schedule._evolve_form``
 plans a batch's run forms here, and ``metrics`` evaluates the plan on the
 step unitaries, level by level, in one pool of matrices.
 """

@@ -20,13 +20,8 @@ from exgates.linalg import expi
 from exgates.metrics import CNOT, entanglement_fidelity, report, simulate
 from exgates.oracle import oracle_fidelity, oracle_projected_rep
 from exgates.symrep import Permutation, rep_element, rep_permutation
-from exgates.trotter import (
-    cancel_negatives,
-    cnot_spin1,
-    cnot_spin_independent,
-    normalized_time,
-    trotter_product,
-)
+from exgates.schedule import normalized_time
+from exgates.trotter import cancel_negatives, cnot_spin1, cnot_spin_independent, trotter_product
 
 TABLE1 = {
     3: (39, 8.5, 0.99136, 0.00552),

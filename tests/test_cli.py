@@ -275,13 +275,22 @@ class TestSynthesizeSimulate:
         assert fids["SPIN0"] >= fids["SPIN1"]
 
     def test_simulate_identity_target(self, capsys, tmp_path):
-        from exgates.trotter import PulseSchedule, save_schedule
+        from exgates.schedule import PulseSchedule
+        from exgates.trotter import save_schedule
 
         path = tmp_path / "empty.json"
         save_schedule(PulseSchedule((), name="empty"), path)
         code, out, _ = run(capsys, "simulate", str(path), "--target", "identity")
         assert code == 0
         assert "fidelity 1.00000" in out
+
+    def test_simulate_identity_target_passes_the_target_check(self, capsys, tmp_path):
+        # ``--target identity`` is a unitary: a CNOT schedule scores against it with exit 0
+        out_path = tmp_path / "c.json"
+        run(capsys, "synthesize", "cnot", "--mode", "spin1", "--n", "2", "--out", str(out_path))
+        code, out, _ = run(capsys, "simulate", str(out_path), "--target", "identity", "--oracle")
+        assert code == 0
+        assert "SPIN1: fidelity 0.25042" in out
 
     def test_simulate_oracle_deltas_small(self, capsys, tmp_path):
         out_path = tmp_path / "c.json"
@@ -301,7 +310,8 @@ class TestSynthesizeSimulate:
     def test_simulate_oracle_disagreement_exit_1(self, capsys, tmp_path, monkeypatch, scores, code):
         # the empty schedule scores F = 1, L = 0 against identity in the irreps
         from exgates import oracle
-        from exgates.trotter import PulseSchedule, save_schedule
+        from exgates.schedule import PulseSchedule
+        from exgates.trotter import save_schedule
 
         path = tmp_path / "empty.json"
         save_schedule(PulseSchedule((), name="empty"), path)

@@ -11,7 +11,7 @@ from exgates.encoding import SpinSector, hamiltonian_from_pauli, projected_rep
 from exgates.linalg import expi, is_hermitian
 from exgates.oracle import oracle_projected_rep
 from exgates.symrep import rep_element
-from exgates.trotter import PulseStep, pair_stack
+from exgates.schedule import PulseStep, pair_stack
 
 # The 5- and 9-dim irreps and the 15- and 20-dim magnetization blocks.
 _STACKS = [pair_stack(s) for s in SpinSector] + MAGNETIZATION_BLOCKS

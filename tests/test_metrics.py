@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from collections import Counter
 from functools import lru_cache
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from swap_blocks import magnetization_block
 
-from exgates import metrics, oracle, trotter
+from exgates import metrics, oracle, schedule, trotter
 from exgates.encoding import ALL_PAIRS, SpinSector, projector
 from exgates.linalg import expi
 from exgates.metrics import (
@@ -27,15 +28,8 @@ from exgates.metrics import (
 )
 from exgates.oracle import oracle_fidelity
 from exgates.symrep import rep_element
-from exgates.trotter import (
-    PulseSchedule,
-    PulseStep,
-    cancel_negatives,
-    cnot_spin1,
-    cnot_spin_independent,
-    normalized_time,
-    pair_stack,
-)
+from exgates.schedule import PulseSchedule, PulseStep, normalized_time, pair_stack
+from exgates.trotter import cancel_negatives, cnot_spin1, cnot_spin_independent
 
 
 def extended(target, sector):
@@ -175,6 +169,20 @@ class TestReport:
             assert fids == sorted(fids)
             assert leaks == sorted(leaks, reverse=True)
 
+    _BAD_TARGETS = {
+        "scaled identity": (2 * np.eye(4), "target must be unitary to 1e-12, got |T^dag T - 1| = 3.0e+00"),
+        "3 x 3": (np.eye(3), "target must be a finite 4 x 4 matrix, got shape (3, 3)"),
+        "NaN entry": (np.diag([1.0, 1.0, 1.0, np.nan]), "target must be a finite 4 x 4 matrix, got "),
+        "not numeric": ("cnot", "target must be a finite 4 x 4 matrix, got 'cnot'"),
+    }
+
+    @pytest.mark.parametrize(("target", "message"), _BAD_TARGETS.values(), ids=_BAD_TARGETS.keys())
+    def test_target_must_be_a_4x4_unitary(self, target, message):
+        for score in (lambda t: report(cnot_spin1(2), t), lambda t: metrics.report_many([cnot_spin1(2)], t)):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}") as err:
+                score(target)
+            assert "\n" not in str(err.value)
+
     def test_cancelled_rows_keep_scores(self):
         plain = table_rows(2)
         cancelled = table_rows(2, cancel=True)
@@ -287,7 +295,7 @@ def _reference_evolve_many(schedules, stack):
     steps, and each pair of the batch's product plan is one ``@``, read
     from and written to the plan's pool.
     """
-    form = trotter._evolve_form(schedules)
+    form = schedule._evolve_form(schedules)
     distinct = list(dict.fromkeys(step for schedule in schedules for step in schedule._interned[0]))
     pool = _reference_steps(distinct, stack) + [None] * (form.slots - len(form.rows))
     node = len(form.rows)
@@ -362,13 +370,13 @@ class TestBatchedEvolve:
 
     def test_report_and_oracle_build_each_schedules_rows_once(self, monkeypatch):
         built = []
-        original = trotter._coefficient_rows
+        original = schedule._coefficient_rows
 
         def counting(steps):
             built.append(tuple(steps))
             return original(steps)
 
-        monkeypatch.setattr(trotter, "_coefficient_rows", counting)
+        monkeypatch.setattr(schedule, "_coefficient_rows", counting)
         rng = np.random.default_rng(16)
         for sch in (
             cnot_spin1(50),
@@ -440,7 +448,7 @@ class TestEvolveMany:
     def test_batch_of_one_builds_no_merged_plan(self, monkeypatch):
         """``evolve`` reads the schedule's own ``_form``: planned once per schedule, never again."""
         planned = []
-        original = trotter.product_plan
+        original = schedule.product_plan
 
         def counting(runs, k):
             planned.append(len(runs))
@@ -451,7 +459,7 @@ class TestEvolveMany:
 
         stack = _BATCH_STACKS["irrep-SPIN1"]
         want = [(evolve(sch, stack), evolve(fresh(sch), stack)) for sch in _POOL]
-        monkeypatch.setattr(trotter, "product_plan", counting)
+        monkeypatch.setattr(schedule, "product_plan", counting)
         for sch, gates in zip(_POOL, want):
             # a fresh copy plans itself once, as a batch of one; consolidation plans nothing
             for one, plans, gate in ((sch, [], gates[0]), (fresh(sch), [1], gates[1])):
@@ -483,7 +491,7 @@ class TestEvolveMany:
             steps = _random_steps(rng, 10, phased=True)
             flats.append(PulseSchedule(tuple(steps[j] for j in rng.integers(0, 10, size=300))))
         batch = [*flats, cnot_spin1(1000)]
-        form = trotter._evolve_form(batch)
+        form = schedule._evolve_form(batch)
         sizes = [len(left) for left, _ in form.levels]
         firsts = len(form.rows) + np.cumsum([0, *sizes[:-1]])
         assert 1 in sizes and max(sizes) > metrics._chunk(9)
@@ -504,7 +512,11 @@ def _report_bits(r):
 
 
 class TestReportMany:
-    @pytest.mark.parametrize("target", [None, np.diag([1, 1j, -1, 1]).astype(complex)], ids=["cnot", "phase-gate"])
+    @pytest.mark.parametrize(
+        "target",
+        [None, np.diag([1, 1j, -1, 1]).astype(complex), [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]]],
+        ids=["cnot", "phase-gate", "swap-list"],
+    )
     def test_equals_per_schedule_report(self, target):
         batch = [*_POOL, _POOL[3]]
         got = metrics.report_many(batch, target)
@@ -527,8 +539,9 @@ class TestReportMany:
     @pytest.mark.parametrize("cancel", [False, True])
     def test_table_takes_two_stacked_checks(self, monkeypatch, which, cancel):
         calls = []
-        original = trotter._rows_commute
-        monkeypatch.setattr(trotter, "_rows_commute", lambda a, b: calls.append(len(a)) or original(a, b))
+        original = schedule._rows_commute
+        for module in (schedule, trotter):  # the batch fill's binding and consolidate's
+            monkeypatch.setattr(module, "_rows_commute", lambda a, b: calls.append(len(a)) or original(a, b))
         table_rows(which, cancel=cancel)
         assert len(calls) <= 2
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from swap_blocks import DOWN_SPINS, magnetization_block
 
-from exgates import encoding, oracle, symrep, trotter
+from exgates import encoding, oracle, schedule, symrep, trotter
 from exgates.decouple import local_sums
 from exgates.encoding import ALL_PAIRS, SpinSector, projected_rep
 from exgates.metrics import CNOT, evolve, frame_scores, report
@@ -21,13 +21,8 @@ from exgates.oracle import (
     physical_swap,
 )
 from exgates.symrep import Permutation
-from exgates.trotter import (
-    PulseSchedule,
-    PulseStep,
-    cancel_negatives,
-    cnot_spin1,
-    cnot_spin_independent,
-)
+from exgates.schedule import PulseSchedule, PulseStep
+from exgates.trotter import cancel_negatives, cnot_spin1, cnot_spin_independent
 
 
 def state_index(bits: str) -> int:
@@ -334,7 +329,7 @@ def test_oracle_binds_no_irrep_machinery():
         "rep_element": symrep.rep_element,
         "rep_transposition": symrep.rep_transposition,
         "rep_permutation": symrep.rep_permutation,
-        "pair_stack": trotter.pair_stack,
+        "pair_stack": schedule.pair_stack,
         "projector": encoding.projector,
         "projected_rep": encoding.projected_rep,
     }

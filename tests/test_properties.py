@@ -18,16 +18,8 @@ from exgates.encoding import ALL_PAIRS, SpinSector
 from exgates.linalg import expi
 from exgates.metrics import CNOT, entanglement_fidelity, evolve, leakage, report, simulate
 from exgates.oracle import oracle_fidelity
-from exgates.trotter import (
-    PulseSchedule,
-    PulseStep,
-    _coefficient_rows,
-    cancel_negatives,
-    pair_stack,
-    row_generators,
-    schedule_from_json,
-    schedule_to_json,
-)
+from exgates.schedule import PulseSchedule, PulseStep, _coefficient_rows, pair_stack, row_generators
+from exgates.trotter import cancel_negatives, schedule_from_json, schedule_to_json
 
 IDENTITY = np.eye(4, dtype=complex)
 

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from swap_blocks import MAGNETIZATION_BLOCKS
 
-from exgates import metrics, oracle, trotter
+from exgates import metrics, oracle, schedule, trotter
 from exgates.decouple import decouple_map
 from exgates.encoding import (
     ALL_PAIRS,
@@ -20,28 +20,22 @@ from exgates.encoding import (
     projected_rep,
     projector,
 )
+from exgates.gates import CanonicalGateSpec, canonical_two_qubit_schedule, single_qubit_schedule
 from exgates.linalg import expi
 from exgates.metrics import CNOT, report, simulate
+from exgates.schedule import PulseSchedule, PulseStep, normalized_time, pair_stack, row_generators
 from exgates.symrep import rep_element
 from exgates.trotter import (
     MAX_COEFFICIENT,
     MAX_ITERATIONS,
     SWAP_GENERATOR_N,
-    CanonicalGateSpec,
-    PulseSchedule,
-    PulseStep,
     cancel_negatives,
-    canonical_two_qubit_schedule,
     cnot_spin1,
     cnot_spin_independent,
     consolidate,
     decoupled_evolution,
-    normalized_time,
-    pair_stack,
-    row_generators,
     schedule_from_json,
     schedule_to_json,
-    single_qubit_schedule,
     trotter_product,
 )
 
@@ -155,7 +149,7 @@ def _matrix_commute(a, b):
     1e-12 * max(1, |ga| |gb|), |g| the largest entry magnitude.
     """
     for m in (pair_stack(s) for s in SpinSector):
-        ga, gb = (row_generators(trotter._coefficient_rows((step,)), m) for step in (a, b))
+        ga, gb = (row_generators(schedule._coefficient_rows((step,)), m) for step in (a, b))
         scale = np.maximum(1.0, np.abs(ga).max(axis=(1, 2)) * np.abs(gb).max(axis=(1, 2)))
         if (np.abs(ga @ gb - gb @ ga).max(axis=(1, 2)) > 1e-12 * scale)[0]:
             return False
@@ -523,11 +517,11 @@ class TestRunForm:
         _assert_same_gates(sch, flat)
         assert normalized_time(sch).hex() == normalized_time(flat).hex()
         assert self._dumps(consolidate(sch)) == self._dumps(consolidate(flat))
-        assert trotter._negative_local_steps(sch) == trotter._negative_local_steps(flat)
+        assert schedule._negative_local_steps(sch) == schedule._negative_local_steps(flat)
         canceled, flat_canceled = cancel_negatives(sch), cancel_negatives(flat)
         assert self._dumps(canceled) == self._dumps(flat_canceled)
         assert self._dumps(consolidate(canceled)) == self._dumps(consolidate(flat_canceled))
-        assert trotter._negative_local_steps(canceled) == trotter._negative_local_steps(flat_canceled)
+        assert schedule._negative_local_steps(canceled) == schedule._negative_local_steps(flat_canceled)
 
     @settings(max_examples=300, deadline=None)
     @given(runs=_run_forms())
@@ -641,7 +635,7 @@ class TestStepArrays:
         sch = self._FORM_BUILDS[name]()
         if cancel:
             sch = cancel_negatives(sch)
-        own, batch = sch._form, trotter._evolve_form((sch,))
+        own, batch = sch._form, schedule._evolve_form((sch,))
         for a, b in zip(own[:3], batch[:3]):
             assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b)
         assert len(own.levels) == len(batch.levels) and own.slots == batch.slots
@@ -653,7 +647,7 @@ class TestStepArrays:
 
 
 class TestBatchPlan:
-    """``trotter._evolve_form``: several run forms planned at once, as ``metrics.evolve_many`` plans a batch."""
+    """``schedule._evolve_form``: several run forms planned at once, as ``metrics.evolve_many`` plans a batch."""
 
     @settings(max_examples=100, deadline=None)
     @given(batch=st.lists(
@@ -666,8 +660,8 @@ class TestBatchPlan:
         for sch in batch:
             for step in sch.steps:
                 ids.setdefault(step, len(ids))
-        form = trotter._evolve_form(batch)
-        assert np.array_equal(form.rows, trotter._coefficient_rows(list(ids)))
+        form = schedule._evolve_form(batch)
+        assert np.array_equal(form.rows, schedule._coefficient_rows(list(ids)))
         assert form.phased.tolist() == [step.phase != 0.0 for step in ids]
         pool = _spelled(form)  # one pair table for the whole batch
         assert len(form.finals) == len(batch)
@@ -701,14 +695,14 @@ class TestBatchPlan:
         batch += [cnot_spin_independent(3), cancel_negatives(cnot_spin1(2)), PulseSchedule(())]
         distinct = list(dict.fromkeys(step for sch in batch for step in sch.steps))
         built = []
-        original = trotter._coefficient_rows
+        original = schedule._coefficient_rows
 
         def counting(steps):
             built.append(tuple(steps))
             return original(steps)
 
-        monkeypatch.setattr(trotter, "_coefficient_rows", counting)
-        form = trotter._evolve_form(batch)
+        monkeypatch.setattr(schedule, "_coefficient_rows", counting)
+        form = schedule._evolve_form(batch)
         assert built == [sch._interned[0] for sch in batch]
         want = original(distinct)
         assert form.rows.dtype == want.dtype and np.array_equal(form.rows, want)
@@ -720,9 +714,9 @@ class TestBatchPlan:
         s, t = (build() for build in self._PAIRS[name])
         batch = (s, s, t)
         distinct = list(dict.fromkeys(s.steps + t.steps))
-        form = trotter._evolve_form(batch)
+        form = schedule._evolve_form(batch)
         assert len(form.rows) == len(distinct)
-        assert np.array_equal(form.rows, trotter._coefficient_rows(distinct))
+        assert np.array_equal(form.rows, schedule._coefficient_rows(distinct))
         for stack in _STACKS:
             gates = metrics.evolve_many(batch, stack)
             assert all(np.array_equal(gate, metrics.evolve(sch, stack)) for gate, sch in zip(gates, batch))
@@ -734,7 +728,7 @@ class TestStepGenerator:
     def test_matches_group_algebra_generator(self, coeffs, sector):
         step = PulseStep.make(coeffs)
         want = rep_element(sector.partition, step.coefficients())
-        got = row_generators(trotter._coefficient_rows((step,)), pair_stack(sector))[0]
+        got = row_generators(schedule._coefficient_rows((step,)), pair_stack(sector))[0]
         assert np.max(np.abs(got - want)) <= 1e-13
 
     @pytest.mark.parametrize("k", [0, 1, 7, 8, 9, 17])
@@ -748,14 +742,14 @@ class TestStepGenerator:
         stacks = [pair_stack(s) for s in SpinSector]
         stacks += MAGNETIZATION_BLOCKS
         for stack in stacks:
-            got = row_generators(trotter._coefficient_rows(steps), stack)
+            got = row_generators(schedule._coefficient_rows(steps), stack)
             assert got.shape == (k, *stack.shape[1:])
             for step, row in zip(steps, got):
                 coeffs = np.zeros(15)
                 for pair, c in zip(step.pairs, step.coeffs):
                     coeffs[ALL_PAIRS.index(pair)] += c
                 assert np.array_equal(row, np.tensordot(coeffs, stack, axes=1))
-                assert np.array_equal(row, row_generators(trotter._coefficient_rows((step,)), stack)[0])
+                assert np.array_equal(row, row_generators(schedule._coefficient_rows((step,)), stack)[0])
             assert np.array_equal(got, row_generators(PulseSchedule(tuple(steps))._form.rows, stack))
 
 
@@ -1246,7 +1240,7 @@ class TestConsolidate:
     @settings(max_examples=300, deadline=None)
     @given(pairs=st.lists(_step_pairs(), min_size=1, max_size=6))
     def test_row_rule_equals_matrix_rule(self, pairs):
-        a, b = (trotter._coefficient_rows(steps) for steps in zip(*pairs))
+        a, b = (schedule._coefficient_rows(steps) for steps in zip(*pairs))
         expected = [_matrix_commute(*pair) for pair in pairs]
         assert trotter._rows_commute(a, b).tolist() == expected
         assert trotter._rows_commute(a[:1], b[:1]).tolist() == expected[:1]
@@ -1256,7 +1250,7 @@ class TestConsolidate:
         steps = list(_random_schedule(60).steps)
         steps[1::3] = steps[0::3][: len(steps[1::3])]
         pairs = list(zip(steps, steps[1:]))
-        a, b = (trotter._coefficient_rows(s) for s in zip(*pairs))
+        a, b = (schedule._coefficient_rows(s) for s in zip(*pairs))
         one_by_one = [trotter._rows_commute(x[None], y[None])[0] for x, y in zip(a, b)]
         assert trotter._rows_commute(a, b).tolist() == one_by_one == [_matrix_commute(*pair) for pair in pairs]
         assert 0 < sum(one_by_one) < len(pairs)
@@ -1265,13 +1259,13 @@ class TestConsolidate:
     @given(pairs=st.lists(_step_pairs(_UP_TO_3E2), min_size=1, max_size=6))
     def test_shared_spin_table_decides_as_all_pairs(self, pairs):
         # the 60 pairs that share a spin decide as all 225 and as the matrix rule, some near the threshold
-        a, b = (trotter._coefficient_rows(steps) for steps in zip(*pairs))
+        a, b = (schedule._coefficient_rows(steps) for steps in zip(*pairs))
         expected = [_matrix_commute(*pair) for pair in pairs]
         assert trotter._rows_commute(a, b).tolist() == _rows_commute_225(a, b).tolist() == expected
 
     def test_pairs_off_the_table_commute(self):
         # two transpositions sharing no spin commute: their commutator is rounding noise in both irreps
-        shared = set(zip(*trotter._SHARED.tolist()))
+        shared = set(zip(*schedule._SHARED.tolist()))
         assert len(shared) == 60 and all(len({*ALL_PAIRS[p], *ALL_PAIRS[q]}) == 3 for p, q in shared)
         for m in (pair_stack(s) for s in SpinSector):
             comm = np.abs(m[:, None] @ m[None] - m[None] @ m[:, None]).max(axis=(2, 3))
@@ -1284,7 +1278,7 @@ class TestConsolidate:
         built = [cnot_spin_independent(3), cnot_spin_independent(2, order=0), cnot_spin1(4)]
         batch = [*built, *map(cancel_negatives, built), _random_schedule(60), *merging]
         batch += [PulseSchedule._repeated(*form) for form in forms]
-        trotter._fill_commutes(batch)
+        schedule._fill_commutes(batch)
         for s in batch:
             alone = PulseSchedule._of_form(s._interned, name=s.name, order=s.order, n=s.n)
             assert s.__dict__["_commutes"] == alone._commutes
@@ -1304,10 +1298,11 @@ class TestConsolidate:
     @pytest.mark.parametrize("build", _FAMILIES.values(), ids=_FAMILIES.keys())
     def test_cnot_families_take_two_stacked_checks(self, monkeypatch, build, n, cancel):
         calls = []
-        original = trotter._rows_commute
-        monkeypatch.setattr(trotter, "_rows_commute", lambda a, b: calls.append(len(a)) or original(a, b))
-        schedule = build(n)
-        consolidate(cancel_negatives(schedule) if cancel else schedule)
+        original = schedule._rows_commute
+        for module in (schedule, trotter):  # the batch fill's binding and consolidate's
+            monkeypatch.setattr(module, "_rows_commute", lambda a, b: calls.append(len(a)) or original(a, b))
+        sch = build(n)
+        consolidate(cancel_negatives(sch) if cancel else sch)
         assert len(calls) <= 2
 
     def test_builds_no_irrep_matrix(self, monkeypatch):
@@ -1319,8 +1314,8 @@ class TestConsolidate:
             raise AssertionError("consolidate built an irrep matrix")
 
         # the calls above have filled the commutator table's cache
-        monkeypatch.setattr(trotter, "row_generators", refuse)
-        monkeypatch.setattr(trotter, "pair_stack", refuse)
+        monkeypatch.setattr(schedule, "row_generators", refuse)
+        monkeypatch.setattr(schedule, "pair_stack", refuse)
         assert [schedule_to_json(consolidate(s)) for s in schedules] == expected
 
     @pytest.mark.parametrize(("steps", "expected"), _EDGE_CASES.values(), ids=_EDGE_CASES.keys())
@@ -1348,13 +1343,13 @@ class TestConsolidate:
     def test_generators_built_once_per_distinct_step(self, monkeypatch):
         # counts generator rows on the one coefficient-to-matrix path
         built = []
-        original = trotter.row_generators
+        original = schedule.row_generators
 
         def counting(rows, stack):
             built.extend(rows)
             return original(rows, stack)
 
-        monkeypatch.setattr(trotter, "row_generators", counting)
+        monkeypatch.setattr(schedule, "row_generators", counting)
         sch = cnot_spin1(200)
         merged = consolidate(sch)
         # the steps consolidation sees: the input's and the merged ones
@@ -1613,6 +1608,29 @@ class TestScheduleJson:
         path = tmp_path / "schedule.json"
         with pytest.raises(TypeError):
             save_schedule(replace(cnot_spin1(2), n=np.int64(2)), path)
+        assert not path.exists()
+
+    _UNLOADABLE = {
+        "coefficient 2e4": (
+            lambda: PulseSchedule._repeated(
+                cnot_spin1(1).steps[:1], (PulseStep.make({(1, 4): 0.5}), PulseStep.make({(1, 4): 2e4})), 3, (), n=3
+            ),
+            "step 2: coefficient magnitude above 10000",
+        ),
+        "n = 0": (lambda: replace(cnot_spin1(2), n=0), "iteration count must be between 1 and 10000, got 0"),
+        "order 3": (lambda: replace(cnot_spin1(2), order=3), "order must be 0 or 1, got 3"),
+        "name 5": (lambda: replace(cnot_spin1(2), name=5), "name must be a string, got 5"),
+    }
+
+    @pytest.mark.parametrize(("make", "message"), _UNLOADABLE.values(), ids=_UNLOADABLE.keys())
+    def test_save_refuses_what_load_refuses(self, make, message, tmp_path):
+        """``save_schedule`` applies the loader's checks first: the loader's one-line message, and no file."""
+        from exgates.trotter import save_schedule
+
+        sch, path = make(), tmp_path / "schedule.json"
+        for write in (lambda: schedule_from_json(schedule_to_json(sch)), lambda: save_schedule(sch, path)):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                write()
         assert not path.exists()
 
     def test_file_round_trip(self, tmp_path):
