@@ -7,9 +7,10 @@ gate is scored through a 4 x d frame Pi whose rows are the computational
 states (``frame_scores``).  ``evolve_many`` evolves a batch of schedules
 and ``evolve`` a batch of one, both on the one numeric form
 ``schedule._evolve_form`` builds: the distinct steps' coefficient rows and
-one product plan (``products.product_plan``) in which each repeated cycle
-is multiplied once and raised to its repeats by squaring, so n repeats
-cost O(cycle + log n) products.  A schedule keeps its own form as
+one product plan (``products.product_plan``, made once per run-form
+shape and process) in which each repeated cycle is multiplied once and
+raised to its repeats by squaring, so n repeats cost O(cycle + log n)
+products.  A schedule keeps its own form as
 ``PulseSchedule._form``.  With the frame compression
 
     v = G Pi^T,    g = Pi v    (a 4 x 4 matrix),
@@ -68,9 +69,11 @@ __all__ = [
     "render_json",
 ]
 
+# read-only, so ``_checked_target`` passes this object unchecked
 CNOT = np.array(
     [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
 )
+CNOT.setflags(write=False)
 
 # Benchmark constants of the exact spin-independent CNOT sequence used for
 # comparison in the tables (not recomputed here).
@@ -123,7 +126,7 @@ def _evolved(form, stack: np.ndarray) -> np.ndarray:
             start = part.stop
         node += len(left)
     if None not in finals:
-        return pool[finals]
+        return pool[list(finals)]  # a tuple would index as one element of a multi-dimensional array
     gates = np.tile(np.eye(d, dtype=complex), (len(finals), 1, 1))
     done = [k for k, final in enumerate(finals) if final is not None]
     gates[done] = pool[[finals[k] for k in done]]
@@ -137,7 +140,9 @@ def evolve_many(schedules: Sequence[PulseSchedule], stack: np.ndarray) -> np.nda
     evolved as one schedule is, on ``schedule._evolve_form(schedules)``, so a
     step repeated across schedules is exponentiated once and each level is
     one chunked product for the whole batch, or one ``matmul`` on pool
-    views when the level holds a single product.
+    views when the level holds a single product.  The batch's plan is made
+    once per process for its id run forms (``products.product_plan``), so a
+    later batch of the same shape only evaluates it.
 
     A call only builds and multiplies matrices, with no Python loop over
     steps or pairs.  Each distinct step's unitary is built once, from its
@@ -183,11 +188,13 @@ def frame_scores(
 def entanglement_fidelity(
     gate: np.ndarray, target: np.ndarray, sector: SpinSector
 ) -> float:
-    return frame_scores(gate, target, projector(sector))[0]
+    """F of a gate in a sector's irrep against a 4 x 4 unitary target, checked as ``report`` checks it."""
+    return frame_scores(gate, _checked_target(target), projector(sector))[0]
 
 
 def leakage(gate: np.ndarray, target: np.ndarray, sector: SpinSector) -> float:
-    return frame_scores(gate, target, projector(sector))[1]
+    """L of a gate in a sector's irrep; the target is checked as ``report`` checks it, though L does not read it."""
+    return frame_scores(gate, _checked_target(target), projector(sector))[1]
 
 
 @dataclass(frozen=True)
@@ -224,8 +231,8 @@ def _scorecard(schedule: PulseSchedule, scores: dict[str, tuple[float, float]]) 
 
 
 def _checked_target(target) -> np.ndarray:
-    """``CNOT`` for None; else ``target``, which must be a 4 x 4 unitary to 1e-12 (``ValueError``)."""
-    if target is None:
+    """``CNOT`` for None or ``CNOT`` itself, unchecked; else ``target``, which must be a 4 x 4 unitary to 1e-12 (``ValueError``)."""
+    if target is None or target is CNOT:
         return CNOT
     try:
         t = np.asarray(target, dtype=complex)

@@ -13,11 +13,11 @@ with bit 0 meaning spin up.  The spin-1 frame tensors the two |up> gauge
 states (total S_z = +1 forces total spin 1); the spin-0 frame is the
 singlet combination of the gauge doublets.  No representation matrices or
 embedding tables from the other modules are used, so agreement with them
-is a genuine cross-check.  Only the array-level evolve product and F/L
-formula of ``metrics`` are shared.  They receive the physical swaps and the
-frame cut to the frame's invariant closure (9 dims for spin 1, 5 for spin 0),
-exactly: every swap keeps the down-spin count and commutes with the swap
-sum, so it maps the closure into itself.
+is a genuine cross-check.  Only the array-level evolve product, the F/L
+formula and the target check of ``metrics`` are shared.  They receive the
+physical swaps and the frame cut to the frame's invariant closure (9 dims
+for spin 1, 5 for spin 0), exactly: every swap keeps the down-spin count
+and commutes with the swap sum, so it maps the closure into itself.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import numpy as np
 
 from .encoding import ALL_PAIRS, SpinSector
 from .linalg import integer_pair, real_coefficient
-from .metrics import evolve, frame_scores
+from .metrics import _checked_target, evolve, frame_scores
 from .symrep import Permutation
 from .schedule import PulseSchedule
 
@@ -181,6 +181,7 @@ def oracle_fidelity(
 
     The leakage complement is that of the frame in its closure.  The swaps
     map the closure into itself, so the schedule's unitary keeps the frame
-    there and this equals the complement in all 64 dimensions.
+    there and this equals the complement in all 64 dimensions.  The target
+    must be a 4 x 4 unitary, checked as ``metrics.report`` checks it.
     """
-    return frame_scores(oracle_simulate(schedule, sector), target, _closure_block(sector)[1])
+    return frame_scores(oracle_simulate(schedule, sector), _checked_target(target), _closure_block(sector)[1])

@@ -3,21 +3,34 @@
 A run form ``(head, body, reps, tail)`` over the ids 0..k-1 of a batch's
 distinct steps spells ``head + body * reps + tail``.  ``schedule._evolve_form``
 plans a batch's run forms here, and ``metrics`` evaluates the plan on the
-step unitaries, level by level, in one pool of matrices.
+step unitaries, level by level, in one pool of matrices.  A plan depends on
+the run forms' ids alone, never on a coefficient, so each shape is planned
+once per process and shared by every schedule and batch of that shape.
 """
 
 from __future__ import annotations
 
-from functools import reduce
+from functools import lru_cache, reduce
 from typing import Sequence
 
 import numpy as np
 
 __all__ = ["product_plan"]
 
+# Plans kept per process, least recently used dropped first.  The schedules scored in one
+# process repeat a few shapes: a table's batches, the CNOT families at a fixed n, one length
+# of unrepeated steps, a fit's iterates on one skeleton.
+PLANS_KEPT = 64
 
-def product_plan(runs: Sequence[tuple], k: int) -> tuple[tuple, list, int]:
+
+@lru_cache(maxsize=PLANS_KEPT)
+def product_plan(runs: tuple[tuple, ...], k: int) -> tuple[tuple, tuple, int]:
     """The product plan of id run forms over k distinct steps in one pool: (levels, finals, slots).
+
+    Memoized on its arguments, so ``runs`` is a tuple of ``(head, body,
+    reps, tail)`` with tuple parts, and equal run forms and k share one
+    plan object, built once while it stays among the last ``PLANS_KEPT``
+    shapes.  The plan is immutable: tuples of read-only arrays and ints.
 
     Pool node j is step j for j < k, then the products level by level; a
     level is (left, right) read-only arrays of its operands' slots, node j
@@ -78,4 +91,4 @@ def product_plan(runs: Sequence[tuple], k: int) -> tuple[tuple, list, int]:
     # from a list, not a generator: tuple() of a generator grows the tuple by resizing, and built
     # that way the levels raised the long-schedules peak RSS by ~0.6 MB every 1000 jobs
     levels = tuple([(nodes[0, a:b], nodes[1, a:b]) for a, b in zip(bounds, bounds[1:])])
-    return levels, [None if r is None else r % slots for r in roots], slots
+    return levels, tuple([None if r is None else r % slots for r in roots]), slots

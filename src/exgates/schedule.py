@@ -8,7 +8,8 @@ unitaries in list order.
 
 A schedule derives each fact once and keeps it: its run form
 (``_interned``), its distinct steps' coefficient rows (``_rows``), its
-numeric form and product plan (``_form``, from ``_evolve_form``) and the
+numeric form and product plan (``_form``, from ``_evolve_form``; the plan
+is shared by every schedule of the same run-form shape) and the
 commutation checks that ``trotter.consolidate`` reads (``_commutes``, from
 ``_fill_commutes``).  ``pair_stack`` and ``row_generators`` are the one
 coefficient-to-matrix path.  ``normalized_time`` and
@@ -127,7 +128,7 @@ class _EvolveForm(NamedTuple):
     phases: np.ndarray
     phased: np.ndarray
     levels: tuple
-    finals: list
+    finals: tuple
     slots: int
 
 
@@ -196,7 +197,10 @@ class PulseSchedule:
 
     @cached_property
     def _form(self) -> _EvolveForm:
-        """``_evolve_form((self,))``, built once per schedule: both irreps and both oracle closures read it."""
+        """``_evolve_form((self,))``, built once per schedule: both irreps and both oracle closures read it.
+
+        Its plan is the one every schedule of the same id run form shares (``product_plan``).
+        """
         return _evolve_form((self,))
 
     @cached_property
@@ -250,10 +254,13 @@ def _evolve_form(schedules: Sequence[PulseSchedule]) -> _EvolveForm:
     """The numeric form of a batch's distinct steps and one product plan of all its schedules.
 
     Steps are interned first occurrence first and each schedule's id run
-    form renumbered to batch ids; one ``product_plan`` call plans them all.
-    The rows of the steps new to the batch are that schedule's ``_rows``
-    under a mask, bit for bit; the phase factors are one elementwise
-    ``np.exp``, the bits of a scalar call per step.  A schedule's ``_form``
+    form renumbered to batch ids, as tuples; one ``product_plan`` call plans
+    them all, or returns the plan it made for an earlier schedule or batch
+    of the same id run forms and step count.  Only the plan is shared:
+    rows and phases are this batch's own.  The rows of the steps new to the
+    batch are that schedule's ``_rows`` under a mask, bit for bit; the phase
+    factors are one elementwise ``np.exp``, the bits of a scalar call per
+    step.  A schedule's ``_form``
     is this for a batch of one.
     """
     ids: dict[PulseStep, int] = {}
@@ -263,14 +270,14 @@ def _evolve_form(schedules: Sequence[PulseSchedule]) -> _EvolveForm:
         known = len(ids)
         to_batch = [ids.setdefault(step, len(ids)) for step in distinct]
         rows.append(schedule._rows[np.greater_equal(to_batch, known)])
-        head, body, tail = ([to_batch[i] for i in part] for part in (head, body, tail))
+        head, body, tail = (tuple([to_batch[i] for i in part]) for part in (head, body, tail))
         runs.append((head, body, reps, tail))
     phases = np.array([step.phase for step in ids], dtype=float)
     return _EvolveForm(
         _read_only(np.concatenate(rows)),
         _read_only(np.exp(1j * phases)),
         _read_only(phases != 0.0),
-        *product_plan(runs, len(ids)),
+        *product_plan(tuple(runs), len(ids)),
     )
 
 

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from swap_blocks import magnetization_block
 
-from exgates import metrics, oracle, schedule, trotter
+from exgates import metrics, oracle, products, schedule, trotter
 from exgates.encoding import ALL_PAIRS, SpinSector, projector
 from exgates.linalg import expi
 from exgates.metrics import (
@@ -171,6 +171,7 @@ class TestReport:
 
     _BAD_TARGETS = {
         "scaled identity": (2 * np.eye(4), "target must be unitary to 1e-12, got |T^dag T - 1| = 3.0e+00"),
+        "scaled CNOT": (2 * CNOT, "target must be unitary to 1e-12, got |T^dag T - 1| = 3.0e+00"),
         "3 x 3": (np.eye(3), "target must be a finite 4 x 4 matrix, got shape (3, 3)"),
         "NaN entry": (np.diag([1.0, 1.0, 1.0, np.nan]), "target must be a finite 4 x 4 matrix, got "),
         "not numeric": ("cnot", "target must be a finite 4 x 4 matrix, got 'cnot'"),
@@ -178,10 +179,32 @@ class TestReport:
 
     @pytest.mark.parametrize(("target", "message"), _BAD_TARGETS.values(), ids=_BAD_TARGETS.keys())
     def test_target_must_be_a_4x4_unitary(self, target, message):
-        for score in (lambda t: report(cnot_spin1(2), t), lambda t: metrics.report_many([cnot_spin1(2)], t)):
+        sch, sector = cnot_spin1(2), SpinSector.SPIN1
+        gate = simulate(sch, sector)
+        scorers = (
+            lambda t: report(sch, t),
+            lambda t: metrics.report_many([sch], t),
+            lambda t: entanglement_fidelity(gate, t, sector),
+            lambda t: leakage(gate, t, sector),
+            lambda t: oracle_fidelity(sch, sector, t),
+        )
+        for score in scorers:
             with pytest.raises(ValueError, match=f"^{re.escape(message)}") as err:
                 score(target)
             assert "\n" not in str(err.value)
+
+    def test_cnot_is_read_only_and_passes_unchecked(self, monkeypatch):
+        assert not CNOT.flags.writeable
+        with pytest.raises(ValueError):
+            CNOT[0, 0] = 2
+
+        def unexpected(*args, **kwargs):
+            raise AssertionError("the target was checked")
+
+        monkeypatch.setattr(np, "isfinite", unexpected)
+        assert metrics._checked_target(CNOT) is CNOT and metrics._checked_target(None) is CNOT
+        with pytest.raises(AssertionError, match="the target was checked"):
+            metrics._checked_target(CNOT.copy())
 
     def test_cancelled_rows_keep_scores(self):
         plain = table_rows(2)
@@ -445,34 +468,33 @@ class TestEvolveMany:
         assert all(np.array_equal(evolve(sch, stack), gate) for sch, gate in zip(written, want))
         assert np.array_equal(metrics.evolve_many(written, stack), np.array(want))
 
-    def test_batch_of_one_builds_no_merged_plan(self, monkeypatch):
-        """``evolve`` reads the schedule's own ``_form``: planned once per schedule, never again."""
-        planned = []
-        original = schedule.product_plan
-
-        def counting(runs, k):
-            planned.append(len(runs))
-            return original(runs, k)
+    def test_batch_of_one_builds_no_merged_plan(self):
+        """``evolve`` reads the schedule's own ``_form``; a plan is built once per shape, never per copy."""
+        def built():  # plans built, not looked up
+            return products.product_plan.cache_info().misses
 
         def fresh(sch):  # a flat copy: its gate equals a built run form's to rounding only
             return PulseSchedule(sch.steps, name=sch.name, order=sch.order, n=sch.n)
 
         stack = _BATCH_STACKS["irrep-SPIN1"]
         want = [(evolve(sch, stack), evolve(fresh(sch), stack)) for sch in _POOL]
-        monkeypatch.setattr(schedule, "product_plan", counting)
         for sch, gates in zip(_POOL, want):
-            # a fresh copy plans itself once, as a batch of one; consolidation plans nothing
-            for one, plans, gate in ((sch, [], gates[0]), (fresh(sch), [1], gates[1])):
-                planned.clear()
+            # a schedule, or a fresh copy of a shape planned above, builds no plan; consolidation plans nothing
+            for one, gate in ((sch, gates[0]), (fresh(sch), gates[1])):
+                before = built()
                 assert np.array_equal(evolve(one, stack), gate)
                 report(one)
                 oracle_fidelity(one, SpinSector.SPIN0, CNOT)
-                assert planned == plans
                 got = metrics.evolve_many((one,), stack)
                 assert got.shape == (1, *gate.shape) and np.array_equal(got[0], gate)
-        planned.clear()
+                assert built() == before
+        products.product_plan.cache_clear()
+        for _ in range(2):  # a new shape builds one plan, its next copy none
+            assert np.array_equal(evolve(fresh(_POOL[-1]), stack), want[-1][1])
+            assert built() == 1
+        products.product_plan.cache_clear()
         metrics.evolve_many(_POOL[2:4], stack)
-        assert planned == [2]  # one merged plan for the batch
+        assert built() == 1  # one merged plan for the batch
 
     @pytest.mark.parametrize("canceled", [False, True], ids=["plain", "canceled"])
     @pytest.mark.parametrize("builder", [cnot_spin_independent, cnot_spin1], ids=["independent", "spin1"])
@@ -509,6 +531,62 @@ class TestEvolveMany:
 def _report_bits(r):
     scores = {s: (r.fidelity[s].hex(), r.leakage[s].hex()) for s in r.fidelity}
     return r.name, r.n, r.cycles, r.normalized_time.hex(), r.negative_local_steps, list(r.fidelity), scores
+
+
+def _flat_random(rng, k):
+    """An unrepeated schedule of k random phased steps: its run form is all tail, ids 0..k-1."""
+    return PulseSchedule(tuple(_random_steps(rng, k, phased=True)))
+
+
+class TestPlanMemo:
+    """``products.product_plan`` is built once per run-form shape and shared; values never enter its key."""
+
+    def test_fresh_builds_share_one_plan(self):
+        a, b = cnot_spin1(200), cnot_spin1(200)
+        assert a is not b and a._form.levels is b._form.levels and a._form.finals is b._form.finals
+        assert a._form.rows is not b._form.rows  # rows and phases stay each schedule's own
+
+    def test_unrepeated_schedules_of_one_length_share_a_plan(self):
+        rng = np.random.default_rng(41)
+        a, b, c = (_flat_random(rng, k) for k in (20, 20, 21))
+        assert a._interned[0] != b._interned[0]
+        assert a._form.levels is b._form.levels and c._form.levels is not a._form.levels
+        body = _random_steps(rng, 3, phased=False)
+        two, three = (PulseSchedule._repeated((), body, reps, ()) for reps in (2, 3))
+        again = PulseSchedule._repeated((), _random_steps(rng, 3, phased=True), 2, ())
+        assert again._form.levels is two._form.levels and three._form.levels is not two._form.levels
+
+    def test_past_the_bound_plans_are_dropped_and_replanned_equal(self):
+        plan = products.product_plan
+        plan.cache_clear()
+        first = plan((((), (), 0, (0, 1, 2)),), 3)
+        for k in range(4, 4 + products.PLANS_KEPT):
+            plan((((), (), 0, tuple(range(k))),), k)
+        info = plan.cache_info()
+        assert info.currsize == products.PLANS_KEPT and info.misses == products.PLANS_KEPT + 1
+        again = plan((((), (), 0, (0, 1, 2)),), 3)
+        assert plan.cache_info().misses == info.misses + 1 and again is not first
+        (levels, finals, slots), (want, want_finals, want_slots) = again, first
+        assert (finals, slots) == (want_finals, want_slots) and len(levels) == len(want)
+        for got, ref in zip(levels, want):
+            assert all(np.array_equal(x, y) and not x.flags.writeable for x, y in zip(got, ref))
+
+    def test_plan_is_immutable(self):
+        levels, finals, slots = cnot_spin_independent(50)._form[3:]
+        assert isinstance(levels, tuple) and isinstance(finals, tuple) and isinstance(slots, int)
+        assert all(isinstance(level, tuple) and not any(a.flags.writeable for a in level) for level in levels)
+
+    def test_cold_report_equals_warm_report(self):
+        rng = np.random.default_rng(43)
+        randoms = [_flat_random(rng, k) for k in (1, 20, 57)]
+        builds = [lambda: cnot_spin1(200), lambda: cancel_negatives(cnot_spin_independent(50, order=0))]
+        builds += [lambda: cnot_spin_independent(3)] + [lambda s=s: PulseSchedule(s.steps) for s in randoms]
+        warm = [_report_bits(report(build())) for build in builds]
+        for build, bits in zip(builds, warm):
+            products.product_plan.cache_clear()
+            assert _report_bits(report(build())) == bits
+        products.product_plan.cache_clear()
+        assert [_report_bits(r) for r in metrics.report_many([build() for build in builds])] == warm
 
 
 class TestReportMany:

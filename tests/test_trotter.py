@@ -485,7 +485,7 @@ class TestInternedForm:
     def test_product_levels_multiply_in_schedule_order(self, sch):
         """With concatenation as the product, the plan spells out the id sequence."""
         seq, form = _written_ids(sch), sch._form
-        assert form.finals == [form.finals[0] if seq else None]
+        assert form.finals == (form.finals[0] if seq else None,)
         assert (_spelled(form)[form.finals[0]] if seq else ()) == seq
         products = sum(len(left) for left, _ in form.levels)
         assert products <= _products_bound(sch) and form.slots <= len(form.rows) + products
@@ -1340,21 +1340,23 @@ class TestConsolidate:
         out = consolidate(PulseSchedule._repeated((p,), (x, back), 5, ()))
         assert out.steps == (p,) and _run_form(out) == ((), (), 0, (p,))
 
-    def test_generators_built_once_per_distinct_step(self, monkeypatch):
-        # counts generator rows on the one coefficient-to-matrix path
+    def test_coefficient_rows_built_once_per_distinct_step(self, monkeypatch):
+        # consolidation decides on coefficient rows and builds no generator: the input's distinct
+        # steps' rows once (``_rows``, which the commutation checks read too), a merged step's row
+        # as the sum of its parts', and nothing on a second call
         built = []
-        original = schedule.row_generators
+        original = schedule._coefficient_rows
 
-        def counting(rows, stack):
-            built.extend(rows)
-            return original(rows, stack)
+        def counting(steps):
+            built.append(tuple(steps))
+            return original(steps)
 
-        monkeypatch.setattr(schedule, "row_generators", counting)
+        monkeypatch.setattr(schedule, "_coefficient_rows", counting)
         sch = cnot_spin1(200)
         merged = consolidate(sch)
-        # the steps consolidation sees: the input's and the merged ones
-        distinct = set(sch.steps) | set(merged.steps)
-        assert len(built) <= 2 * len(distinct)
+        assert built == [sch._interned[0]] and len(merged) < len(sch)
+        built.clear()
+        assert consolidate(sch) == merged and built == []
 
     def test_each_distinct_transition_merged_once(self, monkeypatch):
         seen = []
@@ -1554,6 +1556,21 @@ class TestScheduleJson:
         good = {"pairs": [[1, 2]], "coeffs": [1]}
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             schedule_from_json({"version": 1, "steps": [good, good, bad, good]})
+
+    def test_numpy_scalars_and_unpicklable_steps_keyed_apart(self):
+        """The raw-step key spells types: a valid ``np.float64(0.0)`` does not vouch for an equal ``np.int64(0)``."""
+        good = {"pairs": [[1, 2]], "coeffs": [np.float64(0.0)]}
+        bad = {"pairs": [[1, 2]], "coeffs": [np.int64(0)]}
+        assert good == bad
+        with pytest.raises(ValueError, match=r"^step 1 coefficient must be a number, got np\.int64\(0\)$"):
+            schedule_from_json({"version": 1, "steps": [good, bad]})
+        # a step that does not pickle (an ignored field holds a generator) is validated at each index
+        odd = [{"pairs": [[1, 2]], "coeffs": [0.5], "note": (x for x in ())} for _ in range(2)]
+        back = schedule_from_json({"version": 1, "steps": odd})
+        assert back.steps == (PulseStep.make({(1, 2): 0.5}),) * 2
+        odd[1]["pairs"] = [[1.0, 2]]
+        with pytest.raises(ValueError, match=r"^step 1 pair entry must be an integer, got 1\.0$"):
+            schedule_from_json({"version": 1, "steps": odd})
 
     def test_loaded_steps_equal_make(self):
         # reversed and unsorted pairs, integer and zero coefficients, a signed zero phase
