@@ -40,25 +40,19 @@ def product_plan(runs: tuple[tuple, ...], k: int) -> tuple[tuple, tuple, int]:
     tree, an odd layer's last node waiting; the body is raised to ``reps``
     by squaring, low bit first; then (head . power) . tail is folded, empty
     parts skipped.  Fewer than two repeats are written out as one tree.
-    Each distinct product is planned once a batch, a level above its later
-    operand, so n repeats cost O(cycle + log n) products.
+    Every product is made by ``times``, once a batch however often it is
+    asked for, so n repeats cost O(cycle + log n) products.  Then each is
+    given its level, one above its later operand, and the products are
+    renumbered level by level, planning order kept within a level.
     """
     products: dict[tuple[int, int], int] = {}  # (left, right) -> node, k + planning order
-    depth = [0] * k  # per node: 0 for a step, a product one above its later operand
 
     def times(a: int, b: int) -> int:
-        node = products.setdefault((a, b), len(depth))
-        if node == len(depth):
-            depth.append(1 + max(depth[a], depth[b]))
-        return node
+        return products.setdefault((a, b), k + len(products))
 
     def tree(layer: Sequence[int]) -> int | None:
-        level = 0
-        while len(layer) > 1:  # each pair's left node is one level below it
-            level += 1
-            above = [products.setdefault(pair, len(products) + k) for pair in zip(layer[::2], layer[1::2])]
-            depth.extend([level] * (len(products) + k - len(depth)))
-            layer = above + list(layer[len(layer) - len(layer) % 2 :])
+        while len(layer) > 1:
+            layer = [*map(times, layer[::2], layer[1::2]), *layer[len(layer) - len(layer) % 2 :]]
         return layer[0] if layer else None
 
     roots = []
@@ -74,17 +68,18 @@ def product_plan(runs: tuple[tuple, ...], k: int) -> tuple[tuple, tuple, int]:
                 node = times(node, node)
         parts = [part for part in (tree(head), power, tree(tail)) if part is not None]
         roots.append(reduce(times, parts) if parts else None)
-    depths = depth[k:]
-    plan = np.array([*zip(*products), depths], dtype=np.intp).reshape(3, -1)  # left, right, level
-    if depths != sorted(depths):  # the pool holds the products level by level: renumber them
-        order = np.argsort(plan[2], kind="stable")
-        index = np.arange(len(depth))
-        index[k + order] = index[k:].copy()
-        plan = plan[:, order]
-        plan[:2], roots = index[plan[:2]], [None if r is None else int(index[r]) for r in roots]
+    level = [0] * k  # per node: 0 for a step, a product one above its later operand
+    for a, b in products:  # operands are planned before their products
+        level.append(1 + max(level[a], level[b]))
+    plan = np.array([*zip(*products), level[k:]], dtype=np.intp).reshape(3, -1)  # left, right, level
+    order = np.argsort(plan[2], kind="stable")
+    index = np.arange(len(level))
+    index[k + order] = index[k:].copy()
+    plan = plan[:, order]
+    plan[:2], roots = index[plan[:2]], [None if r is None else int(index[r]) for r in roots]
     ends = k + np.cumsum(np.bincount(plan[2], minlength=1))  # one past each level's last node
     # a slot is free once its node's readers' levels end; a final's never is, and the k steps all fit
-    kept = max([k] + [len(depth) - r for r in roots if r is not None])
+    kept = max([k] + [len(level) - r for r in roots if r is not None])
     slots = int(np.max(ends[plan[2]] - plan[:2], initial=kept))
     nodes, bounds = plan[:2] % max(slots, 1), (ends - k).tolist()
     nodes.setflags(write=False)

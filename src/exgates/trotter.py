@@ -104,9 +104,12 @@ def trotter_product(
     return PulseSchedule._repeated((), cycle, n, (), name="trotter-product", order=order, n=n)
 
 
-@lru_cache(maxsize=32)
+@lru_cache(maxsize=None)
 def _decoupler_steps(weight: float, pairs: tuple[tuple[int, int], ...]) -> tuple[PulseStep, PulseStep]:
-    """Step exp(i weight/3 sum(pairs)), a block sum or part of one, and its inverse: made once per process."""
+    """Step exp(i weight/3 sum(pairs)), a block sum or part of one, and its inverse: made once per process.
+
+    Its 128 keys, the two weights pi/2 and pi over the 64 subsets of the six block pairs, all stay.
+    """
     step = PulseStep.make({p: weight / 3.0 for p in pairs})
     return step, step.scaled(-1.0)
 
@@ -373,35 +376,33 @@ def schedule_from_json(data: dict) -> PulseSchedule:
     """Validated schedule from its JSON object; any fault raises one ``ValueError``.
 
     Each message names the field, a step's index and what was expected;
-    callers add their own prefix.  Each distinct raw step is validated once
-    (``_json_step``), at its first index.  Raw steps share a result when
-    their pickles are equal: an exact key, which spells each value with its
-    type and a float with its bits, so ``1``, ``1.0`` and ``true``, the two
-    zeros, a tuple and a list, and numpy scalars stay apart.  It takes a
-    fifth of the time of a ``json.dumps`` text.  Steps repeating a body the
-    file's ``n`` times keep that run form.
+    callers add their own prefix.  Raw steps go straight to ids, first
+    occurrence first: a raw step new by its key is validated (``_json_step``)
+    and given its step's id.  The key is its pickle, which spells each value
+    with its type and a float with its bits, so ``1``, ``1.0`` and ``true``,
+    the two zeros, a tuple and a list, and numpy scalars stay apart, or its
+    index if it does not pickle.  Ids repeating a body the file's ``n``
+    times keep that run form (``_recovered_form``).
     """
     if not isinstance(data, dict):
         raise ValueError(f"schedule JSON must be an object, got {type(data).__name__}")
     version = plain_int(data.get("version"), "version")
     if version != 1:
         raise ValueError(f"unsupported schedule version: {reprlib.repr(version)}")
-    steps = []
-    seen: dict[bytes, PulseStep] = {}  # a raw step's pickle -> its step
+    ids: dict[PulseStep, int] = {}  # a distinct step -> its id
+    seen: dict[bytes | int, int] = {}  # a raw step's pickle, else its index -> its step's id
+    seq = []
     for k, s in enumerate(_json_field(data, "steps", list, "steps")):
         try:
             key = pickle.dumps(s, 5)
         except (pickle.PicklingError, TypeError, ValueError, AttributeError, RecursionError):
-            # the key only saves work: a step that does not pickle is validated at each index
-            key = None
-        step = seen.get(key)
-        if step is None:
-            step = _json_step(s, k)
-            if key is not None:
-                seen[key] = step
-        steps.append(step)
+            key = k
+        i = seen.get(key)
+        if i is None:
+            i = seen[key] = ids.setdefault(_json_step(s, k), len(ids))
+        seq.append(i)
     name, order, n = _checked_fields(data.get("name", "schedule"), data.get("order", 1), data.get("n", 1))
-    return PulseSchedule._repeated(*_recovered_form(tuple(steps), n), name=name, order=order, n=n)
+    return PulseSchedule._of_form((tuple(ids), _recovered_form(tuple(seq), n)), name=name, order=order, n=n)
 
 
 def _checked_fields(name, order, n) -> tuple[str, int, int]:
@@ -413,14 +414,13 @@ def _checked_fields(name, order, n) -> tuple[str, int, int]:
     return name, order, n
 
 
-def _recovered_form(steps: tuple, n: int) -> tuple:
-    """Loaded steps as ``head + body * n + tail``, head and tail shorter than the body, or degenerate.
+def _recovered_form(ids: tuple[int, ...], n: int) -> tuple:
+    """Loaded ids as ``(head, body, n, tail)``, head and tail shorter than the body, or degenerate.
 
     The longest body, then the shortest head: the run form every builder
     writes, so a saved schedule loads back to the same evolve bits.
     """
-    ids: dict[PulseStep, int] = {}
-    seq = np.array([ids.setdefault(s, len(ids)) for s in steps] if n > 1 else [])
+    seq = np.array(ids) if n > 1 else ()
     for width in range(len(seq) // n, len(seq) // (n + 2), -1):
         if seq[width - 1] != seq[2 * width - 1]:  # a position every candidate head's repeats hold
             continue
@@ -429,8 +429,8 @@ def _recovered_form(steps: tuple, n: int) -> tuple:
         periodic = heads[unmatched[heads + (n - 1) * width] == unmatched[heads]]
         if periodic.size:
             h = int(periodic[0])
-            return steps[:h], steps[h : h + width], n, steps[h + n * width :]
-    return (), (), 0, steps
+            return ids[:h], ids[h : h + width], n, ids[h + n * width :]
+    return (), (), 0, ids
 
 
 def save_schedule(schedule: PulseSchedule, path) -> None:

@@ -1,7 +1,7 @@
 import re
 import tracemalloc
 from collections import Counter
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 import pytest
@@ -536,6 +536,106 @@ def _report_bits(r):
 def _flat_random(rng, k):
     """An unrepeated schedule of k random phased steps: its run form is all tail, ids 0..k-1."""
     return PulseSchedule(tuple(_random_steps(rng, k, phased=True)))
+
+
+def _product_plan_levelled_while_planning(runs, k):
+    """A former ``products.product_plan``, unmemoized: it gave levels as it planned and renumbered only when needed.
+
+    ``tree`` counted its layers for a level and ``times`` put a product one
+    above its later operand; the pool was renumbered level by level only
+    when planning order was not already level order.
+    """
+    plan_of: dict[tuple[int, int], int] = {}
+    depth = [0] * k
+
+    def times(a, b):
+        node = plan_of.setdefault((a, b), len(depth))
+        if node == len(depth):
+            depth.append(1 + max(depth[a], depth[b]))
+        return node
+
+    def tree(layer):
+        level = 0
+        while len(layer) > 1:
+            level += 1
+            above = [plan_of.setdefault(pair, len(plan_of) + k) for pair in zip(layer[::2], layer[1::2])]
+            depth.extend([level] * (len(plan_of) + k - len(depth)))
+            layer = above + list(layer[len(layer) - len(layer) % 2 :])
+        return layer[0] if layer else None
+
+    roots = []
+    for head, body, reps, tail in runs:
+        if reps < 2:
+            head, body, reps, tail = (), (), 0, (*head, *body * reps, *tail)
+        power, node = None, tree(body)
+        while reps:
+            if reps & 1:
+                power = node if power is None else times(power, node)
+            reps >>= 1
+            if reps:
+                node = times(node, node)
+        parts = [part for part in (tree(head), power, tree(tail)) if part is not None]
+        roots.append(reduce(times, parts) if parts else None)
+    depths = depth[k:]
+    plan = np.array([*zip(*plan_of), depths], dtype=np.intp).reshape(3, -1)
+    if depths != sorted(depths):
+        order = np.argsort(plan[2], kind="stable")
+        index = np.arange(len(depth))
+        index[k + order] = index[k:].copy()
+        plan = plan[:, order]
+        plan[:2], roots = index[plan[:2]], [None if r is None else int(index[r]) for r in roots]
+    ends = k + np.cumsum(np.bincount(plan[2], minlength=1))
+    kept = max([k] + [len(depth) - r for r in roots if r is not None])
+    slots = int(np.max(ends[plan[2]] - plan[:2], initial=kept))
+    nodes, bounds = plan[:2] % max(slots, 1), (ends - k).tolist()
+    levels = tuple([(nodes[0, a:b], nodes[1, a:b]) for a, b in zip(bounds, bounds[1:])])
+    return levels, tuple([None if r is None else r % slots for r in roots]), slots
+
+
+@st.composite
+def _run_form_batches(draw):
+    """(runs, k): a batch of id run forms over k steps, as ``_evolve_form`` passes them; empty ones included.
+
+    An empty body has no repeats, as in an interned run form.
+    """
+    k = draw(st.integers(0, 6))
+    part = st.lists(st.integers(0, k - 1), max_size=7).map(tuple) if k else st.just(())
+    runs = []
+    for _ in range(draw(st.integers(0, 4))):
+        head, body, reps, tail = draw(part), draw(part), draw(st.integers(0, 10000)), draw(part)
+        runs.append((head, body, reps if body else 0, tail))
+    return tuple(runs), k
+
+
+class TestPlanReference:
+    @settings(max_examples=500, deadline=None)
+    @given(batch=_run_form_batches())
+    def test_plan_equals_the_former_planner(self, batch):
+        """Levelling after planning, always renumbering, gives the former plan array for array."""
+        levels, finals, slots = products.product_plan.__wrapped__(*batch)
+        want, want_finals, want_slots = _product_plan_levelled_while_planning(*batch)
+        assert (finals, slots) == (want_finals, want_slots) and len(levels) == len(want)
+        for got, ref in zip(levels, want):
+            assert all(np.array_equal(x, y) and x.dtype == y.dtype for x, y in zip(got, ref))
+
+    def test_table_and_long_schedule_plans_equal_the_former_planner(self):
+        rng = np.random.default_rng(47)
+        batches = [[cnot_spin_independent(n) for n in (3, 5, 9)], [cnot_spin1(n) for n in (2, 3, 4)]]
+        batches += [[cancel_negatives(s) for s in batch] for batch in batches]
+        batches += [[build(n)] for build in (cnot_spin1, cnot_spin_independent) for n in (50, 200)]
+        batches += [[_flat_random(rng, k)] for k in (20, 57, 100)]
+        for batch in batches:
+            ids, runs = {}, []
+            for s in batch:  # each run form on batch ids, as ``_evolve_form`` renumbers it
+                distinct, (head, body, reps, tail) = s._interned
+                to_batch = [ids.setdefault(step, len(ids)) for step in distinct]
+                head, body, tail = (tuple(to_batch[i] for i in part) for part in (head, body, tail))
+                runs.append((head, body, reps, tail))
+            form = schedule._evolve_form(batch)
+            want, want_finals, want_slots = _product_plan_levelled_while_planning(tuple(runs), len(ids))
+            assert (form.finals, form.slots) == (want_finals, want_slots) and len(form.levels) == len(want)
+            for got, ref in zip(form.levels, want):
+                assert all(np.array_equal(x, y) for x, y in zip(got, ref))
 
 
 class TestPlanMemo:

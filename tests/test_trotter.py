@@ -15,6 +15,8 @@ from exgates import metrics, oracle, schedule, trotter
 from exgates.decouple import decouple_map
 from exgates.encoding import (
     ALL_PAIRS,
+    BLOCK_A_PAIRS,
+    BLOCK_B_PAIRS,
     SpinSector,
     pauli_word,
     projected_rep,
@@ -296,6 +298,20 @@ def computational_block(schedule, sector):
 
 
 _FAMILIES = {"order-1": cnot_spin_independent, "order-0": lambda n: cnot_spin_independent(n, order=0), "spin-1": cnot_spin1}
+
+
+def _after_every_decoupler(n):
+    """``cnot_spin_independent(n)`` once ``decoupled_evolution`` has made every decoupler step of the process.
+
+    Every subset of the six block pairs is dropped at both orders; each call
+    makes the steps of both weights, pi/2 and pi, for the pairs left.
+    """
+    pairs = BLOCK_A_PAIRS + BLOCK_B_PAIRS
+    for order in (0, 1):
+        for mask in range(2 ** len(pairs)):
+            drop = [p for j, p in enumerate(pairs) if mask >> j & 1]
+            decoupled_evolution(SWAP_GENERATOR_N, 1.0, 1, order=order, drop_from_decoupler=drop)
+    return cnot_spin_independent(n)
 
 
 def _respelled(step):
@@ -1008,7 +1024,9 @@ class TestCnotConstructions:
         save_schedule(sch, path)
         assert load_schedule(path) == sch
 
-    @pytest.mark.parametrize("build", _FAMILIES.values(), ids=_FAMILIES.keys())
+    _SHARING = {**_FAMILIES, "order-1-after-every-decoupler": _after_every_decoupler}
+
+    @pytest.mark.parametrize("build", _SHARING.values(), ids=_SHARING.keys())
     def test_builders_share_their_constant_steps(self, build):
         # the prefactor, the decoupler steps and their inverses are the same objects at every n,
         # and the generator's steps are the process's one generator step scaled
@@ -1497,6 +1515,67 @@ class TestScheduleJson:
         sch = replace(_random_schedule(100), n=3)
         back = schedule_from_json(json.loads(json.dumps(schedule_to_json(sch))))
         assert _run_form(back) == ((), (), 0, back.steps) and back.steps == sch.steps
+
+    def test_loads_without_interning_again(self, monkeypatch):
+        """Raw steps go straight to ids: the loader never interns the steps it has keyed."""
+        built = [cnot_spin1(7), cancel_negatives(cnot_spin_independent(5)), cnot_spin_independent(4, order=0)]
+        built += [replace(_random_schedule(40), n=2), PulseSchedule(())]
+        data = [json.loads(json.dumps(schedule_to_json(sch))) for sch in built]
+        forms = [sch._interned for sch in built]  # interned before the patch: an unbuilt schedule's is lazy
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the loader interned the steps again")
+
+        monkeypatch.setattr(schedule, "_intern", refuse)
+        monkeypatch.setattr(trotter, "_intern", refuse)
+        monkeypatch.setattr(PulseSchedule, "_repeated", classmethod(refuse))
+        for sch, raw, form in zip(built, data, forms):
+            back = schedule_from_json(raw)
+            assert back._interned == form and back.steps == sch.steps
+
+    def test_respelled_repeats_load_with_the_builders_run_form(self):
+        """Equal steps spelled apart (``1`` and ``1.0``, a reversed pair, keys in another order) share one id."""
+        sch = trotter_product([{(1, 2): 2.0}, {(2, 3): 1.0, (4, 5): -3.0}], 3.0, 3, order=0)
+        data = json.loads(json.dumps(schedule_to_json(sch)))
+        first, second, third = (data["steps"][2 * r : 2 * r + 2] for r in range(3))
+        for raw in second:
+            raw["coeffs"] = [int(c) for c in raw["coeffs"]]
+        for j, raw in enumerate(third):
+            pairs, coeffs = [p[::-1] for p in raw["pairs"][::-1]], raw["coeffs"][::-1]
+            third[j] = {"phase": raw["phase"], "coeffs": coeffs, "pairs": pairs}
+        data["steps"] = first + second + third
+        assert len({json.dumps(raw) for raw in data["steps"]}) == 6
+        back = schedule_from_json(data)
+        assert back._interned == sch._interned and back._interned[1] == ((), (0, 1), 3, ())
+        assert back.steps == sch.steps and all(a is b for a, b in zip(back.steps, back.steps[2:]))
+
+    @staticmethod
+    def _periodic_forms(ids, n):
+        """Every ``(head, body, n, tail)`` spelling ids, head and tail shorter than the body: longest body, then shortest head."""
+        return [
+            (ids[:h], ids[h : h + w], n, ids[h + n * w :])
+            for w in range(len(ids) // max(n, 1), 0, -1)
+            for h in range(w)
+            if n > 1 and 0 <= len(ids) - h - n * w < w and ids[:h] + ids[h : h + w] * n + ids[h + n * w :] == ids
+        ]
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        ids_n=st.one_of(
+            st.tuples(st.lists(st.integers(0, 3), max_size=40).map(tuple), st.integers(1, 6)),
+            st.builds(
+                lambda head, body, n, tail: (head + body * n + tail, n),
+                *(st.lists(st.integers(0, 3), max_size=size).map(tuple) for size in (3, 5)),
+                st.integers(1, 6),
+                st.lists(st.integers(0, 3), max_size=3).map(tuple),
+            ),
+        )
+    )
+    def test_recovered_form_is_the_longest_periodic_body(self, ids_n):
+        """Ids with a body repeated n >= 2 times between a shorter head and tail recover it; any others are degenerate."""
+        ids, n = ids_n
+        forms = self._periodic_forms(ids, n)
+        assert trotter._recovered_form(ids, n) == (forms[0] if forms else ((), (), 0, ids))
 
     @staticmethod
     def _saved_text(sch, path):
