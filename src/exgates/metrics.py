@@ -25,7 +25,10 @@ extended by identity on the complement, and is invariant under a global
 phase of G.  L is the population leaving the computational subspace, the
 part of 1 - F due to leakage; it does not depend on the target, because
 the extended target acts as identity on the complement (C_ext Pi_perp =
-Pi_perp).
+Pi_perp).  ``frame_scores`` takes one gate or a stack of them, so
+``report_many`` scores a batch in one call per sector; a scorecard's
+cycles, time and negative steps are read off the schedule's run form and
+coefficient rows without building its consolidated schedule.
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ from .schedule import (
     pair_stack,
     row_generators,
 )
-from .trotter import _checked_int, cancel_negatives, cnot_spin1, cnot_spin_independent, consolidate
+from .trotter import _checked_int, _cycles, cancel_negatives, cnot_spin1, cnot_spin_independent
 
 __all__ = [
     "CNOT",
@@ -176,13 +179,30 @@ def simulate(schedule: PulseSchedule, sector: SpinSector) -> np.ndarray:
 
 def frame_scores(
     gate: np.ndarray, target: np.ndarray, frame: np.ndarray
-) -> tuple[float, float]:
-    """(F, L) of a d x d gate against a 4 x 4 target through a 4 x d frame."""
-    v = gate @ frame.conj().T
+) -> tuple[float, float] | list[tuple[float, float]]:
+    """(F, L) of a d x d gate, or a list of them for an (S, d, d) stack, against a 4 x 4 target.
+
+    The one F/L formula, through a 4 x d frame: each gate of a stack scores
+    bit for bit as it does alone, so a batch is scored in one call.  Its products are per-gate
+    matrix products; the trace sums each diagonal in the order a 2-d
+    ``np.trace`` does; the squared leakage norm is two (S, 1, n) @ (S, n, 1)
+    products on the ``.real`` and ``.imag`` views, the strided dot
+    ``np.linalg.norm`` takes on one gate (a sum or einsum over contiguous
+    copies rounds otherwise).  The last steps run per gate on Python
+    floats, whose ``abs`` and ``** 2`` round as a numpy scalar's do and an
+    array's do not.
+    """
+    gate = np.asarray(gate)
+    gates = gate if gate.ndim == 3 else gate[None]
+    back = frame.conj().T
+    v = gates @ back
     g = frame @ v
-    overlap = np.trace(np.asarray(target).conj().T @ g)
-    leaked = np.linalg.norm(v - frame.conj().T @ g)
-    return float(abs(overlap / 4.0) ** 2), float(leaked**2 / 4.0)
+    overlaps = np.trace(np.asarray(target).conj().T @ g, axis1=1, axis2=2)
+    leaked = (v - back @ g).reshape(len(gates), 1, frame.size)
+    re, im = leaked.real, leaked.imag
+    norms = np.sqrt((re @ re.transpose(0, 2, 1) + im @ im.transpose(0, 2, 1))[:, 0, 0])
+    scores = [(abs(o / 4.0) ** 2, n**2 / 4.0) for o, n in zip(overlaps.tolist(), norms.tolist())]
+    return scores if gate.ndim == 3 else scores[0]
 
 
 def entanglement_fidelity(
@@ -218,11 +238,17 @@ class SynthesisReport:
 
 
 def _scorecard(schedule: PulseSchedule, scores: dict[str, tuple[float, float]]) -> SynthesisReport:
-    """The report of a schedule from its (F, L) per sector name: adds cycles, time and the flag."""
+    """The report of a schedule from its (F, L) per sector name: adds cycles, time and the flag.
+
+    Cycles are ``trotter._cycles``, counted on the consolidation walk's
+    output run form with no consolidated schedule built; time and flag
+    read the schedule's coefficient rows (``_rows``), which its evolve has
+    built already.
+    """
     return SynthesisReport(
         name=schedule.name,
         n=schedule.n,
-        cycles=len(consolidate(schedule).steps),
+        cycles=_cycles(schedule),
         normalized_time=normalized_time(schedule),
         fidelity={name: f for name, (f, _) in scores.items()},
         leakage={name: leak for name, (_, leak) in scores.items()},
@@ -251,9 +277,9 @@ def report(schedule: PulseSchedule, target: np.ndarray | None = None) -> Synthes
     """Scorecard of one schedule against a 4 x 4 target (default ``CNOT``).
 
     F and L in both sectors' irreps (``simulate`` and ``frame_scores``),
-    the consolidated step count as cycles, the normalized time and the
-    negative local steps; see ``SynthesisReport``.  ``report_many`` scores
-    several schedules at once, to the same bits.
+    the consolidated step count as cycles (``trotter._cycles``), the
+    normalized time and the negative local steps; see ``SynthesisReport``.
+    ``report_many`` scores several schedules at once, to the same bits.
     """
     target = _checked_target(target)
     return _scorecard(schedule, {
@@ -264,22 +290,25 @@ def report(schedule: PulseSchedule, target: np.ndarray | None = None) -> Synthes
 def report_many(
     schedules: Sequence[PulseSchedule], target: np.ndarray | None = None
 ) -> list[SynthesisReport]:
-    """``[report(s, target) for s in schedules]``, equal to the bit, with one batched evolve per sector.
+    """``[report(s, target) for s in schedules]``, equal to the bit, scored as arrays.
 
     The batch's ``_evolve_form`` is built once and evolved in both irreps,
-    as ``evolve_many`` evolves it; each gate is scored with
-    ``frame_scores``.  The commutation checks of the whole batch are made
-    first, in at most two stacked calls (``schedule._fill_commutes``), and
-    each schedule is then consolidated on its own, reading its own.
+    as ``evolve_many`` evolves it, and each sector's (S, d, d) gate stack
+    is scored in one ``frame_scores`` call.  The commutation checks of the
+    whole batch are made first, in at most two stacked calls
+    (``schedule._fill_commutes``); each schedule's cycles are then counted
+    on its own walk, reading its own (``_scorecard``).  An empty schedule
+    scores its identity gate.
     """
     target = _checked_target(target)
     _fill_commutes(schedules)
     form = _evolve_form(schedules)
-    gates = {sector: _evolved(form, pair_stack(sector)) for sector in SpinSector}
+    scores = {
+        sector.name: frame_scores(_evolved(form, pair_stack(sector)), target, projector(sector))
+        for sector in SpinSector
+    }
     return [
-        _scorecard(schedule, {
-            sector.name: frame_scores(gates[sector][k], target, projector(sector)) for sector in SpinSector
-        })
+        _scorecard(schedule, {name: per_gate[k] for name, per_gate in scores.items()})
         for k, schedule in enumerate(schedules)
     ]
 
@@ -292,10 +321,13 @@ def table_rows(which: int, cancel: bool = False) -> list[SynthesisReport]:
     negative coefficients of the Hamiltonian pulses are first removed with
     the all-transposition sum, which is central in each irrep and so
     changes the simulated unitary by a pure per-sector phase: time grows
-    by the canceled magnitude, fidelity and leakage stay put.
+    by the canceled magnitude, fidelity and leakage stay put.  ``cancel``
+    must be a bool, numpy's included (``ValueError`` otherwise).
     """
     tables = {1: ((3, 5, 9), cnot_spin_independent), 2: ((2, 3, 4), cnot_spin1)}
     ns, builder = tables[_checked_int(which, "table", range(1, 3))]
+    if not isinstance(cancel, (bool, np.bool_)):
+        raise ValueError(f"cancel must be True or False, got {reprlib.repr(cancel)}")
     schedules = [builder(n) for n in ns]
     if cancel:
         schedules = [cancel_negatives(schedule) for schedule in schedules]

@@ -13,7 +13,8 @@ is shared by every schedule of the same run-form shape) and the
 commutation checks that ``trotter.consolidate`` reads (``_commutes``, from
 ``_fill_commutes``).  ``pair_stack`` and ``row_generators`` are the one
 coefficient-to-matrix path.  ``normalized_time`` and
-``_negative_local_steps`` are read off the run form.
+``_negative_local_steps`` read each distinct step's width and flag from
+``_rows`` and sum them over the run form.
 """
 
 from __future__ import annotations
@@ -379,16 +380,26 @@ def normalized_time(schedule: PulseSchedule) -> float:
 
     One unit is a full swap (coefficient pi/2); the identity phase does not
     count.  Computed before any consolidation: each printed factor is one
-    parallel pulse.  Each distinct step's maximum is taken once, and
+    parallel pulse.  Each distinct step's maximum is the largest ``|row|``
+    entry of its coefficient row (``_rows``; 0 for a phase-only step), and
     ``sum`` adds the run form's values written out, in schedule order.
     """
-    distinct, (head, body, reps, tail) = schedule._interned
-    width = [step.max_coefficient() for step in distinct].__getitem__
+    _, (head, body, reps, tail) = schedule._interned
+    width = np.abs(schedule._rows).max(axis=1).tolist().__getitem__
     return sum(list(map(width, head)) + list(map(width, body)) * reps + list(map(width, tail))) / (np.pi / 2)
 
 
+# per column of ``_rows``, whether it holds a cross-block pair
+_CROSS_COLUMNS = np.array([pair in CROSS_PAIRS for pair in ALL_PAIRS])
+
+
 def _negative_local_steps(schedule: PulseSchedule) -> int:
-    """Local steps (no cross-block pair) with a negative coefficient, counted on the run form; each distinct step checked once."""
-    distinct, (head, body, reps, tail) = schedule._interned
-    flagged = [not s.is_cross_block() and any(c < 0 for c in s.coeffs) for s in distinct]
+    """Local steps (no cross-block pair) with a negative coefficient, counted on the run form.
+
+    A distinct step is flagged once, from its row in ``_rows``: a negative
+    entry and none on a cross pair.
+    """
+    _, (head, body, reps, tail) = schedule._interned
+    rows = schedule._rows
+    flagged = ((rows < 0.0).any(axis=1) & ~rows[:, _CROSS_COLUMNS].any(axis=1)).tolist()
     return sum(map(flagged.__getitem__, head + tail)) + reps * sum(map(flagged.__getitem__, body))

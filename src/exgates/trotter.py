@@ -10,9 +10,10 @@ families instantiate it with the cross-block generator N (spin-independent;
 12n+3 cycles, 8n+1 at order 0) and the spin-1 optimized generator N1
 (10n+1 cycles), both with dt = pi/8n and prefactor exp(-i pi/4 (1 + (12))).
 
-``consolidate`` merges adjacent commuting steps, which counts cycles, and
-``cancel_negatives`` removes negative Hamiltonian coefficients; both keep
-the run form.  The schedule file format, ``schedule_to_json`` to
+``consolidate`` merges adjacent commuting steps, which counts cycles
+(``_cycles`` counts them on the same walk without building the merged
+schedule), and ``cancel_negatives`` removes negative Hamiltonian
+coefficients; both keep the run form.  The schedule file format, ``schedule_to_json`` to
 ``load_schedule``, checks a schedule both ways.  Steps and schedules are
 ``schedule``'s.
 """
@@ -209,10 +210,33 @@ def consolidate(schedule: PulseSchedule) -> PulseSchedule:
 
     The merged step sums coefficient maps and identity phases; the
     simulated unitary is unchanged.  The resulting step count is the
-    clock-cycle count of the schedule.  Two steps commute unless, in some
+    clock-cycle count of the schedule, which ``_cycles`` reads off the same
+    walk without building this schedule.  Two steps commute unless, in some
     irrep, an entry of [A, B] exceeds 1e-12 * max(1, |ga| |gb|), |g| the
     largest entry magnitude of a step's generator there; ``_rows_commute``
-    decides it on coefficient rows, building no irrep matrix.
+    decides it on coefficient rows, building no irrep matrix.  The walk is
+    ``_consolidated``; the output keeps its run form.
+    """
+    steps, (head, body, k, tail) = _consolidated(schedule)
+    # interned on output ids, whose steps are distinct, so no output step is hashed
+    used, runs = _intern(head, body, k, tail)
+    return PulseSchedule._of_form(
+        (tuple(map(steps.__getitem__, used)), runs), name=schedule.name, order=schedule.order, n=schedule.n
+    )
+
+
+def _cycles(schedule: PulseSchedule) -> int:
+    """``len(consolidate(schedule).steps)``, counted on ``_consolidated``'s output run form.
+
+    ``len(head) + len(body) * k + len(tail)``: no output step is interned
+    or written out, and no schedule is made.
+    """
+    _, (head, body, k, tail) = _consolidated(schedule)
+    return len(head) + len(body) * k + len(tail)
+
+
+def _consolidated(schedule: PulseSchedule) -> tuple[list[PulseStep], tuple]:
+    """``consolidate``'s walk: (steps per id, (head, body, k, tail)), the output ids ``head + body * k + tail``.
 
     The walk runs on the run form's ids (``_interned``); the id table grows
     only by merged steps, each with its row, the sum of its parts'.  Its
@@ -223,7 +247,7 @@ def consolidate(schedule: PulseSchedule) -> PulseSchedule:
     distinct pair.  Past the head the walk is fixed by its last output id:
     when a repeat of the body starts with the same one as an earlier
     repeat, the output between them is a period, repeated without a walk.
-    The output keeps that run form.
+    ``consolidate`` and ``_cycles`` both read this one walk.
     """
     distinct, (head, body, reps, tail) = schedule._interned
     steps = list(distinct)  # per id; merged steps append theirs, as do their rows
@@ -273,11 +297,7 @@ def consolidate(schedule: PulseSchedule) -> PulseSchedule:
         walk(body)
         r += 1
     walk(tail)
-    # interned on output ids, whose steps are distinct, so no output step is hashed
-    used, runs = _intern(out[:cut], out[cut:end], k, out[end:])
-    return PulseSchedule._of_form(
-        (tuple(map(steps.__getitem__, used)), runs), name=schedule.name, order=schedule.order, n=schedule.n
-    )
+    return steps, (out[:cut], out[cut:end], k, out[end:])
 
 
 def _cancel_step(step: PulseStep) -> PulseStep:

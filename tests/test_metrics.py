@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from swap_blocks import magnetization_block
+from swap_blocks import DOWN_SPINS, magnetization_block
 
 from exgates import metrics, oracle, products, schedule, trotter
 from exgates.encoding import ALL_PAIRS, SpinSector, projector
@@ -137,22 +137,27 @@ class TestReport:
         assert r.negative_local_steps > 0  # prefactor and inverse decouplers
 
     def test_scores_each_sector_through_one_frame_scores_call(self, monkeypatch):
-        schedule = cnot_spin1(3)
-        calls = []
         original = metrics.frame_scores
+        # a report, and a table batch through ``report_many``: one call per sector for the whole batch
+        for scoring, schedules in (
+            (lambda batch: [report(batch[0])], [cnot_spin1(3)]),
+            (metrics.report_many, [cnot_spin_independent(n) for n in (3, 5, 9)]),
+        ):
+            calls = []
 
-        def counted(*args):
-            calls.append(args)
-            return original(*args)
+            def counted(*args):
+                calls.append(args)
+                return original(*args)
 
-        monkeypatch.setattr(metrics, "frame_scores", counted)
-        r = report(schedule)
-        assert len(calls) == 2
-        monkeypatch.undo()
-        for sector in SpinSector:
-            g = simulate(schedule, sector)
-            assert r.fidelity[sector.name] == entanglement_fidelity(g, CNOT, sector)
-            assert r.leakage[sector.name] == leakage(g, CNOT, sector)
+            monkeypatch.setattr(metrics, "frame_scores", counted)
+            reports = scoring(schedules)
+            assert len(calls) == 2
+            monkeypatch.undo()
+            for r, schedule in zip(reports, schedules):
+                for sector in SpinSector:
+                    g = simulate(schedule, sector)
+                    assert r.fidelity[sector.name] == entanglement_fidelity(g, CNOT, sector)
+                    assert r.leakage[sector.name] == leakage(g, CNOT, sector)
 
     def test_list_built_schedule_reports_as_tuple_built(self):
         steps = cnot_spin1(2).steps
@@ -233,14 +238,29 @@ class TestPerStepSums:
     def test_families_at_n_200(self, builder):
         self._check(builder(200))
 
+    def test_phase_only_six_pair_cross_and_negative_zero_phase_steps(self):
+        steps = [
+            PulseStep.make({}, 0.7),  # phase only: width 0, not flagged
+            PulseStep.make({}, -0.0),
+            PulseStep.make({(1, 2): 0.1, (1, 3): -0.2, (2, 3): 0.3, (4, 5): -0.4, (4, 6): 0.5, (5, 6): -0.6}),
+            PulseStep.make({(1, 4): 0.1, (2, 5): -0.9, (3, 6): 0.3, (1, 2): -0.4, (4, 5): 0.5, (2, 3): 0.2}),
+            PulseStep.make({(1, 4): -0.3}),  # negative cross step: not local
+            PulseStep.make({(1, 2): -0.5}, -0.0),
+            PulseStep.make({(4, 5): 0.25}, -0.0),
+        ]
+        self._check(PulseSchedule(tuple(steps)))
+        self._check(PulseSchedule._repeated(steps[:2], steps[2:], 7, steps[5:]))
+        self._check(PulseSchedule._repeated((), steps[:2], 3, ()))  # phase-only steps alone: time 0
+
     @settings(max_examples=25, deadline=None)
     @given(
         pool=st.lists(
             st.builds(
                 PulseStep.make,
                 st.dictionaries(
-                    st.sampled_from(ALL_PAIRS), st.floats(-4.0, 4.0, allow_nan=False), max_size=4
+                    st.sampled_from(ALL_PAIRS), st.floats(-4.0, 4.0, allow_nan=False), max_size=6
                 ),
+                st.sampled_from([0.0, -0.0, 0.5]),
             ),
             min_size=1,
             max_size=6,
@@ -250,6 +270,8 @@ class TestPerStepSums:
     def test_random_schedule(self, pool, data):
         picks = data.draw(st.lists(st.integers(0, len(pool) - 1), max_size=200))
         self._check(PulseSchedule(tuple(pool[k] for k in picks)))
+        head, body, tail = (data.draw(st.lists(st.sampled_from(pool), max_size=5)) for _ in range(3))
+        self._check(PulseSchedule._repeated(head, body, data.draw(st.integers(0, 50)), tail))
 
 
 def _count_hashes(monkeypatch):
@@ -713,6 +735,15 @@ class TestReportMany:
     def test_empty_batch(self):
         assert metrics.report_many([]) == []
 
+    def test_empty_schedule_scores_its_identity_gate(self):
+        batch = [cnot_spin1(2), PulseSchedule((), name="empty"), cancel_negatives(cnot_spin1(2)), PulseSchedule(())]
+        got = metrics.report_many(batch)
+        assert [_report_bits(r) for r in got] == [_report_bits(report(s)) for s in batch]
+        assert got[1].cycles == got[3].cycles == 0 and got[1].normalized_time == 0.0
+        for sector in SpinSector:
+            f, leak = metrics.frame_scores(np.eye(sector.dim, dtype=complex), CNOT, projector(sector))
+            assert (got[1].fidelity[sector.name], got[1].leakage[sector.name]) == (f, leak)
+
     @pytest.mark.parametrize("which", [1, 2])
     @pytest.mark.parametrize("cancel", [False, True])
     def test_table_takes_two_stacked_checks(self, monkeypatch, which, cancel):
@@ -742,6 +773,116 @@ class TestReportMany:
     def test_table_number_must_be_an_integer(self, which):
         with pytest.raises(ValueError, match="table must be an integer"):
             table_rows(which)
+
+    @pytest.mark.parametrize("cancel", ["no", None, 0, 1, 1.0, "", [True], np.int64(1), np.array([True])])
+    def test_cancel_must_be_a_bool(self, cancel):
+        with pytest.raises(ValueError, match="^cancel must be True or False, got ") as err:
+            table_rows(1, cancel=cancel)
+        assert "\n" not in str(err.value)
+
+    @pytest.mark.parametrize("cancel", [np.True_, np.False_])
+    def test_cancel_takes_numpy_bools(self, cancel):
+        got, want = table_rows(2, cancel=cancel), table_rows(2, cancel=bool(cancel))
+        assert [_report_bits(r) for r in got] == [_report_bits(r) for r in want]
+
+
+def _frame_scores_2d(gate, target, frame):
+    """The one-gate F/L formula as it stood before ``frame_scores`` took stacks: a stack keeps its bits."""
+    v = gate @ frame.conj().T
+    g = frame @ v
+    overlap = np.trace(np.asarray(target).conj().T @ g)
+    leaked = np.linalg.norm(v - frame.conj().T @ g)
+    return float(abs(overlap / 4.0) ** 2), float(leaked**2 / 4.0)
+
+
+def _hexed(scores):
+    return [tuple(map(float.hex, pair)) for pair in scores]
+
+
+# (stack, frame): the two irreps, the oracle's two closures and the 20-dim block with the SPIN0 frame's columns
+_SCORE_FRAMES = {
+    **{f"irrep-{s.name}": (pair_stack(s), projector(s)) for s in SpinSector},
+    **{f"closure-{s.name}": oracle._closure_block(s) for s in SpinSector},
+    "block-20": (magnetization_block(3), oracle.logical_frame(SpinSector.SPIN0)[:, DOWN_SPINS == 3]),
+}
+
+
+@lru_cache(maxsize=None)
+def _scored_schedules():
+    """Table batches, the families at n = 50 plain and canceled, 24 random schedules of 1-60 steps and an empty one."""
+    rng = np.random.default_rng(53)
+    schedules = [cnot_spin_independent(n) for n in (3, 5, 9)] + [cnot_spin1(n) for n in (2, 3, 4, 50)]
+    schedules += [cnot_spin_independent(50), cnot_spin_independent(50, order=0)]
+    schedules += [cancel_negatives(s) for s in schedules]
+    schedules += [PulseSchedule(tuple(_random_steps(rng, int(rng.integers(1, 61)), phased=True))) for _ in range(24)]
+    return (*schedules, PulseSchedule(()))
+
+
+class TestStackedScores:
+    """``frame_scores`` of an (S, d, d) stack equals S one-gate calls, and the former formula, bit for bit."""
+
+    @pytest.mark.parametrize("target", [CNOT, np.eye(4, dtype=complex)], ids=["cnot", "identity"])
+    @pytest.mark.parametrize("name", list(_SCORE_FRAMES))
+    def test_stack_scores_as_each_gate_alone(self, name, target):
+        stack, frame = _SCORE_FRAMES[name]
+        gates = metrics.evolve_many(_scored_schedules(), stack)
+        got = metrics.frame_scores(gates, target, frame)
+        assert _hexed(got) == _hexed(metrics.frame_scores(g, target, frame) for g in gates)
+        assert _hexed(got) == _hexed(_frame_scores_2d(g, target, frame) for g in gates)
+
+    @pytest.mark.parametrize("name", list(_SCORE_FRAMES))
+    def test_random_unitaries_and_non_unitaries(self, name):
+        # gates far from the schedules' own, so the leakage norm and the overlap cover their whole range
+        d = _SCORE_FRAMES[name][0].shape[1]
+        frame = _SCORE_FRAMES[name][1]
+        rng = np.random.default_rng(59)
+        h = rng.normal(size=(200, d, d)) + 1j * rng.normal(size=(200, d, d))
+        for gates in (np.linalg.qr(h)[0], h):
+            got = metrics.frame_scores(gates, np.diag([1, 1j, -1, 1]).astype(complex), frame)
+            assert _hexed(got) == _hexed(_frame_scores_2d(g, np.diag([1, 1j, -1, 1]), frame) for g in gates)
+
+    @pytest.mark.parametrize(
+        "diagonal", [(1, 1e-16, 1e-16, 0), (1e-16, 1e-16, 1, 0), (1, 1e-16, 0, 1e-16), (1e-16, 1, 1e-16, 1e-16)]
+    )
+    def test_trace_sums_as_the_one_gate_trace(self, diagonal):
+        # the overlap's four terms, where (a + b) + c + d and a + (b + c + d) round apart
+        frame = np.eye(4, 5, dtype=complex)
+        gate = np.diag([*diagonal, 1]).astype(complex)
+        want = _frame_scores_2d(gate, np.eye(4), frame)
+        for stack in (gate[None], np.stack([np.eye(5), gate, gate])):
+            assert _hexed(metrics.frame_scores(stack, np.eye(4), frame)[-1:]) == _hexed([want])
+        assert _hexed([metrics.frame_scores(gate, np.eye(4), frame)]) == _hexed([want])
+
+    def test_one_gate_gives_a_pair_and_a_stack_a_list(self):
+        frame = projector(SpinSector.SPIN1)
+        gate = simulate(cnot_spin1(2), SpinSector.SPIN1)
+        one = metrics.frame_scores(gate, CNOT, frame)
+        assert type(one) is tuple and all(type(x) is float for x in one)
+        assert metrics.frame_scores(gate[None], CNOT, frame) == [one]
+        assert metrics.frame_scores(np.empty((0, 9, 9), dtype=complex), CNOT, frame) == []
+
+
+class TestScorecardFromTheRunForm:
+    """Cycles, time and negatives come from the run form and rows: a report makes no schedule."""
+
+    def test_reports_make_no_run_form_or_schedule_after_the_build(self, monkeypatch):
+        def built():
+            schedules = [cnot_spin_independent(9), cnot_spin_independent(3, order=0), cnot_spin1(200)]
+            return schedules + [cancel_negatives(s) for s in schedules]
+
+        alone, batch = built(), built()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a run form or schedule was made after the build")
+
+        monkeypatch.setattr(PulseSchedule, "_of_form", classmethod(refuse))
+        for module in (schedule, trotter):
+            monkeypatch.setattr(module, "_intern", refuse)
+        got = [report(s) for s in alone] + metrics.report_many(batch)
+        monkeypatch.undo()
+        want = [len(trotter.consolidate(s).steps) for s in built()]
+        assert [r.cycles for r in got] == want + want
+        assert want == [111, 25, 2001, 111, 25, 2001]
 
 
 class TestRendering:

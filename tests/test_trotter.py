@@ -101,7 +101,7 @@ def _repeating_schedules(draw):
 
 
 @st.composite
-def _run_forms(draw):
+def _run_forms(draw, reps=st.integers(0, 9)):
     """(head, body, reps, tail) over a pool where merges meet equal steps of either zero sign.
 
     The pool holds single-pair steps on disjoint blocks, which commute and
@@ -128,7 +128,7 @@ def _run_forms(draw):
         pool += [step, step.scaled(-1.0), step.scaled(2.0), step.scaled(-2.0)]
         pool.append(replace(step, phase=-step.phase if step.phase == 0.0 else step.phase))
     part = st.lists(st.sampled_from(pool), max_size=5)
-    return draw(part), draw(part), draw(st.integers(0, 9)), draw(part)
+    return draw(part), draw(part), draw(reps), draw(part)
 
 
 def _random_schedule(k):
@@ -1245,6 +1245,20 @@ class TestConsolidate:
     def test_matches_pairwise_reference_on_zero_sign_twins(self, runs):
         sch = PulseSchedule._repeated(*runs)
         assert schedule_to_json(consolidate(sch)) == schedule_to_json(_reference_consolidate(sch))
+
+    @settings(max_examples=60, deadline=None)
+    @given(runs=_run_forms(st.integers(0, 10000)))
+    def test_cycle_count_is_the_consolidated_length(self, runs):
+        sch = PulseSchedule._repeated(*runs)
+        assert trotter._cycles(sch) == len(consolidate(sch).steps)
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 200, 10000])
+    @pytest.mark.parametrize("cancel", [False, True])
+    def test_cycle_count_of_the_families(self, n, cancel):
+        laws = {"order-1": 12 * n + 3, "order-0": 8 * n + 1, "spin-1": 10 * n + 1}
+        for name, build in _FAMILIES.items():
+            sch = cancel_negatives(build(n)) if cancel else build(n)
+            assert trotter._cycles(sch) == len(consolidate(sch).steps) == laws[name], name
 
     def test_twins_resolve_their_own_transitions(self):
         # a merges with b to phase 0.0 + -0.0 = 0.0, a's -0.0 twin to -0.0 + -0.0 = -0.0
