@@ -28,7 +28,10 @@ the extended target acts as identity on the complement (C_ext Pi_perp =
 Pi_perp).  ``frame_scores`` takes one gate or a stack of them, so
 ``report_many`` scores a batch in one call per sector; a scorecard's
 cycles, time and negative steps are read off the schedule's run form and
-coefficient rows without building its consolidated schedule.
+coefficient rows without building its consolidated schedule.  A batch's
+step widths and flags are read in one pass over its evolve form's rows
+(``schedule._step_facts``) and summed over each schedule's batch-id run
+form.
 """
 
 from __future__ import annotations
@@ -46,8 +49,8 @@ from .schedule import (
     PulseSchedule,
     _evolve_form,
     _fill_commutes,
-    _negative_local_steps,
-    normalized_time,
+    _run_sums,
+    _step_facts,
     pair_stack,
     row_generators,
 )
@@ -107,16 +110,16 @@ def _evolved(form, stack: np.ndarray) -> np.ndarray:
     batched products.  Either way each product has the bits of its own ``@``.
     """
     d = stack.shape[1]
-    rows, phases, phased, levels, finals, slots = form
+    rows, finals, slots = form.rows, form.finals, form.slots
     chunk = _chunk(d)
     pool = np.empty((slots, d, d), dtype=complex)
     steps = pool[: len(rows)]
     for start in range(0, len(rows), chunk):
         part = slice(start, start + chunk)
         u = expi(row_generators(rows[part], stack))
-        steps[part] = np.where(phased[part, None, None], phases[part, None, None] * u, u)
+        steps[part] = np.where(form.phased[part, None, None], form.phases[part, None, None] * u, u)
     node = len(rows)
-    for left, right in levels:
+    for left, right in form.levels:
         if len(left) == 1:  # a lone product multiplies pool views: no gather, no stacked call
             np.matmul(pool[left[0]], pool[right[0]], out=pool[node % slots])
             node += 1
@@ -237,22 +240,27 @@ class SynthesisReport:
     negative_local_steps: int = 0
 
 
-def _scorecard(schedule: PulseSchedule, scores: dict[str, tuple[float, float]]) -> SynthesisReport:
-    """The report of a schedule from its (F, L) per sector name: adds cycles, time and the flag.
+def _scorecard(
+    schedule: PulseSchedule, scores: dict[str, tuple[float, float]], sums: tuple[float, int]
+) -> SynthesisReport:
+    """The report of a schedule from its (F, L) per sector name and its ``_run_sums``: adds cycles.
 
     Cycles are ``trotter._cycles``, counted on the consolidation walk's
-    output run form with no consolidated schedule built; time and flag
-    read the schedule's coefficient rows (``_rows``), which its evolve has
-    built already.
+    output run form with no consolidated schedule built.  ``sums`` is the
+    schedule's (time, negative local steps): ``report`` reads them in one
+    ``_step_facts`` pass over the schedule's coefficient rows (``_rows``),
+    which its evolve has built already, and ``report_many`` in one pass
+    over the whole batch's rows.
     """
+    time, negatives = sums
     return SynthesisReport(
         name=schedule.name,
         n=schedule.n,
         cycles=_cycles(schedule),
-        normalized_time=normalized_time(schedule),
+        normalized_time=time,
         fidelity={name: f for name, (f, _) in scores.items()},
         leakage={name: leak for name, (_, leak) in scores.items()},
-        negative_local_steps=_negative_local_steps(schedule),
+        negative_local_steps=negatives,
     )
 
 
@@ -282,9 +290,10 @@ def report(schedule: PulseSchedule, target: np.ndarray | None = None) -> Synthes
     ``report_many`` scores several schedules at once, to the same bits.
     """
     target = _checked_target(target)
-    return _scorecard(schedule, {
+    scores = {
         sector.name: frame_scores(simulate(schedule, sector), target, projector(sector)) for sector in SpinSector
-    })
+    }
+    return _scorecard(schedule, scores, _run_sums(schedule._interned[1], _step_facts(schedule._rows)))
 
 
 def report_many(
@@ -294,22 +303,26 @@ def report_many(
 
     The batch's ``_evolve_form`` is built once and evolved in both irreps,
     as ``evolve_many`` evolves it, and each sector's (S, d, d) gate stack
-    is scored in one ``frame_scores`` call.  The commutation checks of the
-    whole batch are made first, in at most two stacked calls
-    (``schedule._fill_commutes``); each schedule's cycles are then counted
-    on its own walk, reading its own (``_scorecard``).  An empty schedule
-    scores its identity gate.
+    is scored in one ``frame_scores`` call.  The step widths and flags of
+    the whole batch are read in one ``_step_facts`` pass over the form's
+    rows, and each schedule's time and negative count are summed over its
+    batch-id run form (``form.runs``), to the bits of its own.  The
+    commutation checks of the whole batch are made first, in at most two
+    stacked calls (``schedule._fill_commutes``); each schedule's cycles are
+    then counted on its own walk, reading its own (``_scorecard``).  An
+    empty schedule scores its identity gate.
     """
     target = _checked_target(target)
     _fill_commutes(schedules)
     form = _evolve_form(schedules)
+    facts = _step_facts(form.rows)
     scores = {
         sector.name: frame_scores(_evolved(form, pair_stack(sector)), target, projector(sector))
         for sector in SpinSector
     }
     return [
-        _scorecard(schedule, {name: per_gate[k] for name, per_gate in scores.items()})
-        for k, schedule in enumerate(schedules)
+        _scorecard(schedule, {name: per_gate[k] for name, per_gate in scores.items()}, _run_sums(run, facts))
+        for k, (schedule, run) in enumerate(zip(schedules, form.runs))
     ]
 
 

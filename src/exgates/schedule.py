@@ -12,9 +12,11 @@ numeric form and product plan (``_form``, from ``_evolve_form``; the plan
 is shared by every schedule of the same run-form shape) and the
 commutation checks that ``trotter.consolidate`` reads (``_commutes``, from
 ``_fill_commutes``).  ``pair_stack`` and ``row_generators`` are the one
-coefficient-to-matrix path.  ``normalized_time`` and
-``_negative_local_steps`` read each distinct step's width and flag from
-``_rows`` and sum them over the run form.
+coefficient-to-matrix path.  ``_step_facts`` reads every distinct step's
+width and flag from (k, 15) coefficient rows in one pass, and ``_run_sums``
+adds them over a run form into a schedule's time and negative count:
+``normalized_time`` and ``_negative_local_steps`` on ``_rows``, and
+``metrics.report_many`` once on a whole batch's evolve form.
 """
 
 from __future__ import annotations
@@ -119,15 +121,18 @@ class PulseStep:
 
 
 class _EvolveForm(NamedTuple):
-    """A batch's distinct steps and product plan, read-only, from ``_evolve_form``.
+    """A batch's distinct steps, run forms and product plan, read-only, from ``_evolve_form``.
 
     ``rows`` holds the (k, 15) coefficients in ALL_PAIRS order, ``phases[i]`` step i's
-    ``np.exp(1j * phase)`` and ``phased[i]`` whether it is nonzero; the rest is ``product_plan``'s.
+    ``np.exp(1j * phase)`` and ``phased[i]`` whether it is nonzero; ``runs[s]`` is
+    schedule s's ``(head, body, reps, tail)`` over batch ids, the rows' indices; the
+    rest is ``product_plan``'s.  Read the fields by name.
     """
 
     rows: np.ndarray
     phases: np.ndarray
     phased: np.ndarray
+    runs: tuple
     levels: tuple
     finals: tuple
     slots: int
@@ -259,12 +264,12 @@ def _evolve_form(schedules: Sequence[PulseSchedule]) -> _EvolveForm:
     Steps are interned first occurrence first and each schedule's id run
     form renumbered to batch ids, as tuples; one ``product_plan`` call plans
     them all, or returns the plan it made for an earlier schedule or batch
-    of the same id run forms and step count.  Only the plan is shared:
-    rows and phases are this batch's own.  The rows of the steps new to the
-    batch are that schedule's ``_rows`` under a mask, bit for bit; the phase
-    factors are one elementwise ``np.exp``, the bits of a scalar call per
-    step.  A schedule's ``_form``
-    is this for a batch of one.
+    of the same id run forms and step count; the batch-id run forms are
+    kept as ``runs``.  Only the plan is shared: rows and phases are this
+    batch's own.  The rows of the steps new to the batch are that
+    schedule's ``_rows`` under a mask, bit for bit; the phase factors are
+    one elementwise ``np.exp``, the bits of a scalar call per step.  A
+    schedule's ``_form`` is this for a batch of one.
     """
     ids: dict[PulseStep, int] = {}
     runs, rows = [], [np.empty((0, len(ALL_PAIRS)))]
@@ -276,11 +281,13 @@ def _evolve_form(schedules: Sequence[PulseSchedule]) -> _EvolveForm:
         head, body, tail = (tuple([to_batch[i] for i in part]) for part in (head, body, tail))
         runs.append((head, body, reps, tail))
     phases = np.array([step.phase for step in ids], dtype=float)
+    runs = tuple(runs)
     return _EvolveForm(
         _read_only(np.concatenate(rows)),
         _read_only(np.exp(1j * phases)),
         _read_only(phases != 0.0),
-        *product_plan(tuple(runs), len(ids)),
+        runs,
+        *product_plan(runs, len(ids)),
     )
 
 
@@ -375,31 +382,51 @@ def _fill_commutes(schedules: Sequence[PulseSchedule]) -> None:
         s.__dict__["_commutes"] = fact
 
 
+# per column of ``_rows``, whether it holds a cross-block pair
+_CROSS_COLUMNS = np.array([pair in CROSS_PAIRS for pair in ALL_PAIRS])
+
+
+def _step_facts(rows: np.ndarray) -> tuple[list[float], list[bool]]:
+    """(widths, flags) of (k, 15) coefficient rows, one list entry per row, in one pass.
+
+    A width is the row's largest ``|entry|`` (0 for a phase-only step); a
+    flag is set when the row has a negative entry and none on a cross pair.
+    """
+    return (
+        np.abs(rows).max(axis=1).tolist(),
+        ((rows < 0.0).any(axis=1) & ~rows[:, _CROSS_COLUMNS].any(axis=1)).tolist(),
+    )
+
+
+def _run_sums(run: tuple, facts: tuple[list[float], list[bool]]) -> tuple[float, int]:
+    """(normalized time, negative local steps) of the run form ``(head, body, reps, tail)`` over ``_step_facts``' ids.
+
+    The widths are added written out, in schedule order, so the time has
+    the bits of a per-step sum; the flags count as ``head + tail`` plus
+    ``reps`` times the body.
+    """
+    head, body, reps, tail = run
+    width, flag = (values.__getitem__ for values in facts)
+    time = sum(list(map(width, head)) + list(map(width, body)) * reps + list(map(width, tail))) / (np.pi / 2)
+    return time, sum(map(flag, head + tail)) + reps * sum(map(flag, body))
+
+
 def normalized_time(schedule: PulseSchedule) -> float:
     """Summed per-step maximum coefficient magnitude in swap durations.
 
     One unit is a full swap (coefficient pi/2); the identity phase does not
     count.  Computed before any consolidation: each printed factor is one
-    parallel pulse.  Each distinct step's maximum is the largest ``|row|``
-    entry of its coefficient row (``_rows``; 0 for a phase-only step), and
-    ``sum`` adds the run form's values written out, in schedule order.
+    parallel pulse.  Each distinct step's maximum is its width in
+    ``_step_facts(_rows)``, and ``_run_sums`` adds the run form's values
+    written out, in schedule order.
     """
-    _, (head, body, reps, tail) = schedule._interned
-    width = np.abs(schedule._rows).max(axis=1).tolist().__getitem__
-    return sum(list(map(width, head)) + list(map(width, body)) * reps + list(map(width, tail))) / (np.pi / 2)
-
-
-# per column of ``_rows``, whether it holds a cross-block pair
-_CROSS_COLUMNS = np.array([pair in CROSS_PAIRS for pair in ALL_PAIRS])
+    return _run_sums(schedule._interned[1], _step_facts(schedule._rows))[0]
 
 
 def _negative_local_steps(schedule: PulseSchedule) -> int:
     """Local steps (no cross-block pair) with a negative coefficient, counted on the run form.
 
-    A distinct step is flagged once, from its row in ``_rows``: a negative
-    entry and none on a cross pair.
+    A distinct step is flagged once, in ``_step_facts(_rows)``: a negative
+    entry and none on a cross pair; ``_run_sums`` counts the flags.
     """
-    _, (head, body, reps, tail) = schedule._interned
-    rows = schedule._rows
-    flagged = ((rows < 0.0).any(axis=1) & ~rows[:, _CROSS_COLUMNS].any(axis=1)).tolist()
-    return sum(map(flagged.__getitem__, head + tail)) + reps * sum(map(flagged.__getitem__, body))
+    return _run_sums(schedule._interned[1], _step_facts(schedule._rows))[1]

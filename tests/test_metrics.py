@@ -221,18 +221,20 @@ class TestReport:
 
 
 class TestPerStepSums:
-    """``report`` evaluates each distinct step once; its sums stay the per-step ones."""
+    """``report`` evaluates each distinct step once; its sums stay the per-step ones, alone and in a batch."""
 
     @staticmethod
     def _check(sch):
-        rep = report(sch)
+        # in a batch, its steps' ids are renumbered after another schedule's, and its canceled copy shares some
+        batched = metrics.report_many([cnot_spin1(3), sch, cancel_negatives(sch), PulseSchedule(())])[1]
         time = sum(s.max_coefficient() for s in sch.steps) / (np.pi / 2)
-        assert float.hex(rep.normalized_time) == float.hex(time)
-        assert float.hex(normalized_time(sch)) == float.hex(time)
         negative = sum(
             1 for s in sch.steps if not s.is_cross_block() and any(c < 0 for c in s.coeffs)
         )
-        assert rep.negative_local_steps == negative
+        assert float.hex(normalized_time(sch)) == float.hex(time)
+        for rep in (report(sch), batched):
+            assert float.hex(rep.normalized_time) == float.hex(time)
+            assert rep.negative_local_steps == negative
 
     @pytest.mark.parametrize("builder", [cnot_spin_independent, cnot_spin1])
     def test_families_at_n_200(self, builder):
@@ -694,7 +696,8 @@ class TestPlanMemo:
             assert all(np.array_equal(x, y) and not x.flags.writeable for x, y in zip(got, ref))
 
     def test_plan_is_immutable(self):
-        levels, finals, slots = cnot_spin_independent(50)._form[3:]
+        form = cnot_spin_independent(50)._form
+        levels, finals, slots = form.levels, form.finals, form.slots
         assert isinstance(levels, tuple) and isinstance(finals, tuple) and isinstance(slots, int)
         assert all(isinstance(level, tuple) and not any(a.flags.writeable for a in level) for level in levels)
 
@@ -883,6 +886,31 @@ class TestScorecardFromTheRunForm:
         want = [len(trotter.consolidate(s).steps) for s in built()]
         assert [r.cycles for r in got] == want + want
         assert want == [111, 25, 2001, 111, 25, 2001]
+
+    @pytest.mark.parametrize("which", [1, 2])
+    @pytest.mark.parametrize("cancel", [False, True])
+    def test_a_batch_reads_widths_and_flags_in_one_pass(self, monkeypatch, which, cancel):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a per-schedule time or flag pass in a batch")
+
+        passes = []
+        original = schedule._step_facts
+
+        def counting(rows):
+            passes.append(len(rows))
+            return original(rows)
+
+        for name in ("normalized_time", "_negative_local_steps"):
+            monkeypatch.setattr(schedule, name, refuse)
+            monkeypatch.setattr(metrics, name, refuse, raising=False)
+        for module in (schedule, metrics):
+            monkeypatch.setattr(module, "_step_facts", counting)
+        rows = table_rows(which, cancel=cancel)
+        monkeypatch.undo()
+        builder, ns = (cnot_spin_independent, (3, 5, 9)) if which == 1 else (cnot_spin1, (2, 3, 4))
+        built = [cancel_negatives(builder(n)) if cancel else builder(n) for n in ns]
+        assert passes == [len(schedule._evolve_form(built).rows)]
+        assert [_report_bits(r) for r in rows] == [_report_bits(report(s)) for s in built]
 
 
 class TestRendering:
